@@ -131,7 +131,8 @@ echo "check.sh: crash-recovery differential smoke clean (ASan/UBSan)."
 
 # --- Serve smoke (always on, under the same TSan build so the
 # thread-per-connection transport and shared caches are race-checked): boot
-# the daemon on a unix socket with a durable state dir, run the client demo
+# the daemon on a unix socket with a durable state dir, hang up a client
+# that never reads its responses, run the client demo
 # with a publish (create_session, three uploads, predict, get_model, diff,
 # publish_model, list_models, close_session), capture the published model,
 # kill the daemon with SIGKILL — no flush, the crash the journal exists
@@ -158,6 +159,16 @@ if ! wait_for_socket "$SERVE_SOCK" "$SERVE_PID"; then
   echo "check.sh: SERVE FAIL — daemon never bound $SERVE_SOCK." >&2
   exit 1
 fi
+# Hang-up: a client sends 2000 pings and closes without reading, so the
+# daemon writes responses into a closed socket. That must end only that
+# connection; the demo below runs against the same daemon.
+python3 - "$SERVE_SOCK" <<'PY'
+import socket, sys
+s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+s.connect(sys.argv[1])
+s.sendall(b'{"verb":"ping"}\n' * 2000)
+s.close()
+PY
 "$BUILD_DIR/examples/autobi_client" --socket "$SERVE_SOCK" --demo \
   --publish smoke
 MODEL_BEFORE="$(echo '{"verb":"get_catalog_model","version":1}' \
@@ -195,8 +206,8 @@ wait "$SERVE_PID"
 SERVE_PID=""
 rm -f "$SERVE_SOCK2"
 rm -rf "$SERVE_STATE"
-echo "check.sh: serve smoke clean (demo + publish, SIGKILL restart" \
-     "round-trip byte-identical, clean shutdown)."
+echo "check.sh: serve smoke clean (client hang-up survived, demo + publish," \
+     "SIGKILL restart round-trip byte-identical, clean shutdown)."
 
 # Opt-in perf smoke (AUTOBI_BENCH_SMOKE=1): refresh the BENCH_*.json perf
 # trajectory after the sanitizer gate passes.

@@ -122,8 +122,8 @@ AutoBiResult RunIncrementalPipeline(const LocalModel& model,
           profiles[i] = MergeAppendedTableProfile(
               state->profiles[size_t(ch.prev_index)], tables[i]);
           // UCCs are not mergeable (one duplicate delta row can kill a key);
-          // re-run the lattice, which is profile-pruned and lazily builds
-          // only the views arity >= 2 candidates touch.
+          // re-run the lattice, which is profile-pruned and computes value
+          // ids only for the columns arity >= 2 candidates touch.
           uccs[i] = DiscoverUccs(tables[i], profiles[i], options.candidates.ucc);
           merged.fetch_add(1, std::memory_order_relaxed);
         } else {

@@ -44,38 +44,46 @@ void NumericStats(const Column& col, ColumnProfile* p, size_t max_sample) {
   p->sorted_numeric_sample = std::move(numeric);
 }
 
-// Single-pass distinct aggregation of `view` into the profile's distinct
-// vectors (hashes/counts/pool/offsets), collision bookkeeping, num_distinct
-// and key_bytes. Shared by full-column profiling and the append-only delta
-// path (MergeAppendedColumnProfile), which runs it over a suffix view.
-void AggregateDistinct(const ColumnKeyView& view, ColumnProfile* out) {
-  ColumnProfile& p = *out;
-  const size_t non_null = view.num_non_null();
-  // Single-pass distinct aggregation over an open-addressing table keyed by
-  // the cell's stable hash: one slot per distinct hash, carrying the run
-  // count and the first (lowest) row. Rows are visited in order, so the
-  // first insert into a slot is the first occurrence. Fibonacci finalizer on
-  // the slot index, linear probing. The scratch buffers are thread_local so
-  // small-table profiling (the corpus workload: hundreds of rows, dozens of
-  // columns per table) does not pay a malloc per column; every byte read is
-  // written first within this call, so results are unaffected.
-  struct Slot {
-    uint64_t hash;
-    uint32_t first_row;
-    int32_t count;  // 0 marks an empty slot.
-  };
+// One slot of the open-addressing distinct table: a distinct hash with its
+// run count and first (lowest) row.
+struct DistinctSlot {
+  uint64_t hash;
+  uint32_t first_row;
+  int32_t count;  // 0 marks an empty slot.
+};
+
+// Distinct keys beyond a slot's representative, as (slot, first row). Only a
+// true 64-bit collision between different keys populates it.
+using ExtraReps = std::vector<std::pair<size_t, uint32_t>>;
+
+// The slot table is thread_local so small-table profiling (the corpus
+// workload: hundreds of rows, dozens of columns per table) does not pay a
+// malloc per column; ProbeDistinct rewrites every slot before reading it.
+std::vector<DistinctSlot>& ThreadSlots() {
+  static thread_local std::vector<DistinctSlot> slots;
+  return slots;
+}
+
+// The one distinct probe over a key view, shared by profiling and the UCC
+// value ids: an open-addressing table keyed by the cell's stable hash, one
+// slot per distinct hash. Rows are visited in order, so the first insert
+// into a slot is the first occurrence. Fibonacci finalizer on the slot
+// index, linear probing. Calls on_row(i, rep) for every non-null row i, rep
+// being the first row holding key(i): equal hashes are verified by key
+// bytes, and a true 64-bit collision gets its own entry in `extra_reps`
+// (kept so num_distinct stays exact, like the legacy string-map kernel).
+// Returns the number of occupied slots.
+template <typename OnRow>
+size_t ProbeDistinct(const ColumnKeyView& view,
+                     std::vector<DistinctSlot>& slots, ExtraReps* extra_reps,
+                     OnRow&& on_row) {
   // Sized against the all-distinct worst case at ~0.8 max load; the usual
   // load is distinct/cap, far lower, and prefetching hides the probes.
   size_t cap = 16;
-  while (cap * 4 < non_null * 5) cap <<= 1;
+  while (cap * 4 < view.num_non_null() * 5) cap <<= 1;
   const int idx_shift =
       64 - static_cast<int>(std::countr_zero(cap));  // cap is a power of 2.
-  static thread_local std::vector<Slot> slots;
-  slots.assign(cap, Slot{0, 0, 0});
-  // Distinct keys beyond a slot's representative (only populated by a true
-  // 64-bit collision between different keys — kept so num_distinct stays
-  // exact, exactly like the legacy string-map kernel).
-  std::vector<std::pair<size_t, uint32_t>> extra_reps;  // (slot, rep row)
+  slots.assign(cap, DistinctSlot{0, 0, 0});
   size_t runs = 0;
   const size_t n_rows = view.size();
   // The slot table exceeds cache for large columns, so each probe is a
@@ -92,30 +100,46 @@ void AggregateDistinct(const ColumnKeyView& view, ColumnProfile* out) {
     uint64_t h = view.hash(i);
     size_t idx = (h * 0x9E3779B97F4A7C15ULL) >> idx_shift;
     while (true) {
-      Slot& s = slots[idx];
+      DistinctSlot& s = slots[idx];
       if (s.count == 0) {
-        s = Slot{h, static_cast<uint32_t>(i), 1};
+        s = DistinctSlot{h, static_cast<uint32_t>(i), 1};
         ++runs;
+        on_row(i, s.first_row);
         break;
       }
       if (s.hash == h) {
         ++s.count;
+        uint32_t rep = s.first_row;
         // Verify-on-collision: equal hash does not prove an equal key.
-        if (view.key(i) != view.key(s.first_row)) {
-          bool found = false;
-          for (const auto& [slot_idx, row] : extra_reps) {
+        if (view.key(i) != view.key(rep)) {
+          rep = static_cast<uint32_t>(i);
+          for (const auto& [slot_idx, row] : *extra_reps) {
             if (slot_idx == idx && view.key(row) == view.key(i)) {
-              found = true;
+              rep = row;
               break;
             }
           }
-          if (!found) extra_reps.emplace_back(idx, static_cast<uint32_t>(i));
+          if (rep == i) extra_reps->emplace_back(idx, rep);
         }
+        on_row(i, rep);
         break;
       }
       idx = (idx + 1) & (cap - 1);
     }
   }
+  return runs;
+}
+
+// Single-pass distinct aggregation of `view` into the profile's distinct
+// vectors (hashes/counts/pool/offsets), collision bookkeeping, num_distinct
+// and key_bytes. Shared by full-column profiling and the append-only delta
+// path (MergeAppendedColumnProfile), which runs it over a suffix view.
+void AggregateDistinct(const ColumnKeyView& view, ColumnProfile* out) {
+  ColumnProfile& p = *out;
+  std::vector<DistinctSlot>& slots = ThreadSlots();
+  ExtraReps extra_reps;
+  const size_t runs =
+      ProbeDistinct(view, slots, &extra_reps, [](size_t, uint32_t) {});
 
   // Order the distinct entries by hash (each hash owns one slot, so there
   // are no ties) and size the long-lived vectors exactly — profiles sit in
@@ -124,7 +148,7 @@ void AggregateDistinct(const ColumnKeyView& view, ColumnProfile* out) {
   static thread_local std::vector<HashRow> scratch;
   hr.clear();
   hr.reserve(runs);
-  for (size_t idx = 0; idx < cap; ++idx) {
+  for (size_t idx = 0; idx < slots.size(); ++idx) {
     if (slots[idx].count != 0) {
       hr.push_back(HashRow{slots[idx].hash, static_cast<uint32_t>(idx)});
     }
@@ -138,7 +162,7 @@ void AggregateDistinct(const ColumnKeyView& view, ColumnProfile* out) {
   p.distinct_offsets.reserve(runs + 1);
   p.distinct_pool.reserve(rep_bytes);
   for (const HashRow& e : hr) {
-    const Slot& s = slots[e.row];
+    const DistinctSlot& s = slots[e.row];
     p.distinct_hashes.push_back(s.hash);
     p.distinct_counts.push_back(s.count);
     p.distinct_offsets.push_back(p.distinct_pool.size());
@@ -167,6 +191,13 @@ void AggregateDistinct(const ColumnKeyView& view, ColumnProfile* out) {
 }
 
 }  // namespace
+
+void ColumnValueIds(const ColumnKeyView& view, std::vector<uint32_t>* ids) {
+  ids->assign(view.size(), kNullValueId);
+  ExtraReps extra_reps;
+  ProbeDistinct(view, ThreadSlots(), &extra_reps,
+                [ids](size_t i, uint32_t rep) { (*ids)[i] = rep; });
+}
 
 ColumnProfile ProfileColumn(const Column& col, const ColumnKeyView& view,
                             size_t max_sample) {

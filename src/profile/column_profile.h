@@ -94,6 +94,16 @@ ColumnProfile ProfileColumn(const Column& col, size_t max_sample = 512);
 ColumnProfile ProfileColumn(const Column& col, const ColumnKeyView& view,
                             size_t max_sample = 512);
 
+// Dense value identity of a column's rows, from the same open-addressing
+// distinct probe ProfileColumn aggregates with: (*ids)[r] is the first row
+// whose canonical key equals row r's (exact — equal hashes are verified by
+// key bytes), or kNullValueId for a null cell. Two rows hold the same value
+// iff their ids are equal, and every id is a row index below view.size(),
+// so ids index per-row scratch arrays directly. This is the input the UCC
+// lattice refines its stripped partitions with (profile/ucc.h).
+inline constexpr uint32_t kNullValueId = UINT32_MAX;
+void ColumnValueIds(const ColumnKeyView& view, std::vector<uint32_t>* ids);
+
 // Legacy reference kernel: the original per-cell KeyAt + string-map path,
 // producing a bit-identical ColumnProfile. Retained as the oracle for the
 // kernel-equivalence property tests and the old-vs-new micro-benchmark

@@ -24,7 +24,7 @@ struct UccOptions {
   // (pruning heuristic; 0 disables).
   double min_distinct_ratio = 0.05;
   // Run candidate checks through the legacy string-set kernel
-  // (IsUniqueCombinationLegacy) instead of the hash-first one. Oracle knob
+  // (IsUniqueCombinationLegacy) instead of partition refinement. Oracle knob
   // for the kernel-equivalence property tests; production leaves it off.
   bool legacy_kernel = false;
 };
@@ -37,16 +37,26 @@ struct Ucc {
 // Returns all *minimal* UCCs of `table` up to the option's arity, using a
 // breadth-first lattice search with superset pruning (in the spirit of the
 // IND/UCC discovery literature the paper invokes as a standard step).
-// If `view` is non-null it must be a TableKeyView of `table` and is reused
-// for the candidate checks; otherwise per-column views are built lazily the
-// first time a column appears in an arity >= 2 candidate.
+//
+// Candidates are checked by partition refinement (stripped partitions, or
+// position list indexes, as in TANE and HyUCC): each column's rows get dense
+// value ids from the profiling kernel's distinct probe (ColumnValueIds), a
+// base combination's partition is its prefix's partition refined by one
+// column, and a candidate base + {c} is unique iff no cluster of the base
+// holds two rows with the same value of c and some row is non-null in every
+// member. Ids and partitions are transient per call.
+// If `view` is non-null it must be a TableKeyView of `table` and the ids are
+// computed from it; otherwise each column's view is built transiently the
+// first time the column appears in an arity >= 2 candidate.
 std::vector<Ucc> DiscoverUccs(const Table& table, const TableProfile& profile,
                               const UccOptions& options = {},
                               const TableKeyView* view = nullptr);
 
-// True if the given column set has no duplicate (non-null-complete) tuples.
-// Rows with a null in any of the columns are skipped, matching the SQL
-// semantics of candidate keys with nullable columns.
+// True if the given column set has no duplicate (non-null-complete) tuples
+// and at least one non-null-complete tuple. Rows with a null in any of the
+// columns are skipped, matching the SQL semantics of candidate keys with
+// nullable columns. Point check for tests and the oracle of DiscoverUccs'
+// partition checks; the lattice does not call it.
 //
 // Hash-first kernel: streams the composite tuple hashes (the TupleHash
 // escape convention of profile/sketch.h), radix-sorts (hash, row) pairs, and
@@ -59,7 +69,7 @@ bool IsUniqueCombination(const TableKeyView& view,
 
 // Legacy reference kernel: escaped string tuple keys probed through an
 // unordered_set. Retained as the oracle for the kernel-equivalence property
-// tests (the PR 2/4 pattern); production call sites use the hash-first form.
+// tests and, through UccOptions::legacy_kernel, of the lattice.
 bool IsUniqueCombinationLegacy(const Table& table,
                                const std::vector<int>& columns);
 

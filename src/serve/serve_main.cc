@@ -17,6 +17,7 @@
 // journaled and survives crashes and restarts; see SERVING.md "Durability &
 // recovery".
 
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -159,6 +160,10 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(dur.generation),
                  dur.discarded_records);
   }
+  // A reader that goes away must cost only its own responses: writes to a
+  // closed stdout pipe fail with EPIPE instead of killing the daemon (the
+  // socket transport also sends with MSG_NOSIGNAL).
+  std::signal(SIGPIPE, SIG_IGN);
   autobi::Status status;
   if (stdio) {
     status = autobi::RunStdioServer(&engine);

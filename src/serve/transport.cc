@@ -20,7 +20,9 @@ Status RunStdioServer(ServeEngine* engine) {
   std::string line;
   while (!engine->shutdown_requested() && std::getline(std::cin, line)) {
     if (line.empty()) continue;
-    std::cout << engine->HandleLine(line) << "\n" << std::flush;
+    // A reader that went away fails the stream (autobi_serve ignores
+    // SIGPIPE): nobody is left to answer, so stop serving.
+    if (!(std::cout << engine->HandleLine(line) << "\n" << std::flush)) break;
   }
   return Status::Ok();
 }
@@ -63,8 +65,11 @@ void ServeConnection(ServeEngine* engine, int fd, int wake_fd) {
         response.push_back('\n');
         size_t off = 0;
         while (off < response.size()) {
-          ssize_t w =
-              ::write(fd, response.data() + off, response.size() - off);
+          // A client that hung up turns this write into EPIPE: MSG_NOSIGNAL
+          // keeps that from raising SIGPIPE, whose default action would kill
+          // the daemon and every other session with it.
+          ssize_t w = ::send(fd, response.data() + off, response.size() - off,
+                             MSG_NOSIGNAL);
           if (w <= 0) {
             ::close(fd);
             return;

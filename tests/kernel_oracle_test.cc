@@ -6,6 +6,8 @@
 // adversarial randomized data (nulls, escape bytes '|' and '\', int/double
 // canonicalization edges, mixed-type columns), on the synthetic REAL corpus,
 // and on TPC-H ingested through the SQL-DDL path, at 1, 2, and 8 threads.
+// The partition-refinement UCC lattice is held to the legacy string-set
+// lattice the same way, plus its own edge cases (KernelOraclePliTest).
 //
 // scripts/check.sh runs this file under ASan/UBSan on every invocation.
 
@@ -14,6 +16,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -353,6 +356,166 @@ TEST(KernelOracleEndToEndTest, CorpusAndTpchIdenticalAcrossThreadsAndKernels) {
                                         iopt)),
               IndsToString(DiscoverInds(tables, ref.profiles, ref.uccs,
                                         iopt)));
+  }
+}
+
+// Partition-refinement lattice edge cases. Each runs DiscoverUccs without a
+// view (ids from transient per-column views, the delta path) and with a
+// prebuilt view (the cold path), and requires both to equal the legacy
+// string-set lattice. Returns the legacy result for shape assertions.
+std::string ExpectLatticeMatchesLegacy(const Table& t, const UccOptions& opt) {
+  TableProfile profile = ProfileTable(t);
+  UccOptions legacy_opt = opt;
+  legacy_opt.legacy_kernel = true;
+  std::string legacy = UccsToString(DiscoverUccs(t, profile, legacy_opt));
+  TableKeyView view(t);
+  EXPECT_EQ(UccsToString(DiscoverUccs(t, profile, opt)), legacy) << t.name();
+  EXPECT_EQ(UccsToString(DiscoverUccs(t, profile, opt, &view)), legacy)
+      << t.name();
+  return legacy;
+}
+
+std::vector<std::string> Cells(size_t rows,
+                               const std::function<std::string(size_t)>& f) {
+  std::vector<std::string> out;
+  for (size_t r = 0; r < rows; ++r) out.push_back(f(r));
+  return out;
+}
+
+// No row is non-null in both a and b, so {a, b} has an empty partition and
+// still is not a key; {a, c} and {b, c} are keys over their complete rows.
+TEST(KernelOraclePliTest, CandidatesWithoutCompleteRows) {
+  const size_t n = 40;
+  Table t = MakeTable(
+      "nulls",
+      {{"a", Cells(n, [](size_t r) {
+          return r % 2 == 0 ? std::to_string(r / 4) : std::string();
+        })},
+       {"b", Cells(n, [](size_t r) {
+          return r % 2 == 1 ? std::to_string(r / 4) : std::string();
+        })},
+       {"c", Cells(n, [](size_t r) { return std::to_string(r % 3); })}});
+  UccOptions opt;
+  opt.min_distinct_ratio = 0.0;
+  EXPECT_EQ(ExpectLatticeMatchesLegacy(t, opt), "0,2,;1,2,;");
+  EXPECT_FALSE(IsUniqueCombinationLegacy(t, {0, 1}));
+
+  // Randomized: mostly-null adversarial columns, full lattice.
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed * 7727 + 11);
+    size_t rows = 2 + rng.NextBelow(50);
+    std::vector<std::pair<std::string, std::vector<std::string>>> cols;
+    for (size_t c = 0; c < 5; ++c) {
+      std::vector<std::string> cells = RandomCells(rng, rows);
+      for (std::string& cell : cells) {
+        if (rng.NextBelow(2) == 0) cell.clear();
+      }
+      cols.emplace_back(StrFormat("c%zu", c), std::move(cells));
+    }
+    ExpectLatticeMatchesLegacy(MakeTable(StrFormat("sparse%llu",
+                                                   (unsigned long long)seed),
+                                         cols),
+                               opt);
+  }
+}
+
+// Low-cardinality columns: every level-1 partition is a handful of clusters
+// holding almost every row, and the only key appears at arity 3.
+TEST(KernelOraclePliTest, LowCardinalityLargeClusters) {
+  const size_t n = 3000;
+  Rng rng(17);
+  std::vector<std::string> noise = Cells(n, [&](size_t r) {
+    return r % 10 == 0 ? std::string() : std::to_string(rng.NextBelow(4));
+  });
+  Table t = MakeTable(
+      "clusters",
+      {{"x", Cells(n, [](size_t r) { return std::to_string(r % 60); })},
+       {"y", Cells(n, [](size_t r) { return std::to_string(r / 60 % 25); })},
+       {"z", Cells(n, [](size_t r) { return std::to_string(r / 1500); })},
+       {"noise", noise},
+       {"flag", Cells(n, [](size_t r) { return r % 2 ? "t" : "f"; })}});
+  UccOptions opt;
+  opt.min_distinct_ratio = 0.0;
+  // {x, y, z} is the key (60 * 25 * 2 = 3000 rows); no pair is.
+  std::string legacy = ExpectLatticeMatchesLegacy(t, opt);
+  EXPECT_NE(legacy.find("0,1,2,;"), std::string::npos) << legacy;
+}
+
+// The max_candidates cutoff lands on the same candidate: every prefix of
+// the lattice equals the legacy prefix.
+TEST(KernelOraclePliTest, TruncatedLattice) {
+  Rng rng(23);
+  const size_t n = 200;
+  auto random = [&](size_t domain) {
+    return Cells(n,
+                 [&](size_t) { return std::to_string(rng.NextBelow(domain)); });
+  };
+  // {c1, c3} is a key at arity 2; the random columns add arity-3 candidates
+  // around it.
+  std::vector<std::pair<std::string, std::vector<std::string>>> cols = {
+      {"c0", random(8)},
+      {"c1", Cells(n, [](size_t r) { return std::to_string(r % 20); })},
+      {"c2", random(12)},
+      {"c3", Cells(n, [](size_t r) { return std::to_string(r / 20); })},
+      {"c4", random(15)},
+      {"c5", Cells(n, [](size_t r) { return std::to_string(r * 7 % 25); })},
+      {"c6", random(30)}};
+  Table t = MakeTable("truncated", cols);
+  UccOptions opt;
+  opt.min_distinct_ratio = 0.0;
+  std::string full = ExpectLatticeMatchesLegacy(t, opt);
+  bool truncated = false;
+  for (size_t limit = 0; limit <= 60; ++limit) {
+    opt.max_candidates = limit;
+    if (ExpectLatticeMatchesLegacy(t, opt) != full) truncated = true;
+  }
+  EXPECT_TRUE(truncated);
+}
+
+// Arity 4: the key {c2, c3, c5, c7} over 210 rows exists only at the fourth
+// level (Chinese remainder theorem), so the prefix stack is three deep.
+TEST(KernelOraclePliTest, MaxArityFour) {
+  const size_t n = 210;
+  Rng rng(29);
+  Table t = MakeTable(
+      "arity4",
+      {{"c2", Cells(n, [](size_t r) { return std::to_string(r % 2); })},
+       {"c3", Cells(n, [](size_t r) { return std::to_string(r % 3); })},
+       {"c5", Cells(n, [](size_t r) { return std::to_string(r % 5); })},
+       {"c7", Cells(n, [](size_t r) { return std::to_string(r % 7); })},
+       {"r", Cells(n, [&](size_t) {
+          return std::to_string(rng.NextBelow(9));
+        })}});
+  UccOptions opt;
+  opt.min_distinct_ratio = 0.0;
+  opt.max_arity = 4;
+  std::string legacy = ExpectLatticeMatchesLegacy(t, opt);
+  EXPECT_NE(legacy.find("0,1,2,3,;"), std::string::npos) << legacy;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng table_rng(seed * 15485863 + 31);
+    ExpectLatticeMatchesLegacy(RandomTable(table_rng, "r4"), opt);
+  }
+}
+
+// TPC-H via DDL at scale 2: lineitem's arity-3 lattice and partsupp's
+// composite key, per table and through GenerateCandidates at 1/2/8 threads.
+TEST(KernelOraclePliTest, TpchScaleTwoLattice) {
+  Rng rng(41);
+  StatusOr<BiCase> tpch = GenerateTpchFromDdl(/*scale=*/2.0, rng);
+  ASSERT_TRUE(tpch.ok()) << tpch.status().ToString();
+  std::vector<std::string> legacy;
+  for (const Table& t : tpch->tables) {
+    legacy.push_back(ExpectLatticeMatchesLegacy(t, UccOptions{}));
+  }
+  for (int threads : {1, 2, 8}) {
+    CandidateGenOptions opt;
+    opt.threads = threads;
+    CandidateSet got = GenerateCandidates(tpch->tables, opt);
+    ASSERT_EQ(got.uccs.size(), legacy.size());
+    for (size_t t = 0; t < legacy.size(); ++t) {
+      EXPECT_EQ(UccsToString(got.uccs[t]), legacy[t])
+          << tpch->tables[t].name() << " threads=" << threads;
+    }
   }
 }
 

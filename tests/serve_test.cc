@@ -5,11 +5,17 @@
 //   - any request bytes produce one well-formed JSON response line,
 //   - Predict responses are byte-identical at any thread count and whether
 //     the caches are cold or warm,
-//   - admission overflow is an immediate kResourceExhausted, not a hang.
+//   - admission overflow is an immediate kResourceExhausted, not a hang,
+//   - a client hanging up never takes the socket transport down.
+
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstring>
 #include <filesystem>
 #include <mutex>
 #include <string>
@@ -18,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
 #include "core/auto_bi.h"
 #include "core/candidates.h"
 #include "core/predict_cache.h"
@@ -26,6 +33,7 @@
 #include "serve/catalog.h"
 #include "serve/engine.h"
 #include "serve/json.h"
+#include "serve/transport.h"
 #include "synth/corpus.h"
 #include "table/csv.h"
 
@@ -920,6 +928,77 @@ TEST(ServeEngineTest, StateDirRestartServesByteIdenticalCatalogModel) {
   EXPECT_EQ(durability->Find("recovered_tenants")->AsInt(), 1);
   EXPECT_EQ(durability->Find("discarded_records")->AsInt(), 0);
   std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// Unix-socket transport.
+
+// Connects to the unix socket at `path`, retrying while the server binds.
+int ConnectUnix(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size());
+  for (int attempt = 0; attempt < 1000; ++attempt) {
+    int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd >= 0 &&
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
+      return fd;
+    }
+    if (fd >= 0) ::close(fd);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return -1;
+}
+
+bool WriteAll(int fd, const std::string& bytes) {
+  size_t off = 0;
+  while (off < bytes.size()) {
+    ssize_t w = ::write(fd, bytes.data() + off, bytes.size() - off);
+    if (w <= 0) return false;
+    off += size_t(w);
+  }
+  return true;
+}
+
+// Sends one request line and returns the response line ("" on a failure).
+std::string RoundTrip(int fd, const std::string& request) {
+  if (!WriteAll(fd, request + "\n")) return "";
+  std::string line;
+  char ch;
+  while (::read(fd, &ch, 1) == 1 && ch != '\n') line.push_back(ch);
+  return line;
+}
+
+// A client that sends a burst and hangs up without reading leaves the server
+// writing responses into a closed socket. The write must fail with EPIPE
+// and end only that connection: without MSG_NOSIGNAL the default SIGPIPE
+// action kills the whole process (this test binary included).
+TEST(ServeTransportTest, ClientHangUpLeavesServerRunning) {
+  ServeEngine engine(&TestModel(), ServeOptions{});
+  const std::string path =
+      ::testing::TempDir() + StrFormat("autobi_hangup_%d.sock", int(getpid()));
+  ASSERT_LT(path.size(), sizeof(sockaddr_un{}.sun_path));
+  Status served;
+  std::thread server([&] { served = RunUnixSocketServer(&engine, path); });
+
+  int hangup = ConnectUnix(path);
+  EXPECT_GE(hangup, 0);
+  std::string burst;
+  for (int i = 0; i < 2000; ++i) burst += "{\"verb\":\"ping\"}\n";
+  EXPECT_TRUE(WriteAll(hangup, burst));
+  ::close(hangup);
+
+  int fresh = ConnectUnix(path);
+  EXPECT_GE(fresh, 0);
+  StatusOr<Json> pong = ParseJson(RoundTrip(fresh, R"({"verb":"ping"})"));
+  EXPECT_TRUE(pong.ok() && pong->Find("pong") != nullptr &&
+              pong->Find("pong")->AsBool());
+  // Shut down in-process whatever happened above, so the server always
+  // joins.
+  engine.HandleLine(R"({"verb":"shutdown"})");
+  ::close(fresh);
+  server.join();
+  EXPECT_TRUE(served.ok()) << served.ToString();
 }
 
 }  // namespace
