@@ -2,9 +2,9 @@
 # Data-race check for the parallel pipeline: build with ThreadSanitizer and
 # run the concurrency-sensitive suites (pool semantics + cross-thread-count
 # determinism, plus the core pipeline tests that exercise every parallel
-# stage, plus the 1-vs-8-thread solver determinism sweep for the
-# wave-parallel k-MCA-CC branch-and-bound). Any TSan report fails the run
-# (halt_on_error).
+# stage, plus the stateful pipeline's full and partial rescans, plus the
+# 1-vs-8-thread solver determinism sweep for the wave-parallel k-MCA-CC
+# branch-and-bound). Any TSan report fails the run (halt_on_error).
 #
 # Usage: scripts/check.sh [build-dir]     (default: build-tsan)
 set -euo pipefail
@@ -58,7 +58,7 @@ echo "check.sh: docs lint clean (module map + markdown links)."
 
 cmake -B "$BUILD_DIR" -S . -DAUTOBI_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j --target autobi_parallel_tests autobi_core_tests \
-  autobi_fuzz_tests
+  autobi_incremental_tests autobi_fuzz_tests
 
 export TSAN_OPTIONS="halt_on_error=1${TSAN_OPTIONS:+:$TSAN_OPTIONS}"
 # Force multi-threaded execution even on small machines so races are reachable.
@@ -66,6 +66,9 @@ export AUTOBI_THREADS="${AUTOBI_THREADS:-4}"
 
 "$BUILD_DIR/tests/autobi_parallel_tests"
 "$BUILD_DIR/tests/autobi_core_tests"
+# PredictIncremental at 1/2/8 threads: state reuse, composite key-set
+# seeding and partial rescans race real pool workers here.
+"$BUILD_DIR/tests/autobi_incremental_tests"
 
 # Solver determinism under TSan: the wave-parallel branch-and-bound must be
 # byte-identical (results and stats) at 1, 2, and 8 threads, with the
@@ -78,7 +81,8 @@ AUTOBI_THREADS=1 "$BUILD_DIR/tests/autobi_fuzz_tests" \
 AUTOBI_THREADS=8 "$BUILD_DIR/tests/autobi_fuzz_tests" \
   --gtest_filter='SolverDeterminismTest.*'
 
-echo "check.sh: ThreadSanitizer clean (pipeline + solver determinism)."
+echo "check.sh: ThreadSanitizer clean (pipeline, incremental, solver" \
+     "determinism)."
 
 # --- Kernel-oracle equivalence under ASan/UBSan (always on since PR 7):
 # the hash-first profiling/UCC/IND kernels (table/key_view.h + radix-sorted

@@ -253,45 +253,31 @@ void RunGlobalPredict(const AutoBiOptions& options, const RunContext* ctx,
 
 namespace {
 
-// The pipeline proper. May throw (pool-propagated worker exceptions,
-// injected parallel-task faults); the public entry point converts those to
-// kInternal.
-AutoBiResult RunPipeline(const LocalModel& model, const AutoBiOptions& options,
-                         const std::vector<Table>& tables,
-                         const RunContext* ctx) {
-  AutoBiResult result;
-  result.timing.threads = ResolveThreads(options.threads);
-
-  // Stage 1+2: UCC and IND discovery (candidate generation). The top-level
-  // thread setting flows into candidate generation unless the caller pinned
-  // a stage-specific count.
-  CandidateGenOptions cand_options = options.candidates;
-  if (cand_options.threads == 0) cand_options.threads = options.threads;
-  if (cand_options.cache == nullptr) cand_options.cache = options.cache;
-  CandidateSet candidates = GenerateCandidates(tables, cand_options, ctx);
-  result.timing.ucc = candidates.ucc_seconds;
-  result.timing.ind = candidates.ind_seconds;
-  result.degradation.ucc = candidates.ucc_health;
-  result.degradation.ind = candidates.ind_health;
-  result.ind_stats = candidates.ind_stats;
-
-  // Stage 3: local inference — featurize and score each candidate with the
-  // calibrated classifiers (Algorithm 1).
-  bool schema_only = options.mode == AutoBiMode::kSchemaOnly;
-  result.graph = BuildJoinGraph(tables, candidates, model, schema_only,
-                                &result.timing.local_inference,
-                                options.threads, ctx,
-                                &result.degradation.local_inference);
-
-  // Stage 4: global prediction.
-  RunGlobalPredict(options, ctx, &result);
-  return result;
+// A finished healthy run as the solve memo and an IncrementalState keep it.
+std::shared_ptr<const PredictCache::SolveEntry> ToSolveEntry(
+    const AutoBiResult& result) {
+  auto entry = std::make_shared<PredictCache::SolveEntry>();
+  entry->model = result.model;
+  entry->graph = result.graph;
+  entry->backbone_edges = result.backbone_edges;
+  entry->recall_edges = result.recall_edges;
+  entry->solver_stats = result.solver_stats;
+  entry->ind_stats = result.ind_stats;
+  entry->partition = result.partition;
+  return entry;
 }
 
-}  // namespace
+// The global-solve outputs of `entry`, as a memo hit and a warm start
+// replay them.
+void ReplaySolve(const PredictCache::SolveEntry& entry, AutoBiResult* result) {
+  result->model = entry.model;
+  result->backbone_edges = entry.backbone_edges;
+  result->recall_edges = entry.recall_edges;
+  result->solver_stats = entry.solver_stats;
+  result->partition = entry.partition;
+}
 
-StatusOr<AutoBiResult> AutoBi::Predict(const std::vector<Table>& tables,
-                                       const RunContext* ctx) const {
+Status ValidateTables(const std::vector<Table>& tables) {
   for (size_t i = 0; i < tables.size(); ++i) {
     if (!tables[i].Validate()) {
       return Status::InvalidInput(
@@ -299,44 +285,159 @@ StatusOr<AutoBiResult> AutoBi::Predict(const std::vector<Table>& tables,
                     tables[i].name().c_str()));
     }
   }
+  return Status::Ok();
+}
+
+// The pipeline proper, for every predict. `state` is null for a stateless
+// run; otherwise it is reused if its options fingerprint matches and
+// replaced if this run is healthy. May throw (pool-propagated worker
+// exceptions); only the final commit writes the state, so a throw leaves it
+// describing the previous healthy run.
+AutoBiResult RunPipeline(const LocalModel& model, const AutoBiOptions& options,
+                         const std::vector<Table>& tables,
+                         std::vector<TableSnapshot> snapshots,
+                         const RunContext* ctx, IncrementalState* state) {
+  AutoBiResult result;
+  result.timing.threads = ResolveThreads(options.threads);
+  const uint64_t fp = SolveKeyFingerprint(options, ctx);
+  PipelineRun run;
+  if (state != nullptr && state->valid && state->options_fp == fp) {
+    run.prev = state;
+  }
+
+  // Stage 1+2: UCC and IND discovery (candidate generation). The top-level
+  // thread setting flows into candidate generation unless the caller pinned
+  // a stage-specific count. A stateful run neither reads nor writes the
+  // table shard of the cache: its reuse comes from the state.
+  CandidateGenOptions cand_options = options.candidates;
+  if (cand_options.threads == 0) cand_options.threads = options.threads;
+  if (cand_options.cache == nullptr) cand_options.cache = options.cache;
+  if (state != nullptr) cand_options.cache = nullptr;
+  CandidateSet candidates =
+      GenerateCandidates(tables, snapshots, cand_options, ctx, &run);
+  result.timing.ucc = candidates.ucc_seconds;
+  result.timing.ind = candidates.ind_seconds;
+  result.degradation.ucc = candidates.ucc_health;
+  result.degradation.ind = candidates.ind_health;
+  result.ind_stats = candidates.ind_stats;
+  if (state != nullptr) {
+    result.incremental = run.stats;
+    result.incremental.used = run.prev != nullptr;
+  }
+
+  // Stage 3: local inference — featurize and score each candidate with the
+  // calibrated classifiers (Algorithm 1). Carried-over scores are pure
+  // per-candidate functions of unchanged tables, so they stand in exactly.
+  bool schema_only = options.mode == AutoBiMode::kSchemaOnly;
+  result.graph = BuildJoinGraph(
+      tables, candidates.profiles, candidates.candidates, &run.scores, model,
+      schema_only, &result.timing.local_inference, options.threads, ctx,
+      &result.degradation.local_inference);
+
+  // Stage 4: global prediction. The solve is a deterministic function of
+  // the graph and the fingerprinted options, so a structurally identical
+  // graph reuses the previous solve wholesale; anything else — including a
+  // stop trip, which RunGlobalPredict degrades — runs the solve.
+  if (run.prev != nullptr && !(ctx != nullptr && ctx->StopRequested()) &&
+      run.prev->solve->graph.StructurallyEqual(result.graph)) {
+    ReplaySolve(*run.prev->solve, &result);
+    result.incremental.warm_start_used = true;
+  } else {
+    RunGlobalPredict(options, ctx, &result);
+  }
+
+  // Only a healthy run may become the next diff baseline: degraded runs
+  // carry partial profiles/candidates that would poison every later reuse.
+  if (state != nullptr && !result.degradation.Any()) {
+    state->valid = true;
+    state->options_fp = fp;
+    state->snapshots = std::move(snapshots);
+    state->profiles = std::move(candidates.profiles);
+    state->uccs = std::move(candidates.uccs);
+    state->candidates = std::move(candidates.candidates);
+    state->probabilities = std::move(run.scores);
+    state->key_sets.clear();
+    for (auto& [key, set] : run.key_sets.Entries()) {
+      state->key_sets.emplace(std::move(key), std::move(set));
+    }
+    state->solve = ToSolveEntry(result);
+  }
+  return result;
+}
+
+// Predict and PredictIncremental: validation, the entry screen, one hash
+// pass, the solve memo, then RunPipeline.
+StatusOr<AutoBiResult> PredictWith(const LocalModel& model,
+                                   const AutoBiOptions& options,
+                                   const std::vector<Table>& tables,
+                                   const RunContext* ctx,
+                                   IncrementalState* state) {
+  Status valid = ValidateTables(tables);
+  if (!valid.ok()) return valid;
+  // Entry screen: no cached work may stand in for recomputation when the
+  // context already tripped (the run owes degraded partial-model semantics
+  // from the very first stage) or a table is over the value-probe budget
+  // (its metadata-only profile has no cached equivalent). The state is
+  // dropped and the run is stateless, table cache and solve memo included.
+  if (state != nullptr && ctx != nullptr) {
+    bool usable = !ctx->StopRequested();
+    for (const Table& t : tables) {
+      usable = usable && !OverTableBudget(t, ctx->budgets);
+    }
+    if (!usable) {
+      state->valid = false;
+      state = nullptr;
+    }
+  }
   try {
     // Cross-request solve memo: a byte-identical (tables, options, budgets)
     // submission returns the cached healthy result without running the
     // pipeline. Skipped when the context already tripped (the pipeline then
     // owes the caller its degraded partial-model semantics, not a full
-    // cached answer).
-    PredictCache* cache = options_.cache;
+    // cached answer). Stateful runs populate but never consult it: a hit
+    // would replace the state's reuse and zero the counters callers rely on.
+    PredictCache* cache = options.cache;
     const bool memo_usable =
         cache != nullptr && (ctx == nullptr || !ctx->StopRequested());
+    // Every cell is hashed once, here: the snapshots key the solve memo
+    // below, and in-run dedupe, the table cache and the schema diff inside
+    // the pipeline. Ahead of a memo lookup the pass is serial, so a hit
+    // never waits on pool workers busy with other requests' stages.
+    Timer hash_timer;
+    const int threads = options.candidates.threads != 0
+                            ? options.candidates.threads
+                            : options.threads;
+    std::vector<TableSnapshot> snapshots = SnapshotTables(
+        tables, memo_usable && state == nullptr ? 1 : threads);
     uint64_t solve_key = 0;
     if (memo_usable) {
-      solve_key =
-          MixU64(TablesContentHash(tables), SolveKeyFingerprint(options_, ctx));
-      if (std::shared_ptr<const PredictCache::SolveEntry> entry =
-              cache->FindSolve(solve_key)) {
-        AutoBiResult result;
-        result.timing.threads = ResolveThreads(options_.threads);
-        result.model = entry->model;
-        result.graph = entry->graph;
-        result.backbone_edges = entry->backbone_edges;
-        result.recall_edges = entry->recall_edges;
-        result.solver_stats = entry->solver_stats;
-        result.ind_stats = entry->ind_stats;
-        result.partition = entry->partition;
-        return result;
+      std::vector<uint64_t> table_hashes;
+      table_hashes.reserve(snapshots.size());
+      for (const TableSnapshot& snap : snapshots) {
+        table_hashes.push_back(snap.table_hash);
+      }
+      solve_key = MixU64(TablesContentHashFromHashes(table_hashes),
+                         SolveKeyFingerprint(options, ctx));
+      if (state == nullptr) {
+        if (std::shared_ptr<const PredictCache::SolveEntry> entry =
+                cache->FindSolve(solve_key)) {
+          AutoBiResult result;
+          result.timing.threads = ResolveThreads(options.threads);
+          result.graph = entry->graph;
+          result.ind_stats = entry->ind_stats;
+          ReplaySolve(*entry, &result);
+          return result;
+        }
       }
     }
-    AutoBiResult result = RunPipeline(*model_, options_, tables, ctx);
+    const double hash_seconds = hash_timer.Seconds();
+    AutoBiResult result =
+        RunPipeline(model, options, tables, std::move(snapshots), ctx, state);
+    result.timing.ucc += hash_seconds;
     if (memo_usable && !result.degradation.Any()) {
-      auto entry = std::make_shared<PredictCache::SolveEntry>();
-      entry->model = result.model;
-      entry->graph = result.graph;
-      entry->backbone_edges = result.backbone_edges;
-      entry->recall_edges = result.recall_edges;
-      entry->solver_stats = result.solver_stats;
-      entry->ind_stats = result.ind_stats;
-      entry->partition = result.partition;
-      cache->InsertSolve(solve_key, std::move(entry));
+      // A healthy stateful run just committed this very entry.
+      cache->InsertSolve(solve_key,
+                         state != nullptr ? state->solve : ToSolveEntry(result));
     }
     return result;
   } catch (const std::exception& e) {
@@ -347,69 +448,17 @@ StatusOr<AutoBiResult> AutoBi::Predict(const std::vector<Table>& tables,
   }
 }
 
+}  // namespace
+
+StatusOr<AutoBiResult> AutoBi::Predict(const std::vector<Table>& tables,
+                                       const RunContext* ctx) const {
+  return PredictWith(*model_, options_, tables, ctx, nullptr);
+}
+
 StatusOr<AutoBiResult> AutoBi::PredictIncremental(
     const std::vector<Table>& tables, const RunContext* ctx,
     IncrementalState* state) const {
-  for (size_t i = 0; i < tables.size(); ++i) {
-    if (!tables[i].Validate()) {
-      return Status::InvalidInput(
-          StrFormat("table %zu ('%s') is malformed (ragged columns)", i,
-                    tables[i].name().c_str()));
-    }
-  }
-  // Fallback screen: conditions under which the incremental engine cannot
-  // reproduce the plain pipeline bit-identically. A context that already
-  // tripped owes degraded partial-model semantics from the very first stage;
-  // a table over the value-probe budget keeps a metadata-only profile in the
-  // cold path, which no cached profile may stand in for. Both invalidate the
-  // state (the run about to happen produces nothing reusable).
-  bool fallback = ctx != nullptr && ctx->StopRequested();
-  if (!fallback && ctx != nullptr) {
-    for (const Table& t : tables) {
-      if (OverTableBudget(t, ctx->budgets)) {
-        fallback = true;
-        break;
-      }
-    }
-  }
-  if (fallback) {
-    state->valid = false;
-    return Predict(tables, ctx);
-  }
-  try {
-    AutoBiResult result =
-        RunIncrementalPipeline(*model_, options_, tables, ctx, state);
-    // Populate — but never consult — the cross-request solve memo. A memo
-    // hit here would silently replace the delta path (zeroing the
-    // observability counters callers rely on), while populating keeps plain
-    // Predict calls over the same bytes instant. The key reuses the
-    // snapshot hashes the engine just committed, so no extra pass over the
-    // cell bytes is needed.
-    if (options_.cache != nullptr && !result.degradation.Any()) {
-      std::vector<uint64_t> table_hashes;
-      table_hashes.reserve(state->snapshots.size());
-      for (const TableSnapshot& snap : state->snapshots) {
-        table_hashes.push_back(snap.table_hash);
-      }
-      uint64_t solve_key = MixU64(TablesContentHashFromHashes(table_hashes),
-                                  SolveKeyFingerprint(options_, ctx));
-      auto entry = std::make_shared<PredictCache::SolveEntry>();
-      entry->model = result.model;
-      entry->graph = result.graph;
-      entry->backbone_edges = result.backbone_edges;
-      entry->recall_edges = result.recall_edges;
-      entry->solver_stats = result.solver_stats;
-      entry->ind_stats = result.ind_stats;
-      entry->partition = result.partition;
-      options_.cache->InsertSolve(solve_key, std::move(entry));
-    }
-    return result;
-  } catch (const std::exception& e) {
-    // The engine mutates the state only at its final healthy commit, so the
-    // state still describes the previous healthy run — no invalidation.
-    return Status::Internal(
-        StrFormat("prediction pipeline failed: %s", e.what()));
-  }
+  return PredictWith(*model_, options_, tables, ctx, state);
 }
 
 AutoBiResult AutoBi::Predict(const std::vector<Table>& tables) const {

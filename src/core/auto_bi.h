@@ -45,7 +45,7 @@ struct AutoBiOptions {
   // byte-identical re-submission returns the cached result without running
   // the pipeline. Hits are bit-identical to recomputation (models, graph,
   // solver stats); only timing differs. Runs tripped by a deadline/cancel
-  // never populate the memo.
+  // never populate the memo. Stateful predicts only add to the memo.
   PredictCache* cache = nullptr;
 };
 
@@ -78,11 +78,11 @@ struct AutoBiDegradation {
   }
 };
 
-// Observability counters of an incremental run (core/incremental.h): how
-// much work the delta path actually did versus reused. A cold run (or a
-// plain Predict) leaves `used` false and everything zero.
+// Observability counters of a PredictIncremental run (core/incremental.h):
+// how much work it did versus reused from its state. A plain Predict leaves
+// `used` false and everything zero.
 struct IncrementalStats {
-  // True when the delta engine ran (false: cold rebuild or plain Predict).
+  // True when a state was reused (false: full rebuild or plain Predict).
   bool used = false;
   // Tables whose profile + UCCs were recomputed from scratch this run.
   size_t tables_reprofiled = 0;
@@ -112,7 +112,7 @@ struct AutoBiResult {
   std::vector<int> recall_edges;
   // What (if anything) was degraded by the run's deadline/cancel/budgets.
   AutoBiDegradation degradation;
-  // Delta-path observability (all-zero unless PredictIncremental ran).
+  // Reuse observability (all-zero unless PredictIncremental ran).
   IncrementalStats incremental;
   // Candidate-generation counters, including the blocking stage's pruning
   // numbers (profile/ind.h). Surfaced by the serve stats/predict verbs and
@@ -122,9 +122,9 @@ struct AutoBiResult {
   PartitionStats partition;
 };
 
-// Cross-call state of the incremental engine (core/incremental.h): cached
-// snapshots, profiles, per-pair candidates/scores, graph and solve of the
-// previous healthy run. Opaque here so auto_bi.h stays free of the engine's
+// Cross-call state of the pipeline (core/incremental.h): cached snapshots,
+// profiles, scored candidates, graph and solve of the previous healthy
+// stateful run. Opaque here so auto_bi.h stays free of the pipeline's
 // internals; default-constructible and movable, owned by the caller (one per
 // logical table-set, e.g. per serve session).
 struct IncrementalState;
@@ -151,23 +151,23 @@ class AutoBi {
   // corpora): no context, CHECK-fails on Status errors.
   AutoBiResult Predict(const std::vector<Table>& tables) const;
 
-  // Delta-aware Predict: diffs `tables` against the previous run cached in
-  // `*state` (which must outlive the call and be reused across calls over
-  // the same evolving table-set) and recomputes only the work touching
-  // changed tables — appended tables merge their profiles forward, unchanged
-  // pairs reuse their candidates and scores, and a structurally identical
-  // join graph reuses the previous global solve wholesale.
+  // Delta-aware Predict: Predict's pipeline, given the previous run cached
+  // in `*state` (which must outlive the call and be reused across calls over
+  // the same evolving table-set), recomputes only the work touching changed
+  // tables — appended tables merge their profiles forward, unchanged pairs
+  // reuse their candidates and scores, and a structurally identical join
+  // graph reuses the previous global solve wholesale.
   //
   // Contract: the returned result is bit-identical to what Predict would
   // return on the same post-change tables — models, graph, edge sets, solver
   // stats, partition telemetry, degradation markers — with only timing,
   // result.incremental, and result.ind_stats (which counts the scans this
-  // run actually performed, not what a cold run would redo) differing. First call (or invalidated/mismatched state) runs a cold
-  // rebuild through the same engine; runs the engine cannot serve
-  // bit-identically (context stopped at entry, tables over the value-probe
-  // budget) invalidate the state and fall back to the plain pipeline.
-  // Degraded runs never update the state. `state` must not be shared across
-  // concurrent calls.
+  // run actually performed, not what a cold run would redo) differing. The
+  // first call (or an invalidated/mismatched state) rebuilds everything as
+  // Predict does, without reading the PredictCache; a context stopped at
+  // entry or a table over the value-probe budget invalidates the state and
+  // runs a plain Predict. Degraded runs never update the state. `state`
+  // must not be shared across concurrent calls.
   StatusOr<AutoBiResult> PredictIncremental(const std::vector<Table>& tables,
                                             const RunContext* ctx,
                                             IncrementalState* state) const;
@@ -183,11 +183,11 @@ class AutoBi {
 // a single normalized join).
 BiModel EdgesToModel(const JoinGraph& graph, const std::vector<int>& edges);
 
-// Stage 4 of the pipeline (global prediction), factored out so the
-// incremental engine runs the exact same code: consumes result->graph and
-// fills model/backbone_edges/recall_edges/solver_stats/kmca_cc_seconds,
-// timing.global_predict, and degradation.global_predict. Deterministic
-// function of (graph, options, ctx stop/budget state).
+// Stage 4 of the pipeline (global prediction) when no warm start applies:
+// consumes result->graph and fills model/backbone_edges/recall_edges/
+// solver_stats/kmca_cc_seconds, timing.global_predict, and
+// degradation.global_predict. Deterministic function of (graph, options,
+// ctx stop/budget state).
 void RunGlobalPredict(const AutoBiOptions& options, const RunContext* ctx,
                       AutoBiResult* result);
 
@@ -197,7 +197,7 @@ void RunGlobalPredict(const AutoBiOptions& options, const RunContext* ctx,
 // the RunContext's deterministic budgets. Deadlines/cancellation are *not*
 // part of the key: they are time-dependent, so runs they trip never populate
 // the solve memo (checked via result.degradation). Shared by the PredictCache
-// solve memo and the incremental engine's options-change detection.
+// solve memo and the IncrementalState options-change detection.
 uint64_t SolveKeyFingerprint(const AutoBiOptions& options,
                              const RunContext* ctx);
 

@@ -1,7 +1,9 @@
 #include "core/candidates.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <unordered_map>
@@ -10,6 +12,8 @@
 #include "common/parallel.h"
 #include "common/strings.h"
 #include "common/timer.h"
+#include "core/graph_builder.h"
+#include "core/incremental.h"
 #include "core/predict_cache.h"
 #include "fuzz/faultpoints.h"
 #include "profile/sketch.h"
@@ -135,14 +139,30 @@ void AddMetadataFallbackCandidates(const std::vector<Table>& tables,
 CandidateSet GenerateCandidates(const std::vector<Table>& tables,
                                 const CandidateGenOptions& options,
                                 const RunContext* ctx) {
+  Timer hash_timer;
+  std::vector<TableSnapshot> snapshots =
+      SnapshotTables(tables, options.threads);
+  const double hash_seconds = hash_timer.Seconds();
+  PipelineRun run;
+  CandidateSet out = GenerateCandidates(tables, snapshots, options, ctx, &run);
+  out.ucc_seconds += hash_seconds;
+  return out;
+}
+
+CandidateSet GenerateCandidates(const std::vector<Table>& tables,
+                                const std::vector<TableSnapshot>& snapshots,
+                                const CandidateGenOptions& options,
+                                const RunContext* ctx, PipelineRun* run) {
   CandidateSet out;
+  const size_t n = tables.size();
+  const IncrementalState* prev = run->prev;
 
   // Admission under RunContext table budgets: over-budget tables are
   // excluded from value probing up front (deterministically — counted, not
   // timed) and handled exactly like empty DDL tables downstream.
-  std::vector<char> admitted(tables.size(), 1);
+  std::vector<char> admitted(n, 1);
   if (ctx != nullptr) {
-    for (size_t i = 0; i < tables.size(); ++i) {
+    for (size_t i = 0; i < n; ++i) {
       if (OverTableBudget(tables[i], ctx->budgets)) {
         admitted[i] = 0;
         out.ucc_health.MarkDegraded(StrFormat(
@@ -152,73 +172,106 @@ CandidateSet GenerateCandidates(const std::vector<Table>& tables,
     }
   }
 
+  // What the state proves reusable; without one every table is kAdded.
+  Timer ucc_timer;
+  std::vector<TableChange> changes(n);
+  std::vector<int> prev_to_new;
+  size_t num_unchanged = 0;
+  if (prev != nullptr) {
+    changes = DiffSchema(prev->snapshots, snapshots, tables);
+    prev_to_new.assign(prev->snapshots.size(), -1);
+    for (size_t i = 0; i < n; ++i) {
+      if (changes[i].prev_index >= 0) {
+        prev_to_new[size_t(changes[i].prev_index)] = int(i);
+      }
+      num_unchanged += changes[i].kind == TableChangeKind::kUnchanged;
+    }
+  }
+  auto is = [&](size_t i, TableChangeKind kind) {
+    return changes[i].kind == kind;
+  };
+  auto same_cells = [&](size_t i) {
+    return is(i, TableChangeKind::kUnchanged) ||
+           is(i, TableChangeKind::kRenamed);
+  };
+  auto from_state = [&](size_t i) {  // Rule 2 or 3 below applies.
+    return same_cells(i) || is(i, TableChangeKind::kAppended);
+  };
+
   // UCC stage (includes profiling, which UCC pruning needs first). Each
   // table's profile + UCC lattice search is independent, so tables fan out
   // across the pool; slot-per-table writes keep the output order fixed.
-  //
-  // Before any scanning, every admitted table is content-hashed (one linear
-  // pass over its bytes — roughly 10x cheaper than profiling it). The hash
-  // serves two layers of reuse, both byte-identical to recomputation:
-  //   1. in-run dedup: a table identical to an earlier one in the same case
-  //      is profiled once and copied (slot-per-table output stays intact);
-  //   2. the cross-request PredictCache (options.cache), which lets a
-  //      re-uploaded unchanged table skip profiling + UCC entirely.
-  Timer ucc_timer;
-  out.profiles.resize(tables.size());
-  out.uccs.resize(tables.size());
+  // Where a table's profile + UCCs come from is the first rule that applies:
+  //   1. over the row/cell budget: metadata-only profile;
+  //   2. unchanged or renamed against the state: reuse (both are name-free);
+  //   3. appended: merge the state's profile forward over the new rows and
+  //      re-run the (profile-pruned) UCC lattice;
+  //   4. same content as an earlier table of this call: copy (in-run dedupe);
+  //   5. in the cross-request PredictCache (options.cache): reuse;
+  //   6. otherwise: profile.
+  // Every source is byte-identical to profiling the table afresh.
+  out.profiles.resize(n);
+  out.uccs.resize(n);
   const uint64_t ucc_fp = UccOptionsFingerprint(options.ucc);
-  std::vector<uint64_t> table_keys(tables.size(), 0);
-  ParallelFor(
-      tables.size(),
-      [&](size_t i) {
-        if (admitted[i]) {
-          table_keys[i] = SplitMix64(TableContentHash(tables[i]) ^ ucc_fp);
-        }
-      },
-      options.threads);
-  // rep[i] = lowest index with the same content key (serial, index order).
-  std::vector<size_t> rep(tables.size());
+  std::vector<uint64_t> table_keys(n, 0);
+  // rep[i] = lowest index with the same content key when rule 4 applies to
+  // table i, else i. Serial in index order, like the cache lookups of the
+  // tables rule 5 reaches (hit/miss counters stay deterministic).
+  std::vector<size_t> rep(n);
+  std::vector<std::shared_ptr<const PredictCache::TableEntry>> cached(n);
   {
     std::unordered_map<uint64_t, size_t> first_by_key;
-    first_by_key.reserve(tables.size());
-    for (size_t i = 0; i < tables.size(); ++i) {
-      if (!admitted[i]) {
-        rep[i] = i;
-        continue;
-      }
+    first_by_key.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      rep[i] = i;
+      if (!admitted[i]) continue;
+      table_keys[i] = SplitMix64(snapshots[i].table_hash ^ ucc_fp);
       auto [it, inserted] = first_by_key.emplace(table_keys[i], i);
-      rep[i] = inserted ? i : it->second;
-    }
-  }
-  // Cross-request cache lookups, serially in index order for representative
-  // tables only (hit/miss counters stay deterministic).
-  std::vector<std::shared_ptr<const PredictCache::TableEntry>> cached(
-      tables.size());
-  if (options.cache != nullptr) {
-    for (size_t i = 0; i < tables.size(); ++i) {
-      if (admitted[i] && rep[i] == i) {
+      if (from_state(i)) continue;
+      if (!inserted) {
+        rep[i] = it->second;
+      } else if (options.cache != nullptr) {
         cached[i] = options.cache->FindTable(table_keys[i]);
-        if (cached[i] != nullptr) ++out.profile_cache_hits;
       }
     }
   }
   std::atomic<bool> ucc_stopped{false};
-  std::vector<char> profiled(tables.size(), 0);
+  std::vector<char> fresh(n, 0);
+  std::vector<char> merged(n, 0);
   ParallelFor(
-      tables.size(),
+      n,
       [&](size_t i) {
-        if (admitted[i] && rep[i] != i) return;  // Copied from rep[i] below.
+        const int prev_index = changes[i].prev_index;
+        if (!admitted[i]) {
+          out.profiles[i] = MetadataOnlyProfile(tables[i]);
+          return;
+        }
+        if (same_cells(i)) {
+          out.profiles[i] = prev->profiles[size_t(prev_index)];
+          out.uccs[i] = prev->uccs[size_t(prev_index)];
+          return;
+        }
+        if (rep[i] != i) return;  // Copied from rep[i] below.
         if (cached[i] != nullptr) {
           out.profiles[i] = cached[i]->profile;
           out.uccs[i] = cached[i]->uccs;
-          profiled[i] = 1;
           return;
         }
         // Item-boundary stop poll: once the deadline passes or the run is
         // cancelled, remaining tables fall back to metadata-only profiles.
-        if (!admitted[i] || (ctx != nullptr && ctx->StopRequested())) {
-          if (admitted[i]) ucc_stopped.store(true, std::memory_order_relaxed);
+        if (ctx != nullptr && ctx->StopRequested()) {
+          ucc_stopped.store(true, std::memory_order_relaxed);
           out.profiles[i] = MetadataOnlyProfile(tables[i]);
+          return;
+        }
+        if (is(i, TableChangeKind::kAppended)) {
+          out.profiles[i] = MergeAppendedTableProfile(
+              prev->profiles[size_t(prev_index)], tables[i]);
+          // UCCs are not mergeable (one duplicate appended row can kill a
+          // key); the lattice computes value ids only for the columns its
+          // arity >= 2 candidates touch.
+          out.uccs[i] = DiscoverUccs(tables[i], out.profiles[i], options.ucc);
+          merged[i] = 1;
           return;
         }
         // One key view per table feeds both profiling and the UCC lattice
@@ -228,20 +281,17 @@ CandidateSet GenerateCandidates(const std::vector<Table>& tables,
         out.profiles[i] = ProfileTable(tables[i], view);
         out.uccs[i] =
             DiscoverUccs(tables[i], out.profiles[i], options.ucc, &view);
-        profiled[i] = 1;
+        fresh[i] = 1;
       },
       options.threads);
   // Serial epilogue in index order: copy duplicate slots from their
   // representative and publish freshly profiled tables to the cache.
-  for (size_t i = 0; i < tables.size(); ++i) {
-    if (admitted[i] && rep[i] != i) {
+  for (size_t i = 0; i < n; ++i) {
+    if (rep[i] != i) {
       out.profiles[i] = out.profiles[rep[i]];
       out.uccs[i] = out.uccs[rep[i]];
-      profiled[i] = profiled[rep[i]];
       ++out.profile_dedup_hits;
-      continue;
-    }
-    if (options.cache != nullptr && profiled[i] && cached[i] == nullptr) {
+    } else if (options.cache != nullptr && fresh[i]) {
       auto entry = std::make_shared<PredictCache::TableEntry>();
       entry->profile = out.profiles[i];
       entry->uccs = out.uccs[i];
@@ -252,18 +302,93 @@ CandidateSet GenerateCandidates(const std::vector<Table>& tables,
     out.ucc_health.MarkDegraded(
         "run stopped during profiling/UCC; remaining tables metadata-only");
   }
+  run->stats.tables_reprofiled =
+      size_t(std::count(fresh.begin(), fresh.end(), 1));
+  run->stats.tables_delta_merged =
+      size_t(std::count(merged.begin(), merged.end(), 1));
   out.ucc_seconds = ucc_timer.Seconds();
 
   // IND stage. The composite-key cache is shared between discovery and the
   // reverse-containment probes below, so each referenced tuple-hash set is
-  // built at most once per (table, key-columns) for the whole stage.
+  // built at most once per (table, key-columns) for the whole stage; sets of
+  // tables whose cells the state already holds are seeded from it.
   Timer ind_timer;
   IndOptions ind_options = options.ind;
   if (ind_options.threads == 0) ind_options.threads = options.threads;
-  CompositeKeyCache composite_cache;
-  std::vector<Ind> inds = DiscoverInds(tables, out.profiles, out.uccs,
-                                       ind_options, &out.ind_stats,
-                                       &composite_cache, ctx);
+  CompositeKeyCache& composite_cache = run->key_sets;
+  if (prev != nullptr) {
+    for (const auto& [key, set] : prev->key_sets) {
+      int t = prev_to_new[size_t(key.first)];
+      if (t >= 0 && same_cells(size_t(t))) {
+        composite_cache.Seed(t, key.second, set);
+      }
+    }
+  }
+  // A pair of two unchanged tables reuses its candidates and scores; every
+  // other pair is rescanned.
+  auto reused = [&](int ti, int tj) {
+    return is(size_t(ti), TableChangeKind::kUnchanged) &&
+           is(size_t(tj), TableChangeKind::kUnchanged);
+  };
+  run->stats.pairs_reused = num_unchanged * (num_unchanged - 1) / 2;
+  run->stats.pairs_rescored = n * (n - 1) / 2 - run->stats.pairs_reused;
+
+  CandidateMap dedup;
+  std::map<std::pair<ColumnRef, ColumnRef>, double> carried;
+  std::vector<Ind> inds;
+  if (run->stats.pairs_reused == 0) {
+    // Full rescan: the global blocking plan admits only the table pairs
+    // that share probed values.
+    inds = DiscoverInds(tables, out.profiles, out.uccs, ind_options,
+                        &out.ind_stats, &composite_cache, ctx);
+  } else {
+    // Partial rescan: both directions of each pair touching a changed
+    // table, (i, j) before (j, i) as in DiscoverInds' ti-major order.
+    // Pair-local admission is the plan's predicate evaluated for one pair,
+    // and costs far less than a global plan when few tables changed.
+    std::vector<std::pair<int, int>> pairs;
+    for (int i = 0; i < int(n); ++i) {
+      for (int j = i + 1; j < int(n); ++j) {
+        if (reused(i, j)) continue;
+        pairs.emplace_back(i, j);
+        pairs.emplace_back(j, i);
+      }
+    }
+    std::vector<IndPairScan> scans = ParallelMap(
+        pairs.size(),
+        [&](size_t k) {
+          // Item-boundary stop poll, as in DiscoverInds.
+          if (ctx != nullptr && ctx->StopRequested()) return IndPairScan{};
+          return ScanTablePair(tables, out.profiles, out.uccs, ind_options,
+                               &composite_cache, pairs[k].first,
+                               pairs[k].second);
+        },
+        ind_options.threads);
+    for (IndPairScan& scan : scans) {
+      out.ind_stats.Add(scan.stats);
+      inds.insert(inds.end(), std::make_move_iterator(scan.inds.begin()),
+                  std::make_move_iterator(scan.inds.end()));
+    }
+    // The reused pairs' candidates, relabeled into this call's table order
+    // (1:1 candidates re-oriented to the lower endpoint, the canonical form
+    // AddIndCandidates gives them), with their scores.
+    for (size_t k = 0; k < prev->candidates.size(); ++k) {
+      JoinCandidate cand = prev->candidates[k];
+      cand.src.table = prev_to_new[size_t(cand.src.table)];
+      cand.dst.table = prev_to_new[size_t(cand.dst.table)];
+      if (cand.src.table < 0 || cand.dst.table < 0 ||
+          !reused(cand.src.table, cand.dst.table)) {
+        continue;
+      }
+      if (cand.one_to_one && cand.dst < cand.src) {
+        std::swap(cand.src, cand.dst);
+        std::swap(cand.left_containment, cand.right_containment);
+      }
+      auto key = std::make_pair(cand.src, cand.dst);
+      carried.emplace(key, prev->probabilities[k]);
+      dedup.emplace(std::move(key), std::move(cand));
+    }
+  }
   if (ctx != nullptr && ctx->StopRequested()) {
     // Conservative: the stop may have tripped after the last pair finished,
     // but once it is set any remaining per-pair scans returned empty.
@@ -271,29 +396,34 @@ CandidateSet GenerateCandidates(const std::vector<Table>& tables,
         "run stopped during IND discovery; remaining pairs skipped");
   }
 
-  // Convert INDs to deduplicated candidates.
-  CandidateMap dedup;
+  // Convert INDs to deduplicated candidates. Keys determine their table
+  // pair, so they never collide with the reused pairs' candidates.
   AddIndCandidates(inds, tables, out.profiles, options, &composite_cache,
                    &dedup);
-  // Metadata fallback: for table pairs where a side could not be value
-  // probed (no rows in DDL-only input, or excluded by a RunContext table
-  // budget), screen candidate pairs by name instead so the schema-only
-  // classifier can score them.
+  // Metadata fallback: for rescanned table pairs where a side could not be
+  // value probed (no rows in DDL-only input, or excluded by a RunContext
+  // table budget), screen candidate pairs by name instead so the
+  // schema-only classifier can score them.
   if (options.metadata_fallback_for_empty_tables) {
-    std::vector<char> probed(tables.size(), 1);
-    for (size_t i = 0; i < tables.size(); ++i) {
+    std::vector<char> probed(n, 1);
+    for (size_t i = 0; i < n; ++i) {
       probed[i] = admitted[i] && tables[i].num_rows() > 0;
     }
-    for (int ti = 0; ti < int(tables.size()); ++ti) {
-      for (int tj = 0; tj < int(tables.size()); ++tj) {
-        AddMetadataFallbackCandidates(tables, probed, ti, tj, &dedup);
+    for (int ti = 0; ti < int(n); ++ti) {
+      for (int tj = 0; tj < int(n); ++tj) {
+        if (!reused(ti, tj)) {
+          AddMetadataFallbackCandidates(tables, probed, ti, tj, &dedup);
+        }
       }
     }
   }
 
   out.candidates.reserve(dedup.size());
+  run->scores.reserve(dedup.size());
   for (auto& [key, cand] : dedup) {
-    (void)key;
+    auto it = carried.find(key);
+    run->scores.push_back(it != carried.end() ? it->second
+                                              : kSkippedCandidateScore);
     out.candidates.push_back(std::move(cand));
   }
   // Candidate-pair budget: deterministic truncation of the sorted dedup
@@ -318,6 +448,7 @@ CandidateSet GenerateCandidates(const std::vector<Table>& tables,
     out.ind_health.MarkDegraded(
         "injected resource exhaustion in candidate generation");
   }
+  run->scores.resize(out.candidates.size());
   // Fold in the sets built by reverse-containment probing above.
   out.ind_stats.composite_sets_built = composite_cache.builds();
   out.ind_seconds = ind_timer.Seconds();

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/run_context.h"
+#include "core/schema_diff.h"
 #include "features/featurizer.h"
 #include "profile/ind.h"
 #include "profile/ucc.h"
@@ -60,10 +61,8 @@ struct CandidateSet {
   // ARCHITECTURE.md). Healthy runs leave both untouched.
   StageHealth ucc_health;
   StageHealth ind_health;
-  // Profiling-stage cache observability: tables whose profile + UCCs came
-  // from the cross-request PredictCache, and tables deduplicated against an
-  // identical table earlier in the same case (content-hash equality).
-  size_t profile_cache_hits = 0;
+  // Tables deduplicated against an identical table earlier in the same case
+  // (content-hash equality). PredictCache::Stats counts cross-request hits.
   size_t profile_dedup_hits = 0;
 };
 
@@ -84,12 +83,27 @@ CandidateSet GenerateCandidates(const std::vector<Table>& tables,
                                 const CandidateGenOptions& options = {},
                                 const RunContext* ctx = nullptr);
 
-// --- Pair-local building blocks of candidate conversion, exposed so the
-// incremental engine (core/incremental.h) can regenerate just the candidates
-// of changed table pairs and splice them into cached ones. Each helper is a
-// pure pair-local function: (src, dst) keys determine the table pair even
-// after 1:1 canonical reorientation, so merging per-pair maps reproduces the
-// full-run dedup map exactly.
+struct PipelineRun;  // core/incremental.h
+
+// Stages 1-2 as every predict runs them (the overload above is this with a
+// stateless run). `snapshots[i]` must equal SnapshotTable(tables[i]); its
+// hashes key dedupe, the table cache and the schema diff. With run->prev
+// set, what the diff proves unchanged is reused, including the scored
+// candidates of pairs of unchanged tables (scores land in run->scores).
+// Other pairs are rescanned: by DiscoverInds' global blocking plan when no
+// pair is reusable, else pair by pair with pair-local admission. The
+// candidate set is byte-identical to a stateless run's either way.
+CandidateSet GenerateCandidates(const std::vector<Table>& tables,
+                                const std::vector<TableSnapshot>& snapshots,
+                                const CandidateGenOptions& options,
+                                const RunContext* ctx, PipelineRun* run);
+
+// --- Pair-local building blocks of candidate conversion (also called by
+// perfbench's layer-by-layer replay). Each helper is a pure pair-local
+// function: (src, dst) keys determine the table pair even after 1:1
+// canonical reorientation, so candidates of different table pairs never
+// collide in the dedup map and a rescanned pair's candidates merge with
+// reused ones exactly as a full run would produce them.
 
 // The deduplicated candidate map of candidate generation, ordered by
 // (src, dst) — std::map iteration order IS the deterministic candidate order
@@ -99,8 +113,8 @@ using CandidateMap = std::map<std::pair<ColumnRef, ColumnRef>, JoinCandidate>;
 // Converts discovered INDs into deduplicated candidates in `dedup`: reverse
 // containment (profile-based for unary, exact probe through
 // `composite_cache` for composite), 1:1 detection + canonical orientation,
-// prefer-1:1 replacement on key collision. Byte-identical to the conversion
-// loop inside GenerateCandidates over the same INDs.
+// prefer-1:1 replacement on key collision. GenerateCandidates' conversion
+// step.
 void AddIndCandidates(const std::vector<Ind>& inds,
                       const std::vector<Table>& tables,
                       const std::vector<TableProfile>& profiles,

@@ -9,34 +9,56 @@
 
 namespace autobi {
 
-std::vector<double> ScoreCandidates(const std::vector<Table>& tables,
-                                    const std::vector<TableProfile>& profiles,
-                                    const std::vector<JoinCandidate>& candidates,
-                                    const LocalModel& model, bool schema_only,
-                                    int threads, const RunContext* run_ctx) {
+namespace {
+
+// Featurizes and scores, in parallel, every candidate whose
+// `probabilities` slot is kSkippedCandidateScore; the other slots keep
+// their scores. Each slot is written by one iteration, so scores are
+// identical at any thread count.
+void ScoreUnscored(const std::vector<Table>& tables,
+                   const std::vector<TableProfile>& profiles,
+                   const std::vector<JoinCandidate>& candidates,
+                   const LocalModel& model, bool schema_only, int threads,
+                   const RunContext* run_ctx,
+                   std::vector<double>* probabilities) {
+  std::vector<size_t> todo;
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    if ((*probabilities)[i] == kSkippedCandidateScore) todo.push_back(i);
+  }
   FeatureContext ctx;
   ctx.tables = &tables;
   ctx.profiles = &profiles;
   ctx.frequency = &model.frequency();
-  // Featurize + score (the expensive part) in parallel; LocalModel::Score is
-  // const and stateless.
-  return ParallelMap(
-      candidates.size(),
-      [&](size_t i) {
-        // Item-boundary stop poll: skipped candidates are marked with a
-        // sentinel and dropped during the serial edge-add pass below.
-        if (run_ctx != nullptr && run_ctx->StopRequested()) {
-          return kSkippedCandidateScore;
-        }
+  // LocalModel::Score is const and stateless.
+  ParallelFor(
+      todo.size(),
+      [&](size_t k) {
+        // Item-boundary stop poll: skipped candidates keep the sentinel and
+        // are dropped during the serial edge-add pass.
+        if (run_ctx != nullptr && run_ctx->StopRequested()) return;
         // Fault point: a worker exception inside a parallel region. The pool
         // rethrows it from the lowest-indexed failing iteration and the
         // service boundary converts it to kInternal.
         if (FaultPoints::Global().Fire("parallel.task")) {
           throw std::runtime_error("injected parallel task fault");
         }
-        return model.Score(ctx, candidates[i], schema_only);
+        (*probabilities)[todo[k]] =
+            model.Score(ctx, candidates[todo[k]], schema_only);
       },
       threads);
+}
+
+}  // namespace
+
+std::vector<double> ScoreCandidates(const std::vector<Table>& tables,
+                                    const std::vector<TableProfile>& profiles,
+                                    const std::vector<JoinCandidate>& candidates,
+                                    const LocalModel& model, bool schema_only,
+                                    int threads, const RunContext* run_ctx) {
+  std::vector<double> probabilities(candidates.size(), kSkippedCandidateScore);
+  ScoreUnscored(tables, profiles, candidates, model, schema_only, threads,
+                run_ctx, &probabilities);
+  return probabilities;
 }
 
 JoinGraph BuildJoinGraphFromScores(size_t num_tables,
@@ -134,12 +156,25 @@ JoinGraph BuildJoinGraph(const std::vector<Table>& tables,
                          const LocalModel& model, bool schema_only,
                          double* local_inference_seconds, int threads,
                          const RunContext* run_ctx, StageHealth* health) {
+  std::vector<double> probabilities(candidates.candidates.size(),
+                                    kSkippedCandidateScore);
+  return BuildJoinGraph(tables, candidates.profiles, candidates.candidates,
+                        &probabilities, model, schema_only,
+                        local_inference_seconds, threads, run_ctx, health);
+}
+
+JoinGraph BuildJoinGraph(const std::vector<Table>& tables,
+                         const std::vector<TableProfile>& profiles,
+                         const std::vector<JoinCandidate>& candidates,
+                         std::vector<double>* probabilities,
+                         const LocalModel& model, bool schema_only,
+                         double* local_inference_seconds, int threads,
+                         const RunContext* run_ctx, StageHealth* health) {
   Timer timer;
-  std::vector<double> probabilities =
-      ScoreCandidates(tables, candidates.profiles, candidates.candidates,
-                      model, schema_only, threads, run_ctx);
-  JoinGraph graph = BuildJoinGraphFromScores(
-      tables.size(), candidates.candidates, probabilities, health);
+  ScoreUnscored(tables, profiles, candidates, model, schema_only, threads,
+                run_ctx, probabilities);
+  JoinGraph graph = BuildJoinGraphFromScores(tables.size(), candidates,
+                                             *probabilities, health);
   if (local_inference_seconds != nullptr) {
     *local_inference_seconds = timer.Seconds();
   }

@@ -35,16 +35,26 @@ JoinGraph BuildJoinGraph(const std::vector<Table>& tables,
                          const RunContext* run_ctx = nullptr,
                          StageHealth* health = nullptr);
 
-// --- The two halves of BuildJoinGraph, exposed so the incremental engine
-// (core/incremental.h) can score only the candidates of changed table pairs
-// (reusing cached probabilities elsewhere) and still assemble the exact
-// graph a cold run would build.
-
-// Sentinel probability marking a candidate whose scoring was skipped after a
-// RunContext deadline/cancel trip (real scores are in [0, 1]).
+// Sentinel probability of a candidate without a score: not yet scored, or
+// skipped after a RunContext deadline/cancel trip (real scores are in
+// [0, 1]).
 inline constexpr double kSkippedCandidateScore = -1.0;
 
-// Featurizes and scores `candidates` in parallel — the ParallelMap half of
+// Stage 3 as every predict runs it: scores the candidates whose
+// `probabilities` entry is kSkippedCandidateScore (scores a state carried
+// over stay), then builds the graph. The overload above scores them all.
+JoinGraph BuildJoinGraph(const std::vector<Table>& tables,
+                         const std::vector<TableProfile>& profiles,
+                         const std::vector<JoinCandidate>& candidates,
+                         std::vector<double>* probabilities,
+                         const LocalModel& model, bool schema_only,
+                         double* local_inference_seconds, int threads,
+                         const RunContext* run_ctx, StageHealth* health);
+
+// --- The two halves of BuildJoinGraph, exposed so perfbench's replay can
+// time scoring and graph assembly as separate layers.
+
+// Featurizes and scores `candidates` in parallel — the scoring half of
 // BuildJoinGraph, byte-identical scores in candidate order. Skipped
 // candidates (stop trip) get kSkippedCandidateScore.
 std::vector<double> ScoreCandidates(const std::vector<Table>& tables,

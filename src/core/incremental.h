@@ -3,98 +3,71 @@
 
 #include <cstdint>
 #include <map>
-#include <utility>
+#include <memory>
 #include <vector>
 
-#include "common/run_context.h"
 #include "core/auto_bi.h"
-#include "core/bi_model.h"
-#include "core/local_model.h"
+#include "core/predict_cache.h"
 #include "core/schema_diff.h"
-#include "graph/join_graph.h"
-#include "graph/kmca_cc.h"
 #include "profile/column_profile.h"
 #include "profile/ind.h"
 #include "profile/ucc.h"
 
 namespace autobi {
 
-// The incremental re-prediction engine behind AutoBi::PredictIncremental
-// (ROADMAP item 3; the repeated-inference regime of Tursio's production
-// framing). An IncrementalState carries everything a healthy run computed
-// that a subsequent run over a slightly-mutated table set can reuse:
+// Cross-call state of the prediction pipeline (AutoBi::PredictIncremental;
+// the repeated-inference regime of Tursio's production framing). Every
+// predict runs the same stages; a state only tells them what they may skip.
+// It holds what the last healthy stateful run computed: table snapshots to
+// diff against (core/schema_diff.h), profiles + UCCs (name-free, so they
+// survive renames; appended tables merge theirs forward), the scored
+// candidates (name-dependent, reused only between unchanged tables), the
+// composite key sets, and the graph and solve (reused wholesale when the
+// new graph is structurally identical — the warm start).
 //
-//   - per-table snapshots (hash summaries) to diff the next submission
-//     against (core/schema_diff.h);
-//   - per-table profiles + UCCs (name-free, so they also survive renames;
-//     appended tables merge their profiles forward via
-//     MergeAppendedTableProfile instead of rescanning old rows);
-//   - per-unordered-pair candidate lists with their calibrated scores
-//     (name-dependent — reused only when both endpoint tables are fully
-//     unchanged);
-//   - the join graph and the global solve outputs (reused wholesale when
-//     the new graph is structurally identical — the warm start).
-//
-// Contract: RunIncrementalPipeline output is bit-identical to RunPipeline
-// (a cold AutoBi::Predict) on the same tables for every result field except
-// timing and result.incremental. Degraded runs (deadline/cancel trips,
-// injected faults) never update the state; the next call rebuilds.
-
-// Cached candidates + scores of one unordered table pair, in the pair's
-// dedup-map order ((src, dst) ascending), table indices in the state's own
-// (previous-run) index space.
-struct IncrementalPairEntry {
-  std::vector<JoinCandidate> candidates;
-  std::vector<double> probabilities;
-};
-
+// Contract: a stateful run's output is bit-identical to a stateless
+// AutoBi::Predict on the same tables for every result field except timing,
+// result.incremental and result.ind_stats. Degraded runs (deadline/cancel
+// trips, injected faults) never update the state; the next call rebuilds.
 struct IncrementalState {
-  // False until the first healthy run commits; invalidated by option/budget
-  // fingerprint changes and by fallback paths that bypass the engine.
+  // False until the first healthy run commits; invalidated by the
+  // PredictIncremental entry screen.
   bool valid = false;
   // SolveKeyFingerprint of the run that produced this state: any mismatch
-  // (options or deterministic budgets changed) forces a cold rebuild.
+  // (options or deterministic budgets changed) makes the next run rebuild
+  // from scratch.
   uint64_t options_fp = 0;
   std::vector<TableSnapshot> snapshots;
   std::vector<TableProfile> profiles;
   std::vector<std::vector<Ucc>> uccs;
-  // Keyed by unordered pair {i < j} over the state's table indices.
-  std::map<std::pair<int, int>, IncrementalPairEntry> pairs;
-  // Referenced-side composite key sets from the previous run, keyed by
-  // (state table index, key columns). Sets are pure functions of the table
-  // cells, so they re-seed the next run's CompositeKeyCache for every
-  // hash-proven-unchanged (or merely renamed) table: pair rescans then only
-  // build sets for tables whose content actually changed.
+  // The committed run's candidates in candidate order with their calibrated
+  // scores, table indices in the state's own (previous-run) index space.
+  std::vector<JoinCandidate> candidates;
+  std::vector<double> probabilities;
+  // Referenced-side composite key sets by (state table index, key columns),
+  // re-seeded for every table whose cells did not change.
   std::map<CompositeKeyCache::Key,
            std::shared_ptr<const CompositeKeyCache::HashSet>>
       key_sets;
-  JoinGraph graph;
-  BiModel model;
-  std::vector<int> backbone_edges;
-  std::vector<int> recall_edges;
-  KmcaCcStats solver_stats;
-  // Partitioned-solve telemetry of the committed solve: a warm-started run
-  // reuses the solve wholesale, so it must replay these too (they are a
-  // deterministic function of the graph it reused).
-  PartitionStats partition;
+  // The committed run's join graph and global solve, shared with the solve
+  // memo; a warm start replays it wholesale, partition telemetry included.
+  std::shared_ptr<const PredictCache::SolveEntry> solve;
 };
 
-// Runs the delta-aware pipeline: diffs `tables` against `*state`, reuses
-// everything the diff proves still valid, recomputes the rest, and commits
-// the new state if (and only if) the run finished healthy. An invalid state
-// or fingerprint mismatch degenerates to a cold rebuild through the same
-// code path. May throw like RunPipeline (pool-propagated worker exceptions);
-// the state is only mutated by the final healthy commit, so a throw leaves
-// it describing the previous healthy run.
-//
-// Callers must pre-screen the fallback conditions the engine does not
-// replicate (RunContext already stopped at entry; tables over the
-// row/cell value-probe budget) — AutoBi::PredictIncremental does.
-AutoBiResult RunIncrementalPipeline(const LocalModel& model,
-                                    const AutoBiOptions& options,
-                                    const std::vector<Table>& tables,
-                                    const RunContext* ctx,
-                                    IncrementalState* state);
+// What one run of the shared stages passes between them besides the
+// CandidateSet.
+struct PipelineRun {
+  // The state to reuse from (valid, same options fingerprint), or null:
+  // every table counts as new.
+  const IncrementalState* prev = nullptr;
+  // Per candidate: the score carried over from `prev`, or
+  // kSkippedCandidateScore when stage 3 must score it.
+  std::vector<double> scores;
+  // Composite key sets of IND discovery and conversion, seeded from `prev`.
+  CompositeKeyCache key_sets;
+  // The stages' work counters.
+  IncrementalStats stats;
+};
 
 }  // namespace autobi
 

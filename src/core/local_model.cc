@@ -4,6 +4,7 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <utility>
 
 #include "common/check.h"
 
@@ -93,11 +94,25 @@ bool LocalModel::Load(std::istream& is) {
   }
   int split = 1, cal = 0;
   if (!(is >> split >> cal)) return false;
+  if (cal < int(CalibrationMethod::kPlatt) ||
+      cal > int(CalibrationMethod::kNone)) {
+    return false;
+  }
   split_one_to_one_ = (split != 0);
   calibration_ = static_cast<CalibrationMethod>(cal);
-  if (!n1_full_.Load(is) || !n1_schema_.Load(is) || !one_full_.Load(is) ||
-      !one_schema_.Load(is)) {
-    return false;
+  // Each classifier may be untrained (see FitClassifier), and its trees may
+  // read only features of the vector Score hands it.
+  const std::pair<RandomForest*, size_t> forests[] = {
+      {&n1_full_, Featurizer::N1FeatureNames(false).size()},
+      {&n1_schema_, Featurizer::N1FeatureNames(true).size()},
+      {&one_full_, Featurizer::OneToOneFeatureNames(false).size()},
+      {&one_schema_, Featurizer::OneToOneFeatureNames(true).size()},
+  };
+  for (const auto& [forest, dim] : forests) {
+    if (!forest->Load(is, /*allow_untrained=*/true) ||
+        forest->max_feature() >= int(dim)) {
+      return false;
+    }
   }
   for (auto& c : platt_) {
     if (!c.Load(is)) return false;

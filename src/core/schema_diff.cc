@@ -1,5 +1,6 @@
 #include "core/schema_diff.h"
 
+#include "common/parallel.h"
 #include "profile/sketch.h"
 
 namespace autobi {
@@ -54,65 +55,53 @@ TableSnapshot SnapshotTable(const Table& table) {
   return snap;
 }
 
-SchemaDiff DiffSchema(const std::vector<TableSnapshot>& prev,
-                      const std::vector<TableSnapshot>& next,
-                      const std::vector<Table>& tables) {
-  SchemaDiff diff;
-  diff.changes.resize(tables.size());
-  std::vector<char> used(prev.size(), 0);
+std::vector<TableSnapshot> SnapshotTables(const std::vector<Table>& tables,
+                                          int threads) {
+  return ParallelMap(
+      tables.size(), [&](size_t i) { return SnapshotTable(tables[i]); },
+      threads);
+}
 
+std::vector<TableChange> DiffSchema(const std::vector<TableSnapshot>& prev,
+                                    const std::vector<TableSnapshot>& next,
+                                    const std::vector<Table>& tables) {
+  // Unmatched tables keep the default classification, kAdded.
+  std::vector<TableChange> changes(tables.size());
+  std::vector<char> used(prev.size(), 0);
+  // One greedy pass: each still-unmatched new table claims the first unused
+  // previous table `p` with match(p, i), classified as kind(p, i).
+  auto claim = [&](auto match, auto kind) {
+    for (size_t i = 0; i < tables.size(); ++i) {
+      if (changes[i].prev_index >= 0) continue;
+      for (size_t p = 0; p < prev.size(); ++p) {
+        if (used[p] || !match(p, i)) continue;
+        changes[i] = {kind(p, i), int(p)};
+        used[p] = 1;
+        break;
+      }
+    }
+  };
   // Pass 1: exact matches (kUnchanged) claim their previous table first so a
   // same-name-but-edited twin can never steal an unchanged table's cache.
-  for (size_t i = 0; i < tables.size(); ++i) {
-    for (size_t p = 0; p < prev.size(); ++p) {
-      if (used[p]) continue;
-      if (prev[p].table_hash == next[i].table_hash) {
-        diff.changes[i] = {TableChangeKind::kUnchanged, int(p)};
-        used[p] = 1;
-        break;
-      }
-    }
-  }
+  claim(
+      [&](size_t p, size_t i) {
+        return prev[p].table_hash == next[i].table_hash;
+      },
+      [](size_t, size_t) { return TableChangeKind::kUnchanged; });
   // Pass 2: same-name matches — appended / column-renamed / replaced.
-  for (size_t i = 0; i < tables.size(); ++i) {
-    if (diff.changes[i].prev_index >= 0) continue;
-    for (size_t p = 0; p < prev.size(); ++p) {
-      if (used[p] || prev[p].name != next[i].name) continue;
-      TableChangeKind kind;
-      if (SameCells(prev[p], next[i])) {
-        kind = TableChangeKind::kRenamed;  // Same cells, new column names.
-      } else if (IsAppendOnlyExtension(prev[p], tables[i])) {
-        kind = TableChangeKind::kAppended;
-      } else {
-        kind = TableChangeKind::kReplaced;
-      }
-      diff.changes[i] = {kind, int(p)};
-      used[p] = 1;
-      break;
-    }
-  }
+  claim([&](size_t p, size_t i) { return prev[p].name == next[i].name; },
+        [&](size_t p, size_t i) {
+          if (SameCells(prev[p], next[i])) {
+            return TableChangeKind::kRenamed;  // Same cells, new column names.
+          }
+          return IsAppendOnlyExtension(prev[p], tables[i])
+                     ? TableChangeKind::kAppended
+                     : TableChangeKind::kReplaced;
+        });
   // Pass 3: whole-table renames — same cells under a different table name.
-  for (size_t i = 0; i < tables.size(); ++i) {
-    if (diff.changes[i].prev_index >= 0) continue;
-    for (size_t p = 0; p < prev.size(); ++p) {
-      if (used[p]) continue;
-      if (SameCells(prev[p], next[i])) {
-        diff.changes[i] = {TableChangeKind::kRenamed, int(p)};
-        used[p] = 1;
-        break;
-      }
-    }
-  }
-  // Everything still unmatched is new; leftover previous tables are dropped.
-  for (size_t i = 0; i < tables.size(); ++i) {
-    if (diff.changes[i].prev_index < 0) {
-      diff.changes[i] = {TableChangeKind::kAdded, -1};
-    }
-  }
-  for (size_t p = 0; p < prev.size(); ++p) {
-    if (!used[p]) diff.dropped.push_back(int(p));
-  }
-  return diff;
+  claim([&](size_t p, size_t i) { return SameCells(prev[p], next[i]); },
+        [](size_t, size_t) { return TableChangeKind::kRenamed; });
+  return changes;
 }
 
 }  // namespace autobi

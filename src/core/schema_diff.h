@@ -11,9 +11,9 @@ namespace autobi {
 
 // Schema diffing for incremental re-prediction (core/incremental.h): each
 // table of the new submission is classified against a snapshot of the
-// previous one by content hash, so the engine knows which cached work is
-// still valid. All classifications are hash-proven (modulo 64-bit
-// collisions, the same exactness caveat as the PredictCache):
+// previous one by content hash, so the pipeline knows which work cached in
+// an IncrementalState is still valid. All classifications are hash-proven
+// (modulo 64-bit collisions, the same exactness caveat as the PredictCache):
 //
 //   kUnchanged  byte-identical table (name, column names, cells).
 //   kRenamed    same cells, new table and/or column names. Name-free work
@@ -26,8 +26,10 @@ namespace autobi {
 //
 // Previous tables matched by nothing are reported as dropped.
 
-// Hash summary of one table, computed once per healthy run and carried in
-// the IncrementalState.
+// Hash summary of one table. Every predict computes one per table, once:
+// the hashes key the schema diff, in-run dedupe, the PredictCache table
+// shard and the solve memo, and a healthy stateful run keeps them in its
+// IncrementalState.
 struct TableSnapshot {
   std::string name;
   size_t num_rows = 0;
@@ -42,6 +44,11 @@ struct TableSnapshot {
 };
 
 TableSnapshot SnapshotTable(const Table& table);
+
+// SnapshotTable over every table, fanned out over `threads` (ResolveThreads
+// semantics); slot i holds the snapshot of tables[i].
+std::vector<TableSnapshot> SnapshotTables(const std::vector<Table>& tables,
+                                          int threads);
 
 enum class TableChangeKind {
   kUnchanged,
@@ -58,23 +65,17 @@ struct TableChange {
   int prev_index = -1;
 };
 
-// The full diff: per-new-table classifications plus leftover previous
-// tables.
-struct SchemaDiff {
-  std::vector<TableChange> changes;    // Parallel to the new tables.
-  std::vector<int> dropped;            // Previous indices matched by nothing.
-};
-
-// Diffs `tables` against `prev`; `next` must be the snapshots of `tables`
-// (next[i] == SnapshotTable(tables[i]) — precomputed by the caller so the
-// hashes can also seed the state update and the solve-memo key). Matching is
+// Diffs `tables` against `prev`, one classification per new table (previous
+// tables matched by nothing were dropped); `next` must be the snapshots of
+// `tables` (next[i] == SnapshotTable(tables[i]) — precomputed by the caller
+// so the hashes also key the caches and the state update). Matching is
 // greedy in new-table order, each previous table consumed at most once,
 // preferring (1) exact table-hash match, (2) same-name match (classified
 // appended/renamed-columns/replaced by the cell hashes), (3) same-shape
 // cells match (whole-table rename).
-SchemaDiff DiffSchema(const std::vector<TableSnapshot>& prev,
-                      const std::vector<TableSnapshot>& next,
-                      const std::vector<Table>& tables);
+std::vector<TableChange> DiffSchema(const std::vector<TableSnapshot>& prev,
+                                    const std::vector<TableSnapshot>& next,
+                                    const std::vector<Table>& tables);
 
 }  // namespace autobi
 

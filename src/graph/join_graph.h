@@ -62,7 +62,7 @@ class JoinGraph {
   // on every field (endpoints, columns, bit-identical probability/weight,
   // 1:1 flags, pair and conflict-group ids). Since the downstream global
   // solve is a deterministic function of the graph (plus options), equal
-  // graphs are the warm-start license of the incremental engine
+  // graphs are the warm-start license of a stateful predict
   // (core/incremental.h): the previous run's solve output can be reused
   // wholesale with no bit-identity risk.
   bool StructurallyEqual(const JoinGraph& other) const;

@@ -5,6 +5,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <utility>
 
 #include "common/check.h"
 
@@ -151,11 +152,19 @@ bool IsotonicCalibrator::Load(std::istream& is) {
   std::string tag;
   size_t n = 0;
   if (!(is >> tag >> n) || tag != "isotonic") return false;
-  xs_.assign(n, 0.0);
-  ys_.assign(n, 0.0);
+  // Grown while reading, so a corrupt count allocates no more knots than
+  // the stream holds. Calibrate binary-searches the knots, so they must
+  // ascend (Fit's block centers do; equal neighbours are allowed).
+  std::vector<double> xs, ys;
   for (size_t i = 0; i < n; ++i) {
-    if (!(is >> xs_[i] >> ys_[i])) return false;
+    double x = 0.0, y = 0.0;
+    if (!(is >> x >> y)) return false;
+    if (!xs.empty() && !(x >= xs.back())) return false;
+    xs.push_back(x);
+    ys.push_back(y);
   }
+  xs_ = std::move(xs);
+  ys_ = std::move(ys);
   return true;
 }
 

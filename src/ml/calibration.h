@@ -40,6 +40,7 @@ class IsotonicCalibrator {
   double Calibrate(double score) const;
   bool fitted() const { return !xs_.empty(); }
 
+  // Load returns false on knots out of ascending order.
   void Save(std::ostream& os) const;
   bool Load(std::istream& is);
 

@@ -7,6 +7,7 @@
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "common/check.h"
 
@@ -159,15 +160,34 @@ void DecisionTree::Save(std::ostream& os) const {
 bool DecisionTree::Load(std::istream& is) {
   std::string tag;
   size_t count = 0;
-  if (!(is >> tag >> count) || tag != "tree") return false;
-  nodes_.assign(count, Node{});
-  for (Node& n : nodes_) {
+  if (!(is >> tag >> count) || tag != "tree" || count == 0) return false;
+  // Grown while reading, so a corrupt count allocates no more nodes than
+  // the stream holds.
+  std::vector<Node> nodes;
+  for (size_t i = 0; i < count; ++i) {
+    Node n;
     if (!(is >> n.feature >> n.threshold >> n.left >> n.right >> n.proba >>
           n.weight)) {
       return false;
     }
+    nodes.push_back(n);
   }
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const Node& n = nodes[i];
+    if (n.feature == -1 && n.left == -1 && n.right == -1) continue;  // Leaf.
+    auto forward = [&](int child) {
+      return child >= 0 && size_t(child) > i && size_t(child) < nodes.size();
+    };
+    if (n.feature < 0 || !forward(n.left) || !forward(n.right)) return false;
+  }
+  nodes_ = std::move(nodes);
   return true;
+}
+
+int DecisionTree::max_feature() const {
+  int max = -1;
+  for (const Node& n : nodes_) max = std::max(max, n.feature);
+  return max;
 }
 
 }  // namespace autobi

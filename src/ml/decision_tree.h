@@ -37,13 +37,19 @@ class DecisionTree {
 
   size_t num_nodes() const { return nodes_.size(); }
   bool empty() const { return nodes_.empty(); }
+  // Largest feature id a split reads (-1 for a single-leaf tree).
+  int max_feature() const;
 
   // Accumulates per-feature split counts weighted by node size (a simple
   // feature-importance measure, used to report the paper's Appendix-B
   // "feature importance" lists).
   void AccumulateImportance(std::vector<double>* importance) const;
 
-  // Text (de)serialization; one node per line.
+  // Text (de)serialization; one node per line. Load returns false unless
+  // the nodes form a tree PredictProba can walk: at least one node, and
+  // every internal node with a feature id >= 0 and both children strictly
+  // after it inside the node array (so every walk ends at a leaf). The
+  // caller checks max_feature() against the feature vector it will score.
   void Save(std::ostream& os) const;
   bool Load(std::istream& is);
 

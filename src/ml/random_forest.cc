@@ -1,9 +1,11 @@
 #include "ml/random_forest.h"
 
+#include <algorithm>
 #include <cmath>
 #include <istream>
 #include <ostream>
 #include <string>
+#include <utility>
 
 #include "common/check.h"
 #include "common/parallel.h"
@@ -66,14 +68,26 @@ void RandomForest::Save(std::ostream& os) const {
   for (const DecisionTree& tree : trees_) tree.Save(os);
 }
 
-bool RandomForest::Load(std::istream& is) {
+int RandomForest::max_feature() const {
+  int max = -1;
+  for (const DecisionTree& tree : trees_) max = std::max(max, tree.max_feature());
+  return max;
+}
+
+bool RandomForest::Load(std::istream& is, bool allow_untrained) {
   std::string tag;
   size_t count = 0;
   if (!(is >> tag >> count) || tag != "forest") return false;
-  trees_.assign(count, DecisionTree{});
-  for (DecisionTree& tree : trees_) {
+  if (count == 0 && !allow_untrained) return false;
+  // Grown while reading, so a corrupt count allocates no more trees than
+  // the stream holds.
+  std::vector<DecisionTree> trees;
+  for (size_t i = 0; i < count; ++i) {
+    DecisionTree tree;
     if (!tree.Load(is)) return false;
+    trees.push_back(std::move(tree));
   }
+  trees_ = std::move(trees);
   return true;
 }
 

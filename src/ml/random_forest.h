@@ -39,8 +39,15 @@ class RandomForest {
   // feature-importance report.
   std::vector<double> FeatureImportance(size_t num_features) const;
 
+  // Largest feature id any tree's split reads (-1 when none).
+  int max_feature() const;
+
+  // Text (de)serialization. Load returns false on a malformed tree (see
+  // DecisionTree::Load) and on an empty forest, which cannot predict —
+  // unless `allow_untrained`: LocalModel saves a classifier the trainer
+  // left unfitted as an empty forest.
   void Save(std::ostream& os) const;
-  bool Load(std::istream& is);
+  bool Load(std::istream& is, bool allow_untrained = false);
 
  private:
   std::vector<DecisionTree> trees_;

@@ -179,11 +179,9 @@ std::map<std::pair<int, int>, PairBlocking> BuildBlockingPlan(
       const std::vector<uint64_t>& hashes =
           p.columns[size_t(c)].distinct_hashes;
       if (hashes.empty()) continue;
-      ++local.columns_indexed;
       for (uint64_t h : hashes) postings.push_back({h, ti, c});
     }
   }
-  local.index_entries = postings.size();
   std::sort(postings.begin(), postings.end(), PostingLess);
 
   // --- Probe: each dependent table's columns against the index, one pool
@@ -200,7 +198,6 @@ std::map<std::pair<int, int>, PairBlocking> BuildBlockingPlan(
       return tj == o.tj && a == o.a && b == o.b;
     }
   };
-  std::vector<size_t> probe_counts(size_t(n), 0);
   std::vector<std::vector<Hit>> hits_by_table = ParallelMap(
       size_t(n),
       [&](size_t ti) {
@@ -210,12 +207,10 @@ std::map<std::pair<int, int>, PairBlocking> BuildBlockingPlan(
         // degradation marking already covers the skipped work.
         if (ctx != nullptr && ctx->StopRequested()) return hits;
         const TableProfile& p = profiles[ti];
-        size_t issued = 0;
         for (int a = 0; a < int(p.columns.size()); ++a) {
           ColumnProbeSet probes =
               BuildColumnProbes(p.columns[size_t(a)], options);
           if (probes.bottom.empty()) continue;
-          issued += probes.issued();
           // Per-(referenced column) hit accumulators for this dependent
           // column — the same integers AdmitColumnPair would count pair by
           // pair, gathered through the index instead.
@@ -254,14 +249,12 @@ std::map<std::pair<int, int>, PairBlocking> BuildBlockingPlan(
           }
         }
         std::sort(hits.begin(), hits.end());
-        probe_counts[ti] = issued;
         return hits;
       },
       threads);
 
   std::map<std::pair<int, int>, PairBlocking> plan;
   for (int ti = 0; ti < n; ++ti) {
-    local.probe_hashes += probe_counts[size_t(ti)];
     for (const Hit& h : hits_by_table[size_t(ti)]) {
       plan[{ti, h.tj}].admitted.emplace_back(h.a, h.b);
       ++local.column_pairs_admitted;

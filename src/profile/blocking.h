@@ -56,11 +56,13 @@ namespace autobi {
 // overlap) cannot be supported by any blocking scheme.
 //
 // Determinism contract: the predicate is a pure pair-local function of the
-// two column profiles. The cold path (BuildBlockingPlan) evaluates it
-// through the global index; the incremental engine's direct ScanTablePair
-// calls recompute it per pair (ComputePairBlocking). Both produce identical
-// admissions by construction, which is what keeps delta re-prediction
-// byte-identical to a cold run with blocking on.
+// two column profiles. A full rescan (every stateless predict, and a
+// stateful one with nothing reusable) evaluates it through the global index
+// (BuildBlockingPlan); a partial rescan, which scans only the pairs
+// touching changed tables, recomputes it per pair (ScanTablePair without a
+// plan entry -> ComputePairBlocking). Both produce identical admissions by
+// construction, which is what keeps delta re-prediction byte-identical to a
+// cold run with blocking on.
 struct BlockingOptions {
   // Master switch. false = the exhaustive all-pairs oracle.
   bool enabled = true;
@@ -81,9 +83,6 @@ struct BlockingOptions {
 
 // Counters of one blocking run (plan-level; thread-count invariant).
 struct BlockingStats {
-  size_t columns_indexed = 0;  // Columns contributing postings.
-  size_t index_entries = 0;    // (hash -> column) postings built.
-  size_t probe_hashes = 0;     // Probe hashes issued across all columns.
   // Ordered cross-table column pairs in scope vs admitted past blocking.
   size_t column_pairs_total = 0;
   size_t column_pairs_admitted = 0;
@@ -94,9 +93,6 @@ struct BlockingStats {
   size_t table_pairs_active = 0;
 
   void Add(const BlockingStats& o) {
-    columns_indexed += o.columns_indexed;
-    index_entries += o.index_entries;
-    probe_hashes += o.probe_hashes;
     column_pairs_total += o.column_pairs_total;
     column_pairs_admitted += o.column_pairs_admitted;
     column_pairs_pruned += o.column_pairs_pruned;
@@ -128,8 +124,6 @@ struct ColumnProbeSet {
   int64_t total_weight = 0;
   // Sampled only: top-by-count probes, sorted ascending.
   std::vector<uint64_t> heavy;
-
-  size_t issued() const { return bottom.size() + heavy.size(); }
 };
 
 ColumnProbeSet BuildColumnProbes(const ColumnProfile& profile,
@@ -153,12 +147,13 @@ struct PairBlocking {
 
 // Pair-local admission: evaluates the blocking predicate for every column
 // pair of (dep -> ref) directly from the two profiles. Identical to the
-// (ti, tj) entry of BuildBlockingPlan over the same profiles.
+// (ti, tj) entry of BuildBlockingPlan over the same profiles, and cheaper
+// than a whole plan when only a few pairs are rescanned.
 PairBlocking ComputePairBlocking(const TableProfile& dep,
                                  const TableProfile& ref,
                                  const BlockingOptions& options);
 
-// The cold-path plan: builds the global inverted index over every distinct
+// The full-rescan plan: builds the global inverted index over every distinct
 // hash of every profiled column, probes it with every column's probe set,
 // and returns the admissions of every ACTIVE ordered table pair, keyed
 // (ti, tj) — std::map order is exactly DiscoverInds' serial ti-major pair

@@ -37,8 +37,8 @@ IndPairScan ScanTablePair(const std::vector<Table>& tables,
   const size_t na = pi.columns.size();
   const size_t nb = pj.columns.size();
   // Blocking admission for this pair: the caller's precomputed plan entry
-  // (cold path), or recomputed pair-locally from the two profiles
-  // (incremental path) — identical by construction. The exhaustive loop
+  // (full rescan), or recomputed pair-locally from the two profiles
+  // (partial rescan) — identical by construction. The exhaustive loop
   // structure below is kept and non-admitted column pairs are skipped in
   // place, so the iteration order of everything that still runs is exactly
   // the oracle's.

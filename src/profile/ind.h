@@ -67,9 +67,9 @@ struct IndStats {
   size_t composite_probes = 0;      // Exact composite containments run.
   size_t composite_sets_built = 0;  // Referenced tuple-hash sets constructed.
   size_t composite_budget_truncations = 0;  // Pairs that hit the probe cap.
-  // Blocking-plan counters. On the cold path these are set once per
-  // DiscoverInds run from BuildBlockingPlan; incremental ScanTablePair
-  // calls contribute their pair-local admissions instead.
+  // Blocking-plan counters. A full rescan sets these once per DiscoverInds
+  // run from BuildBlockingPlan; the ScanTablePair calls of a partial rescan
+  // contribute their pair-local admissions instead.
   BlockingStats blocking;
 
   void Add(const IndStats& o) {
@@ -101,8 +101,8 @@ class CompositeKeyCache {
                                      const std::vector<int>& columns);
 
   // Pre-seeds an already-built set (kept if the key is already present).
-  // The incremental engine re-injects sets of hash-proven-unchanged tables
-  // from the previous run this way: a set is a pure function of the table
+  // A stateful predict re-injects sets of hash-proven-unchanged tables from
+  // its IncrementalState this way: a set is a pure function of the table
   // cells and the key columns, and consumers only probe it (count/size), so
   // a reused set is observationally identical to a rebuilt one.
   void Seed(int table_index, const std::vector<int>& columns,
@@ -172,16 +172,16 @@ struct IndPairScan {
 // Scans one ordered table pair (ti -> tj) for unary and composite INDs —
 // exactly the per-pair unit DiscoverInds fans out. Pure function of its
 // inputs apart from the (internally synchronized) composite-key cache, so
-// the incremental engine (core/incremental.h) can re-run just the pairs
-// touching changed tables and splice the results into cached ones:
-// concatenating per-pair results in DiscoverInds' serial pair order
-// reproduces a full scan byte-for-byte.
+// a partial rescan (GenerateCandidates with a state, core/candidates.h) can
+// re-run just the pairs touching changed tables and merge the results with
+// reused ones: concatenating per-pair results in DiscoverInds' serial pair
+// order reproduces a full scan byte-for-byte.
 //
 // `blocking` is the pair's admission from a precomputed BuildBlockingPlan
-// entry. Callers without a plan (the incremental engine) leave it null:
-// with options.blocking.enabled the admission is then recomputed
-// pair-locally via ComputePairBlocking — the predicate is a pure function
-// of the two profiles, so the result is identical either way.
+// entry. Callers without a plan (a partial rescan) leave it null: with
+// options.blocking.enabled the admission is then recomputed pair-locally
+// via ComputePairBlocking — the predicate is a pure function of the two
+// profiles, so the result is identical either way.
 IndPairScan ScanTablePair(const std::vector<Table>& tables,
                           const std::vector<TableProfile>& profiles,
                           const std::vector<std::vector<Ucc>>& uccs,

@@ -21,6 +21,7 @@
 #include "core/model_export.h"
 #include "core/trainer.h"
 #include "synth/corpus.h"
+#include "synth/lake.h"
 #include "table/table.h"
 
 namespace autobi {
@@ -227,6 +228,99 @@ TEST_P(IncrementalDifferentialTest, EveryMutationKindMatchesColdPredict) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, IncrementalDifferentialTest,
+                         ::testing::Values(1, 2, 8));
+
+// Appends `count` copies of existing rows (cycling through the table).
+void AppendCopiedRows(Table* table, size_t count) {
+  const size_t rows = table->num_rows();
+  for (size_t k = 0; k < count; ++k) {
+    const size_t r = (k * 7) % rows;
+    for (size_t c = 0; c < table->num_columns(); ++c) {
+      Column& col = table->column(c);
+      if (col.IsNull(r)) {
+        col.AppendNull();
+      } else if (col.type() == ValueType::kInt) {
+        col.AppendInt(col.Int(r));
+      } else if (col.type() == ValueType::kDouble) {
+        col.AppendDouble(col.Double(r));
+      } else {
+        std::string value = col.Str(r);
+        col.AppendString(std::move(value));
+      }
+    }
+  }
+}
+
+class IncrementalLakeTest : public ::testing::TestWithParam<int> {};
+
+// The stateful path with blocking on a lake: an empty state rebuilds
+// through the global blocking plan (the full rescan a cold Predict runs),
+// and one-table deltas rescan only the pairs touching that table with
+// pair-local admission. Every step matches a cold Predict bit for bit.
+TEST_P(IncrementalLakeTest, FullAndPartialRescansMatchColdPredict) {
+  const int threads = GetParam();
+  Rng rng(2024);
+  LakeGenOptions gen;
+  gen.num_tables = 60;
+  std::vector<Table> tables = GenerateLake(gen, rng).tables;
+  ASSERT_EQ(tables.size(), 60u);
+  AutoBiOptions options;
+  options.threads = threads;
+  AutoBi predictor(&TestModel(), options);
+  IncrementalState state;
+
+  // Empty state: a full rescan, with the cold run's blocking plan.
+  StatusOr<AutoBiResult> rebuilt =
+      predictor.PredictIncremental(tables, nullptr, &state);
+  StatusOr<AutoBiResult> cold = predictor.Predict(tables, nullptr);
+  ASSERT_TRUE(rebuilt.ok() && cold.ok());
+  ExpectBitIdentical(*rebuilt, *cold, tables);
+  EXPECT_FALSE(rebuilt->incremental.used);
+  EXPECT_EQ(rebuilt->incremental.pairs_rescored, 60u * 59u / 2u);
+  const BlockingStats& got = rebuilt->ind_stats.blocking;
+  const BlockingStats& want = cold->ind_stats.blocking;
+  EXPECT_GT(want.column_pairs_pruned, 0u);
+  EXPECT_EQ(got.column_pairs_total, want.column_pairs_total);
+  EXPECT_EQ(got.column_pairs_admitted, want.column_pairs_admitted);
+  EXPECT_EQ(got.column_pairs_pruned, want.column_pairs_pruned);
+  EXPECT_EQ(got.table_pairs_total, want.table_pairs_total);
+  EXPECT_EQ(got.table_pairs_active, want.table_pairs_active);
+  EXPECT_EQ(rebuilt->ind_stats.pairs_scanned, cold->ind_stats.pairs_scanned);
+  ASSERT_TRUE(state.valid);
+
+  // One-table append: a partial rescan of the 59 pairs touching it.
+  size_t largest = 0;
+  for (size_t i = 1; i < tables.size(); ++i) {
+    if (tables[i].num_rows() > tables[largest].num_rows()) largest = i;
+  }
+  AppendCopiedRows(&tables[largest], 25);
+  StatusOr<AutoBiResult> appended =
+      predictor.PredictIncremental(tables, nullptr, &state);
+  cold = predictor.Predict(tables, nullptr);
+  ASSERT_TRUE(appended.ok() && cold.ok());
+  ExpectBitIdentical(*appended, *cold, tables);
+  EXPECT_TRUE(appended->incremental.used);
+  EXPECT_EQ(appended->incremental.tables_reprofiled, 0u);
+  EXPECT_EQ(appended->incremental.tables_delta_merged, 1u);
+  EXPECT_EQ(appended->incremental.pairs_rescored, 59u);
+  EXPECT_EQ(appended->incremental.pairs_reused, 59u * 58u / 2u);
+  EXPECT_EQ(appended->ind_stats.pairs_scanned, 2u * 59u);
+
+  // An added table (a copy of an island dimension under a new name).
+  Table extra = tables[0];
+  extra.set_name("lake_extra");
+  tables.push_back(std::move(extra));
+  StatusOr<AutoBiResult> added =
+      predictor.PredictIncremental(tables, nullptr, &state);
+  cold = predictor.Predict(tables, nullptr);
+  ASSERT_TRUE(added.ok() && cold.ok());
+  ExpectBitIdentical(*added, *cold, tables);
+  EXPECT_TRUE(added->incremental.used);
+  EXPECT_EQ(added->incremental.pairs_rescored, 60u);
+  EXPECT_EQ(added->incremental.pairs_reused, 60u * 59u / 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, IncrementalLakeTest,
                          ::testing::Values(1, 2, 8));
 
 TEST(IncrementalTest, NoOpWarmStartsTheSolve) {

@@ -2,8 +2,11 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include "common/rng.h"
+#include "core/local_model.h"
+#include "features/featurizer.h"
 #include "ml/calibration.h"
 #include "ml/dataset.h"
 #include "ml/decision_tree.h"
@@ -298,6 +301,104 @@ TEST(CalibratorSerializationTest, RoundTrips) {
     EXPECT_NEAR(platt.Calibrate(s), platt2.Calibrate(s), 1e-12);
     EXPECT_NEAR(iso.Calibrate(s), iso2.Calibrate(s), 1e-12);
   }
+}
+
+// --- Model-file validation: every loader rejects a file its predictions
+// could not safely use (an out-of-bounds read or a walk that never ends).
+
+// A three-node tree splitting on `feature`, as DecisionTree::Save writes it.
+std::string TreeText(int feature, int left = 1, int right = 2) {
+  return "tree 3\n" + std::to_string(feature) + " 0.5 " +
+         std::to_string(left) + " " + std::to_string(right) +
+         " 0.5 10\n-1 0 -1 -1 0.2 5\n-1 0 -1 -1 0.8 5\n";
+}
+
+bool LoadTree(const std::string& text) {
+  std::istringstream is(text);
+  DecisionTree tree;
+  return tree.Load(is);
+}
+
+bool LoadForest(const std::string& text) {
+  std::istringstream is(text);
+  RandomForest forest;
+  return forest.Load(is);
+}
+
+bool LoadIsotonic(const std::string& text) {
+  std::istringstream is(text);
+  IsotonicCalibrator iso;
+  return iso.Load(is);
+}
+
+// An untrained LocalModel file with its first forest (N:1 full-feature)
+// replaced by `forest` and its calibration method by `calibration`.
+std::string LocalModelText(const std::string& forest, int calibration = 0) {
+  std::ostringstream os;
+  LocalModel().Save(os);
+  std::string text = os.str();
+  const std::string header = "localmodel 1\n1 0\n";
+  EXPECT_EQ(text.compare(0, header.size(), header), 0);
+  text.replace(0, header.size(),
+               "localmodel 1\n1 " + std::to_string(calibration) + "\n");
+  size_t at = text.find("forest 0\n");
+  EXPECT_NE(at, std::string::npos);
+  return text.replace(at, 9, forest);
+}
+
+bool LoadLocalModel(const std::string& text) {
+  std::istringstream is(text);
+  LocalModel model;
+  return model.Load(is);
+}
+
+TEST(ModelFileTest, WellFormedFilesLoad) {
+  EXPECT_TRUE(LoadTree(TreeText(0)));
+  EXPECT_TRUE(LoadForest("forest 1\n" + TreeText(0)));
+  EXPECT_TRUE(LoadIsotonic("isotonic 3 0.1 0.2 0.5 0.4 0.5 0.9\n"));
+  EXPECT_TRUE(LoadLocalModel(LocalModelText("forest 0\n")));
+  const int dim = int(Featurizer::N1FeatureNames(false).size());
+  EXPECT_TRUE(LoadLocalModel(LocalModelText("forest 1\n" + TreeText(dim - 1))));
+}
+
+TEST(ModelFileTest, RejectsChildNotStrictlyForward) {
+  EXPECT_FALSE(LoadTree(TreeText(0, /*left=*/0)));   // Self-loop.
+  EXPECT_FALSE(LoadTree(TreeText(0, 1, /*right=*/3)));  // Past the end.
+  EXPECT_FALSE(LoadTree(TreeText(0, 1, /*right=*/-1)));
+  // A back edge below the root: node 1 points at node 0.
+  EXPECT_FALSE(LoadTree(
+      "tree 3\n0 0.5 1 2 0.5 10\n0 0.5 0 2 0.2 5\n-1 0 -1 -1 0.8 5\n"));
+}
+
+TEST(ModelFileTest, RejectsNegativeFeatureOnInternalNode) {
+  EXPECT_FALSE(LoadTree(TreeText(-1)));
+  EXPECT_FALSE(LoadTree(TreeText(-7)));
+}
+
+TEST(ModelFileTest, RejectsFeaturePastTheClassifierVector) {
+  const int dim = int(Featurizer::N1FeatureNames(false).size());
+  EXPECT_FALSE(LoadLocalModel(LocalModelText("forest 1\n" + TreeText(dim))));
+}
+
+TEST(ModelFileTest, RejectsEmptyTreeOrForest) {
+  EXPECT_FALSE(LoadTree("tree 0\n"));
+  EXPECT_FALSE(LoadForest("forest 0\n"));
+}
+
+TEST(ModelFileTest, RejectsIsotonicKnotsOutOfOrder) {
+  EXPECT_FALSE(LoadIsotonic("isotonic 3 0.1 0.2 0.5 0.4 0.3 0.9\n"));
+}
+
+TEST(ModelFileTest, RejectsCalibrationMethodOutsideTheEnum) {
+  EXPECT_FALSE(LoadLocalModel(LocalModelText("forest 0\n", 3)));
+  EXPECT_FALSE(LoadLocalModel(LocalModelText("forest 0\n", -1)));
+}
+
+TEST(ModelFileTest, RejectsCountsTheStreamCannotSupply) {
+  const std::string huge = "4611686018427387904";  // 2^62.
+  EXPECT_FALSE(LoadTree("tree " + huge + "\n-1 0 -1 -1 0.5 1\n"));
+  EXPECT_FALSE(LoadForest("forest " + huge + "\n" + TreeText(0)));
+  EXPECT_FALSE(LoadIsotonic("isotonic " + huge + " 0.1 0.2\n"));
 }
 
 // --- Metrics.
