@@ -54,7 +54,8 @@ class RunContext {
     // Tables with more rows / cells (rows * columns) than this are excluded
     // from value probing: they keep a metadata-only profile, discover no
     // UCCs/INDs, and fall back to name-based candidates (same path as
-    // empty DDL tables).
+    // empty DDL tables). Budgets do not bound hashing: every predict still
+    // reads each table's cells once to hash them (core/schema_diff.h).
     size_t max_rows_per_table = 0;
     size_t max_cells_per_table = 0;
     // Hard cap on the deduplicated candidate-pair list fed to local

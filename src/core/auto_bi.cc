@@ -320,6 +320,7 @@ AutoBiResult RunPipeline(const LocalModel& model, const AutoBiOptions& options,
   result.degradation.ucc = candidates.ucc_health;
   result.degradation.ind = candidates.ind_health;
   result.ind_stats = candidates.ind_stats;
+  if (state == nullptr) run.key_sets.reset();  // Only a commit needs them.
   if (state != nullptr) {
     result.incremental = run.stats;
     result.incremental.used = run.prev != nullptr;
@@ -357,7 +358,7 @@ AutoBiResult RunPipeline(const LocalModel& model, const AutoBiOptions& options,
     state->candidates = std::move(candidates.candidates);
     state->probabilities = std::move(run.scores);
     state->key_sets.clear();
-    for (auto& [key, set] : run.key_sets.Entries()) {
+    for (auto& [key, set] : run.key_sets->Entries()) {
       state->key_sets.emplace(std::move(key), std::move(set));
     }
     state->solve = ToSolveEntry(result);

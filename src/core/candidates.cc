@@ -315,7 +315,7 @@ CandidateSet GenerateCandidates(const std::vector<Table>& tables,
   Timer ind_timer;
   IndOptions ind_options = options.ind;
   if (ind_options.threads == 0) ind_options.threads = options.threads;
-  CompositeKeyCache& composite_cache = run->key_sets;
+  CompositeKeyCache& composite_cache = *run->key_sets;
   if (prev != nullptr) {
     for (const auto& [key, set] : prev->key_sets) {
       int t = prev_to_new[size_t(key.first)];

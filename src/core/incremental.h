@@ -63,8 +63,9 @@ struct PipelineRun {
   // Per candidate: the score carried over from `prev`, or
   // kSkippedCandidateScore when stage 3 must score it.
   std::vector<double> scores;
-  // Composite key sets of IND discovery and conversion, seeded from `prev`.
-  CompositeKeyCache key_sets;
+  // Stage 2's composite key sets, seeded from `prev` (kept only to commit).
+  std::unique_ptr<CompositeKeyCache> key_sets =
+      std::make_unique<CompositeKeyCache>();
   // The stages' work counters.
   IncrementalStats stats;
 };

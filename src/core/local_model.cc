@@ -109,10 +109,7 @@ bool LocalModel::Load(std::istream& is) {
       {&one_schema_, Featurizer::OneToOneFeatureNames(true).size()},
   };
   for (const auto& [forest, dim] : forests) {
-    if (!forest->Load(is, /*allow_untrained=*/true) ||
-        forest->max_feature() >= int(dim)) {
-      return false;
-    }
+    if (!forest->Load(is) || forest->max_feature() >= int(dim)) return false;
   }
   for (auto& c : platt_) {
     if (!c.Load(is)) return false;

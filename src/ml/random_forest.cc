@@ -74,11 +74,10 @@ int RandomForest::max_feature() const {
   return max;
 }
 
-bool RandomForest::Load(std::istream& is, bool allow_untrained) {
+bool RandomForest::Load(std::istream& is) {
   std::string tag;
   size_t count = 0;
   if (!(is >> tag >> count) || tag != "forest") return false;
-  if (count == 0 && !allow_untrained) return false;
   // Grown while reading, so a corrupt count allocates no more trees than
   // the stream holds.
   std::vector<DecisionTree> trees;

@@ -43,11 +43,10 @@ class RandomForest {
   int max_feature() const;
 
   // Text (de)serialization. Load returns false on a malformed tree (see
-  // DecisionTree::Load) and on an empty forest, which cannot predict —
-  // unless `allow_untrained`: LocalModel saves a classifier the trainer
-  // left unfitted as an empty forest.
+  // DecisionTree::Load). An empty forest loads as untrained: LocalModel
+  // saves a classifier the trainer left unfitted that way.
   void Save(std::ostream& os) const;
-  bool Load(std::istream& is, bool allow_untrained = false);
+  bool Load(std::istream& is);
 
  private:
   std::vector<DecisionTree> trees_;

@@ -255,7 +255,7 @@ class IncrementalLakeTest : public ::testing::TestWithParam<int> {};
 
 // The stateful path with blocking on a lake: an empty state rebuilds
 // through the global blocking plan (the full rescan a cold Predict runs),
-// and one-table deltas rescan only the pairs touching that table with
+// and deltas rescan only the pairs touching a changed table, each with
 // pair-local admission. Every step matches a cold Predict bit for bit.
 TEST_P(IncrementalLakeTest, FullAndPartialRescansMatchColdPredict) {
   const int threads = GetParam();
@@ -305,6 +305,23 @@ TEST_P(IncrementalLakeTest, FullAndPartialRescansMatchColdPredict) {
   EXPECT_EQ(appended->incremental.pairs_rescored, 59u);
   EXPECT_EQ(appended->incremental.pairs_reused, 59u * 58u / 2u);
   EXPECT_EQ(appended->ind_stats.pairs_scanned, 2u * 59u);
+  EXPECT_EQ(appended->ind_stats.blocking.table_pairs_total, 2u * 59u);
+
+  // Appends to a third of the tables: a partial rescan of the 990 pairs
+  // touching them.
+  for (size_t i = 0; i < tables.size(); i += 3) {
+    AppendCopiedRows(&tables[i], 5);
+  }
+  StatusOr<AutoBiResult> spread =
+      predictor.PredictIncremental(tables, nullptr, &state);
+  cold = predictor.Predict(tables, nullptr);
+  ASSERT_TRUE(spread.ok() && cold.ok());
+  ExpectBitIdentical(*spread, *cold, tables);
+  EXPECT_TRUE(spread->incremental.used);
+  EXPECT_EQ(spread->incremental.tables_delta_merged, 20u);
+  EXPECT_EQ(spread->incremental.pairs_rescored, 990u);
+  EXPECT_EQ(spread->incremental.pairs_reused, 40u * 39u / 2u);
+  EXPECT_EQ(spread->ind_stats.blocking.table_pairs_total, 2u * 990u);
 
   // An added table (a copy of an island dimension under a new name).
   Table extra = tables[0];

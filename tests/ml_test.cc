@@ -380,9 +380,8 @@ TEST(ModelFileTest, RejectsFeaturePastTheClassifierVector) {
   EXPECT_FALSE(LoadLocalModel(LocalModelText("forest 1\n" + TreeText(dim))));
 }
 
-TEST(ModelFileTest, RejectsEmptyTreeOrForest) {
+TEST(ModelFileTest, RejectsEmptyTree) {
   EXPECT_FALSE(LoadTree("tree 0\n"));
-  EXPECT_FALSE(LoadForest("forest 0\n"));
 }
 
 TEST(ModelFileTest, RejectsIsotonicKnotsOutOfOrder) {
