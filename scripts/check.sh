@@ -93,11 +93,23 @@ ASAN_BUILD_DIR="${AUTOBI_ASAN_BUILD_DIR:-build-asan}"
 cmake -B "$ASAN_BUILD_DIR" -S . -DAUTOBI_SANITIZE=address,undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 cmake --build "$ASAN_BUILD_DIR" -j --target autobi_profile_ml_tests \
-  autobi_faultfuzz
+  autobi_faultfuzz autobi_base_tests autobi_service_tests autobi_serve_tests
 UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
   "$ASAN_BUILD_DIR/tests/autobi_profile_ml_tests" \
   --gtest_filter='KernelOracle*:TpchDdl*'
 echo "check.sh: kernel-oracle equivalence clean (ASan/UBSan)."
+
+# --- Ingest path under ASan/UBSan (always on): the CSV reader does pointer
+# arithmetic over untrusted bytes, so its unit tests, the differential test
+# against the reference reader (tests/csv_oracle.cc), the loader byte-fuzz,
+# JSON string decoding and the socket framing (chunked, batched and
+# over-cap lines) all run here.
+INGEST_FILTER='CsvTest*:CsvOracle*:LoaderFuzz*:ServeJson*:ServeTransport*'
+for t in autobi_base_tests autobi_service_tests autobi_serve_tests; do
+  UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
+    "$ASAN_BUILD_DIR/tests/$t" --gtest_filter="$INGEST_FILTER"
+done
+echo "check.sh: ingest path clean (ASan/UBSan)."
 
 # --- Schema-evolution differential smoke under ASan/UBSan (always on since
 # PR 8): every case replays a random 1-8 step mutation sequence through

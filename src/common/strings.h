@@ -32,7 +32,10 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
 // Parses a string as int64/double. Returns false if the full string is not a
-// valid number (leading/trailing spaces are tolerated).
+// valid number (leading/trailing spaces are tolerated). The verdicts and
+// values are those of strtoll (base 10, at most 30 characters) and strtod
+// (at most 60 characters, ERANGE = not a number) on the trimmed text; the
+// CSV reader's type inference is defined by them.
 bool ParseInt64(std::string_view s, int64_t* out);
 bool ParseDouble(std::string_view s, double* out);
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 
 #include "common/check.h"
@@ -405,10 +406,37 @@ class Parser {
     }
   }
 
+  // True for the bytes that end a run of plain string bytes.
+  static bool EndsRun(unsigned char c) {
+    return c == '"' || c == '\\' || c < 0x20;
+  }
+
+  // True if any of the 8 bytes in `word` ends a run. Each test is the exact
+  // "some byte is zero / below n" bit trick: a borrow can only flag extra
+  // bytes beside a byte that really matches.
+  static bool AnyEndsRun(uint64_t word) {
+    constexpr uint64_t kOnes = 0x0101010101010101ULL;
+    constexpr uint64_t kHighs = 0x8080808080808080ULL;
+    auto has_zero = [](uint64_t v) { return (v - kOnes) & ~v & kHighs; };
+    return (has_zero(word ^ (kOnes * '"')) | has_zero(word ^ (kOnes * '\\')) |
+            ((word - kOnes * 0x20) & ~word & kHighs)) != 0;
+  }
+
   Status ParseString(std::string* out) {
     ++p_;  // opening '"'
     out->clear();
     while (true) {
+      // Append the run of plain bytes up to the next quote, backslash or
+      // control byte in one go.
+      const char* run = p_;
+      while (end_ - p_ >= 8) {
+        uint64_t word = 0;
+        std::memcpy(&word, p_, sizeof(word));
+        if (AnyEndsRun(word)) break;
+        p_ += 8;
+      }
+      while (p_ != end_ && !EndsRun(static_cast<unsigned char>(*p_))) ++p_;
+      out->append(run, size_t(p_ - run));
       if (p_ == end_) return Error("unterminated string");
       unsigned char c = static_cast<unsigned char>(*p_);
       if (c == '"') {
@@ -416,11 +444,6 @@ class Parser {
         return Status::Ok();
       }
       if (c < 0x20) return Error("raw control character in string");
-      if (c != '\\') {
-        out->push_back(char(c));
-        ++p_;
-        continue;
-      }
       ++p_;  // '\\'
       if (p_ == end_) return Error("truncated escape");
       char esc = *p_++;

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -16,29 +17,156 @@
 
 namespace autobi {
 
+namespace {
+
+// Bytes requested per read(2).
+constexpr size_t kReadChunkBytes = size_t{64} << 10;
+
+// A request line's allowance beyond its escaped CSV payload: verb, session,
+// table name and id.
+constexpr size_t kEnvelopeBytes = size_t{64} << 10;
+
+// Accumulates bytes read from a stream and hands out complete lines. Each
+// byte is searched for '\n' once, so framing is linear in the stream
+// length whatever the line lengths.
+class LineReader {
+ public:
+  enum class Result { kLine, kNeedMore, kOverCap };
+
+  explicit LineReader(size_t max_line_bytes)
+      : max_line_bytes_(max_line_bytes) {}
+
+  // Next complete line, without its '\n'. The view stays valid until the
+  // next Read. kOverCap: the line (complete or not) is longer than the cap.
+  Result Next(std::string_view* line) {
+    const char* nl = static_cast<const char*>(std::memchr(
+        buffer_.data() + scanned_, '\n', buffer_.size() - scanned_));
+    if (nl == nullptr) {
+      scanned_ = buffer_.size();
+      return Pending().size() > max_line_bytes_ ? Result::kOverCap
+                                                : Result::kNeedMore;
+    }
+    const size_t end = size_t(nl - buffer_.data());
+    *line = std::string_view(buffer_.data() + start_, end - start_);
+    start_ = scanned_ = end + 1;
+    return line->size() > max_line_bytes_ ? Result::kOverCap : Result::kLine;
+  }
+
+  // Reads once from `fd`, after dropping the lines already handed out.
+  // Returns read(2)'s result.
+  ssize_t Read(int fd) {
+    buffer_.erase(0, start_);
+    scanned_ -= start_;
+    start_ = 0;
+    const size_t old_size = buffer_.size();
+    buffer_.resize(old_size + kReadChunkBytes);
+    ssize_t n = ::read(fd, buffer_.data() + old_size, kReadChunkBytes);
+    buffer_.resize(old_size + (n > 0 ? size_t(n) : 0));
+    return n;
+  }
+
+  // Bytes received after the last complete line.
+  std::string_view Pending() const {
+    return std::string_view(buffer_).substr(start_);
+  }
+
+ private:
+  const size_t max_line_bytes_;
+  std::string buffer_;
+  size_t start_ = 0;    // First byte not yet handed out.
+  size_t scanned_ = 0;  // [start_, scanned_) holds no '\n'.
+};
+
+std::string OverCapResponse(size_t max_line_bytes) {
+  return MakeErrorResponse(
+             nullptr,
+             Status::ResourceExhausted(StrFormat(
+                 "request line exceeds the %zu-byte cap (2 x max_csv_bytes "
+                 "+ %zu envelope bytes)",
+                 max_line_bytes, kEnvelopeBytes)))
+      .Write();
+}
+
+}  // namespace
+
+size_t MaxRequestLineBytes(const ServeOptions& options) {
+  const size_t csv = options.max_csv_bytes;
+  if (csv == 0 || csv > (SIZE_MAX - kEnvelopeBytes) / 2) return SIZE_MAX;
+  return 2 * csv + kEnvelopeBytes;
+}
+
 Status RunStdioServer(ServeEngine* engine) {
-  std::string line;
-  while (!engine->shutdown_requested() && std::getline(std::cin, line)) {
-    if (line.empty()) continue;
-    // A reader that went away fails the stream (autobi_serve ignores
-    // SIGPIPE): nobody is left to answer, so stop serving.
-    if (!(std::cout << engine->HandleLine(line) << "\n" << std::flush)) break;
+  const size_t max_line_bytes = MaxRequestLineBytes(engine->options());
+  LineReader reader(max_line_bytes);
+  // A reader that went away fails the stream (autobi_serve ignores
+  // SIGPIPE): nobody is left to answer, so stop serving.
+  auto respond = [](const std::string& response) {
+    return static_cast<bool>(std::cout << response << "\n" << std::flush);
+  };
+  while (!engine->shutdown_requested()) {
+    std::string_view line;
+    LineReader::Result result = reader.Next(&line);
+    if (result == LineReader::Result::kOverCap) {
+      respond(OverCapResponse(max_line_bytes));
+      break;
+    }
+    if (result == LineReader::Result::kLine) {
+      if (!line.empty() && !respond(engine->HandleLine(line))) break;
+      continue;
+    }
+    ssize_t n = reader.Read(STDIN_FILENO);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      // Like std::getline, serve a last line that has no '\n'.
+      std::string_view rest = reader.Pending();
+      if (!rest.empty()) respond(engine->HandleLine(rest));
+      break;
+    }
   }
   return Status::Ok();
 }
 
 namespace {
 
-// Reads buffered lines from `fd`, dispatching each through the engine.
-// Returns on EOF, error, or engine shutdown. `wake_fd` is the read end of
-// the transport's self-pipe: the engine's shutdown callback writes one byte
-// there (which is never drained, so the pipe stays level-triggered
-// readable), waking every blocked poller at once — shutdown accepted on one
-// connection unblocks all others immediately, with no polling interval.
+// Writes all of `bytes`; false once the peer is gone.
+bool SendAll(int fd, const std::string& bytes) {
+  size_t off = 0;
+  while (off < bytes.size()) {
+    // A client that hung up turns this write into EPIPE: MSG_NOSIGNAL
+    // keeps that from raising SIGPIPE, whose default action would kill
+    // the daemon and every other session with it.
+    ssize_t w = ::send(fd, bytes.data() + off, bytes.size() - off,
+                       MSG_NOSIGNAL);
+    if (w <= 0) return false;
+    off += size_t(w);
+  }
+  return true;
+}
+
+// Reads lines from `fd`, dispatching each through the engine. Returns on
+// EOF, error, an over-cap line (answered with one RESOURCE_EXHAUSTED
+// line), or engine shutdown. `wake_fd` is the read end of the transport's
+// self-pipe: the engine's shutdown callback writes one byte there (which is
+// never drained, so the pipe stays level-triggered readable), waking every
+// blocked poller at once — shutdown accepted on one connection unblocks all
+// others immediately, with no polling interval.
 void ServeConnection(ServeEngine* engine, int fd, int wake_fd) {
-  std::string pending;
-  char buf[4096];
-  while (true) {
+  const size_t max_line_bytes = MaxRequestLineBytes(engine->options());
+  LineReader reader(max_line_bytes);
+  while (!engine->shutdown_requested()) {
+    std::string_view line;
+    LineReader::Result result = reader.Next(&line);
+    if (result == LineReader::Result::kOverCap) {
+      SendAll(fd, OverCapResponse(max_line_bytes) + "\n");
+      break;
+    }
+    if (result == LineReader::Result::kLine) {
+      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+      if (!line.empty() && !SendAll(fd, engine->HandleLine(line) + "\n")) {
+        break;
+      }
+      continue;
+    }
     struct pollfd pfds[2];
     pfds[0].fd = fd;
     pfds[0].events = POLLIN;
@@ -52,38 +180,7 @@ void ServeConnection(ServeEngine* engine, int fd, int wake_fd) {
     }
     if (pfds[1].revents != 0) break;  // Shutdown wakeup.
     if ((pfds[0].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-    ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n <= 0) break;  // EOF or error.
-    pending.append(buf, size_t(n));
-    size_t start = 0;
-    for (size_t nl = pending.find('\n', start); nl != std::string::npos;
-         nl = pending.find('\n', start)) {
-      std::string_view line(pending.data() + start, nl - start);
-      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-      if (!line.empty()) {
-        std::string response = engine->HandleLine(line);
-        response.push_back('\n');
-        size_t off = 0;
-        while (off < response.size()) {
-          // A client that hung up turns this write into EPIPE: MSG_NOSIGNAL
-          // keeps that from raising SIGPIPE, whose default action would kill
-          // the daemon and every other session with it.
-          ssize_t w = ::send(fd, response.data() + off, response.size() - off,
-                             MSG_NOSIGNAL);
-          if (w <= 0) {
-            ::close(fd);
-            return;
-          }
-          off += size_t(w);
-        }
-      }
-      start = nl + 1;
-      if (engine->shutdown_requested()) {
-        ::close(fd);
-        return;
-      }
-    }
-    pending.erase(0, start);
+    if (reader.Read(fd) <= 0) break;  // EOF or error.
   }
   ::close(fd);
 }

@@ -1,6 +1,7 @@
 #ifndef AUTOBI_SERVE_TRANSPORT_H_
 #define AUTOBI_SERVE_TRANSPORT_H_
 
+#include <cstddef>
 #include <string>
 
 #include "common/status.h"
@@ -11,7 +12,18 @@ namespace autobi {
 // Newline-delimited JSON transports for ServeEngine (POSIX only, no
 // dependencies). Both run until EOF or until the engine accepts a
 // `shutdown` request. Framing: one request per input line, one response
-// per output line; blank lines are ignored.
+// per output line; blank lines are ignored. Input is read 64 KiB at a time
+// and each byte is searched for the newline once, so framing cost is
+// linear in the request size.
+//
+// A request line longer than MaxRequestLineBytes is answered with one
+// RESOURCE_EXHAUSTED error line; the socket transport then closes that
+// connection and the stdio transport stops reading.
+
+// The line cap: twice ServeOptions::max_csv_bytes (JSON escaping at most
+// doubles a CSV byte, raw control bytes aside) plus a fixed 64 KiB for the
+// request envelope. Unbounded when max_csv_bytes is 0 (no CSV cap).
+size_t MaxRequestLineBytes(const ServeOptions& options);
 
 // Serves over stdin/stdout — the mode `autobi_serve --stdio` runs in, and
 // the easiest way to drive the daemon from a shell pipeline.

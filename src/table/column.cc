@@ -70,6 +70,23 @@ void Column::AppendNull() {
   ++num_null_;
 }
 
+void Column::Reserve(size_t rows) {
+  null_.reserve(rows);
+  switch (type_) {
+    case ValueType::kInt:
+      ints_.reserve(rows);
+      break;
+    case ValueType::kDouble:
+      doubles_.reserve(rows);
+      break;
+    case ValueType::kString:
+      strings_.reserve(rows);
+      break;
+    case ValueType::kNull:
+      break;
+  }
+}
+
 void Column::AppendParsed(std::string_view cell) {
   std::string_view t = Trim(cell);
   if (t.empty()) {

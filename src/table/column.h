@@ -39,6 +39,9 @@ class Column {
   void AppendString(std::string v);
   void AppendNull();
 
+  // Preallocates room for `rows` cells of the column's type.
+  void Reserve(size_t rows);
+
   // Appends a textual cell, parsing it according to the column's type. Used
   // by the CSV reader after type inference. A cell that fails to parse as the
   // column type is stored as null for numeric columns.

@@ -16,6 +16,24 @@ namespace autobi {
 // CRLF line endings are tolerated. Types are inferred from the data: a
 // column is int/double only if every non-empty cell parses.
 //
+// The rules in full: a CR outside quotes is dropped wherever it occurs; a
+// '"' opens quoting only at the start of an empty field (mid-field it is a
+// literal byte, and text after a closing quote joins the field); a record
+// that is exactly one empty field (a blank, CR-only or ""-only line) is
+// skipped. Cells, but not header names, are isspace-trimmed before type
+// inference and storage; an empty cell is null, and a column of nulls is a
+// string column. Ints and doubles are what ParseInt64 and ParseDouble
+// (common/strings.h) accept, i.e. the strtoll and strtod verdicts.
+//
+// ReadCsv makes two streaming passes and keeps no per-cell state: the first
+// tokenizes (fields are views into the text; only quoted or CR-bearing
+// records are unescaped into a scratch buffer), checks record shapes,
+// infers types and counts rows, the second appends typed values straight
+// into columns reserved to exactly that many rows.
+// Its tables, CsvStats and errors are bit-identical to those of the
+// reference reader in tests/csv_oracle.cc, which tests/csv_oracle_test.cc
+// checks.
+//
 // This is an untrusted-input surface: all entry points return a typed
 // Status (common/status.h) instead of aborting, whatever the bytes are.
 
@@ -40,7 +58,8 @@ struct CsvStats {
 
 // Parses CSV text (first row = header) into a Table. Errors: kInvalidInput
 // on malformed input (ragged rows in strict mode, unterminated quote, empty
-// input), kResourceExhausted past options.max_bytes.
+// input; an unterminated quote wins over a ragged row), kResourceExhausted
+// past options.max_bytes.
 StatusOr<Table> ReadCsv(std::string_view text, std::string table_name,
                         const CsvOptions& options = {},
                         CsvStats* stats = nullptr);

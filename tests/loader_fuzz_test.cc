@@ -11,18 +11,12 @@
 
 #include "common/rng.h"
 #include "common/status.h"
+#include "loader_fuzz_inputs.h"
 #include "table/csv.h"
 #include "table/sql_ddl.h"
 
 namespace autobi {
 namespace {
-
-const char* const kCsvSeeds[] = {
-    "id,name,price\n1,apple,0.5\n2,banana,0.25\n3,cherry,3.0\n",
-    "\xEF\xBB\xBFk,v\r\n1,\"a,b\"\r\n2,\"quote\"\"d\"\r\n",
-    "a\n1\n2\n3\n4\n",
-    "x,y,z\n,,\n\"multi\nline\",2,3\n",
-};
 
 const char* const kDdlSeeds[] = {
     "CREATE TABLE t (id INT PRIMARY KEY, name VARCHAR(20));\n",
@@ -31,41 +25,6 @@ const char* const kDdlSeeds[] = {
     "  foreign key (a_x) references a (x));\n",
     "CREATE TABLE [s].[t] (\"c one\" DECIMAL, `c2` BIGINT REFERENCES a(x));",
 };
-
-// Bytes that exercise the loaders' special cases.
-const char kSpice[] = {',', '"', '\n', '\r', '\0', ';', '(', ')',
-                       '.', '\\', '\xEF', '\xBB', '\xBF', '\xFF', ' ', '\t'};
-
-std::string Mutate(std::string input, Rng& rng) {
-  int edits = 1 + static_cast<int>(rng.NextBelow(8));
-  for (int e = 0; e < edits && !input.empty(); ++e) {
-    size_t pos = rng.NextBelow(input.size());
-    switch (rng.NextBelow(5)) {
-      case 0:
-        input[pos] = kSpice[rng.NextBelow(sizeof(kSpice))];
-        break;
-      case 1:
-        input[pos] = static_cast<char>(rng.NextBelow(256));
-        break;
-      case 2:
-        input.insert(pos, 1, kSpice[rng.NextBelow(sizeof(kSpice))]);
-        break;
-      case 3:
-        input.erase(pos, 1 + rng.NextBelow(4));
-        break;
-      default:
-        input.resize(pos);  // Truncate.
-        break;
-    }
-  }
-  return input;
-}
-
-std::string RandomBytes(Rng& rng) {
-  std::string out(rng.NextBelow(200), '\0');
-  for (char& c : out) c = static_cast<char>(rng.NextBelow(256));
-  return out;
-}
 
 // The loaders must never crash, and an OK result must be well-formed.
 void CheckCsv(const std::string& text, const CsvOptions& options) {

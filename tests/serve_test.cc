@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "common/strings.h"
 #include "core/auto_bi.h"
 #include "core/candidates.h"
@@ -107,6 +108,87 @@ TEST(ServeJson, RejectsExcessiveNesting) {
   std::string deep(100, '[');
   deep += std::string(100, ']');
   EXPECT_FALSE(ParseJson(deep).ok());
+}
+
+// Long strings decode run by run: escapes at the start, at the end and at
+// every k-th byte of a run must round-trip byte-identically, and errors
+// after a long run must name the same byte offset a byte-at-a-time decoder
+// reports.
+TEST(ServeJson, LongStringsWithEscapesRoundTrip) {
+  struct Escape {
+    const char* json;
+    const char* decoded;
+  };
+  const Escape escapes[] = {
+      {"\\\"", "\""}, {"\\\\", "\\"}, {"\\/", "/"},
+      {"\\b", "\b"},  {"\\f", "\f"},  {"\\n", "\n"},
+      {"\\r", "\r"},  {"\\t", "\t"},  {"\\u00e9", "\xC3\xA9"},
+      {"\\u0001", "\x01"}, {"\\ud83d\\ude00", "\xF0\x9F\x98\x80"},
+  };
+  Rng rng(0x5EEDu);
+  size_t escape_index = 0;
+  for (size_t size : {size_t{0}, size_t{1}, size_t{31}, size_t{4096},
+                      size_t{65537}, size_t{200} << 10}) {
+    for (size_t k : {size_t{1}, size_t{3}, size_t{64}, size_t{4096},
+                     size_t{1} << 30}) {
+      std::string json = "\"";
+      std::string want;
+      auto escape = [&] {
+        const Escape& e = escapes[escape_index++ % std::size(escapes)];
+        json += e.json;
+        want += e.decoded;
+      };
+      escape();  // At the start.
+      for (size_t i = 0; i < size; ++i) {
+        // Plain bytes: printable ASCII but '"' and '\\', plus UTF-8 bytes.
+        char c = static_cast<char>(0x20 + rng.NextBelow(0x60));
+        if (c == '"' || c == '\\') c = 'q';
+        if (rng.NextBelow(16) == 0) {
+          c = static_cast<char>(0x80 + rng.NextBelow(0x80));
+        }
+        json.push_back(c);
+        want.push_back(c);
+        if ((i + 1) % k == 0) escape();
+      }
+      escape();  // At the end.
+      json += "\"";
+      StatusOr<Json> parsed = ParseJson(json);
+      ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+      EXPECT_EQ(parsed->AsString(), want) << "size " << size << " k " << k;
+      StatusOr<Json> again = ParseJson(Json::MakeString(want).Write());
+      ASSERT_TRUE(again.ok()) << again.status().ToString();
+      EXPECT_EQ(again->AsString(), want) << "size " << size << " k " << k;
+    }
+  }
+}
+
+TEST(ServeJson, ErrorsAfterLongRunsKeepTheirByteOffsets) {
+  for (size_t run : {size_t{0}, size_t{5}, size_t{100000}}) {
+    const std::string plain = "\"" + std::string(run, 'a');
+    struct Case {
+      std::string json;
+      size_t offset;
+      const char* message;
+    };
+    const Case cases[] = {
+        {plain + '\x01' + "tail\"", run + 1, "raw control character in string"},
+        {plain + "\\n" + '\x1f' + "\"", run + 3,
+         "raw control character in string"},
+        {plain + "\\", run + 2, "truncated escape"},
+        {plain + "\\u12", run + 5, "truncated \\u escape"},
+        {plain + "\\q\"", run + 3, "invalid escape character"},
+        {plain, run + 1, "unterminated string"},
+    };
+    for (const Case& c : cases) {
+      StatusOr<Json> parsed = ParseJson(c.json);
+      ASSERT_FALSE(parsed.ok()) << "run " << run;
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidInput);
+      EXPECT_EQ(parsed.status().message(),
+                StrFormat("JSON parse error at byte %zu: %s", c.offset,
+                          c.message))
+          << "run " << run;
+    }
+  }
 }
 
 TEST(ServeJson, TypedGettersDistinguishAbsentFromWrongType) {
@@ -950,23 +1032,34 @@ int ConnectUnix(const std::string& path) {
   return -1;
 }
 
-bool WriteAll(int fd, const std::string& bytes) {
+// Sends all of `bytes`; MSG_NOSIGNAL turns a server that already closed the
+// connection into a false return instead of a SIGPIPE.
+bool WriteAll(int fd, std::string_view bytes) {
   size_t off = 0;
   while (off < bytes.size()) {
-    ssize_t w = ::write(fd, bytes.data() + off, bytes.size() - off);
+    ssize_t w = ::send(fd, bytes.data() + off, bytes.size() - off,
+                       MSG_NOSIGNAL);
     if (w <= 0) return false;
     off += size_t(w);
   }
   return true;
 }
 
+// Reads one response line ("" on EOF, error or timeout before a newline).
+std::string ReadLine(int fd) {
+  std::string line;
+  char ch;
+  while (::read(fd, &ch, 1) == 1) {
+    if (ch == '\n') return line;
+    line.push_back(ch);
+  }
+  return "";
+}
+
 // Sends one request line and returns the response line ("" on a failure).
 std::string RoundTrip(int fd, const std::string& request) {
   if (!WriteAll(fd, request + "\n")) return "";
-  std::string line;
-  char ch;
-  while (::read(fd, &ch, 1) == 1 && ch != '\n') line.push_back(ch);
-  return line;
+  return ReadLine(fd);
 }
 
 // A client that sends a burst and hangs up without reading leaves the server
@@ -999,6 +1092,146 @@ TEST(ServeTransportTest, ClientHangUpLeavesServerRunning) {
   ::close(fresh);
   server.join();
   EXPECT_TRUE(served.ok()) << served.ToString();
+}
+
+// Bounds every read on `fd`, so a server that never answers fails the test
+// instead of hanging it.
+void SetReceiveTimeout(int fd, int seconds) {
+  timeval tv{};
+  tv.tv_sec = seconds;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)), 0);
+}
+
+int64_t ResponseId(const std::string& line) {
+  StatusOr<Json> parsed = ParseJson(line);
+  if (!parsed.ok() || parsed->Find("id") == nullptr) return -1;
+  return parsed->Find("id")->AsInt();
+}
+
+// Runs RunUnixSocketServer on a thread for the scope of a test.
+class SocketServer {
+ public:
+  SocketServer(ServeEngine* engine, const std::string& tag)
+      : engine_(engine),
+        path_(::testing::TempDir() +
+              StrFormat("autobi_%s_%d.sock", tag.c_str(), int(getpid()))),
+        thread_([this] { served_ = RunUnixSocketServer(engine_, path_); }) {}
+  ~SocketServer() {
+    // Shut down in-process whatever the test did, so the server joins.
+    engine_->HandleLine(R"({"verb":"shutdown"})");
+    thread_.join();
+    EXPECT_TRUE(served_.ok()) << served_.ToString();
+  }
+  SocketServer(const SocketServer&) = delete;
+  SocketServer& operator=(const SocketServer&) = delete;
+
+  int Connect() const {
+    int fd = ConnectUnix(path_);
+    EXPECT_GE(fd, 0);
+    if (fd >= 0) SetReceiveTimeout(fd, 60);
+    return fd;
+  }
+
+ private:
+  ServeEngine* engine_;
+  const std::string path_;
+  Status served_;
+  std::thread thread_;
+};
+
+// Framing: several requests in one write, and a multi-megabyte upload line
+// arriving in pieces of 1 B to 100 KB whose last piece also carries the
+// next request. One response per request, in order, and the upload parses
+// to the same table as ReadCsv of the CSV it carried.
+TEST(ServeTransportTest, FramesBatchedAndChunkedRequestsInOrder) {
+  ServeEngine engine(&TestModel(), ServeOptions{});
+  SocketServer server(&engine, "framing");
+  int fd = server.Connect();
+  ASSERT_GE(fd, 0);
+
+  ASSERT_TRUE(WriteAll(fd, "{\"verb\":\"ping\",\"id\":1}\n"
+                          "{\"verb\":\"create_session\",\"id\":2}\r\n"
+                          "{\"verb\":\"ping\",\"id\":3}\n"));
+  EXPECT_EQ(ResponseId(ReadLine(fd)), 1);
+  StatusOr<Json> created = ParseJson(ReadLine(fd));
+  ASSERT_TRUE(created.ok());
+  EXPECT_EQ(created->Find("id")->AsInt(), 2);
+  const std::string session = created->Find("session")->AsString();
+  EXPECT_EQ(ResponseId(ReadLine(fd)), 3);
+
+  // A >= 4 MB CSV whose JSON form carries escapes (quotes, newlines).
+  Rng rng(0xF4A3u);
+  std::string csv = "id,label,amount\n";
+  for (int64_t i = 0; csv.size() < (size_t{4} << 20); ++i) {
+    csv += StrFormat("%lld,\"name \"\"%llu\"\", x\",%.3f\n",
+                     static_cast<long long>(i),
+                     static_cast<unsigned long long>(rng.NextBelow(100000)),
+                     double(rng.NextBelow(1000000)) / 7.0);
+  }
+  Json upload = Json::MakeObject();
+  upload.Set("verb", Json::MakeString("upload_table"));
+  upload.Set("id", Json::MakeInt(4));
+  upload.Set("session", Json::MakeString(session));
+  upload.Set("name", Json::MakeString("big"));
+  upload.Set("csv", Json::MakeString(csv));
+  const std::string line = upload.Write() + "\n";
+  const std::string tail = "{\"verb\":\"ping\",\"id\":5}\n";
+  size_t off = 0;
+  const size_t last = line.size() - 1 - rng.NextBelow(64);
+  while (off < last) {
+    size_t chunk = std::min(last - off, size_t(1 + rng.NextBelow(100000)));
+    ASSERT_TRUE(WriteAll(fd, std::string_view(line).substr(off, chunk)));
+    off += chunk;
+  }
+  ASSERT_TRUE(WriteAll(fd, line.substr(off) + tail));
+
+  StatusOr<Json> uploaded = ParseJson(ReadLine(fd));
+  ASSERT_TRUE(uploaded.ok());
+  EXPECT_EQ(uploaded->Find("id")->AsInt(), 4);
+  ASSERT_TRUE(IsOk(*uploaded)) << uploaded->Write();
+  StatusOr<Table> table = ReadCsv(csv, "big");
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  EXPECT_EQ(uploaded->Find("content_hash")->AsString(),
+            StrFormat("%016llx", static_cast<unsigned long long>(
+                                     TableContentHash(*table))));
+  EXPECT_EQ(uploaded->Find("rows")->AsInt(), int64_t(table->num_rows()));
+  EXPECT_EQ(ResponseId(ReadLine(fd)), 5);
+  ::close(fd);
+}
+
+// A request line longer than the cap gets one RESOURCE_EXHAUSTED line
+// naming the cap, then the connection closes. Other connections are
+// unaffected.
+TEST(ServeTransportTest, OverCapLineIsAnsweredOnceThenClosed) {
+  ServeOptions options;
+  options.max_csv_bytes = 1024;
+  const size_t cap = MaxRequestLineBytes(options);
+  EXPECT_EQ(cap, 2 * options.max_csv_bytes + (size_t{64} << 10));
+  ServeEngine engine(&TestModel(), options);
+  SocketServer server(&engine, "linecap");
+
+  int fd = server.Connect();
+  ASSERT_GE(fd, 0);
+  SetReceiveTimeout(fd, 10);
+  std::string request = R"({"verb":"upload_table","csv":")";
+  request.resize(cap + 1, 'a');  // No newline: the line never ends.
+  ASSERT_TRUE(WriteAll(fd, request));
+  StatusOr<Json> rejected = ParseJson(ReadLine(fd));
+  ASSERT_TRUE(rejected.ok()) << "no error line before the timeout";
+  EXPECT_EQ(ErrorCode(*rejected), "RESOURCE_EXHAUSTED");
+  EXPECT_NE(rejected->Find("error")->Find("message")->AsString().find(
+                std::to_string(cap)),
+            std::string::npos);
+  char ch;
+  EXPECT_EQ(::read(fd, &ch, 1), 0) << "connection not closed";
+  ::close(fd);
+
+  int fresh = server.Connect();
+  ASSERT_GE(fresh, 0);
+  StatusOr<Json> pong = ParseJson(RoundTrip(fresh, R"({"verb":"ping"})"));
+  EXPECT_TRUE(pong.ok() && pong->Find("pong") != nullptr &&
+              pong->Find("pong")->AsBool());
+  ::close(fresh);
 }
 
 }  // namespace
