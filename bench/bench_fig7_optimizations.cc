@@ -15,6 +15,7 @@
 #include "core/graph_builder.h"
 #include "eval/report.h"
 #include "graph/kmca_cc.h"
+#include "oracle/brute_force.h"
 
 int main() {
   using namespace autobi;

@@ -1,16 +1,11 @@
-// Cold vs incremental re-prediction latency (PR 8): on a 20-table synthetic
-// BI case, replays one mutation of each kind (no-op, single-table row
-// append, add table, drop table, rename column, replace cells) and times
+// Cold vs incremental re-prediction latency: on a 20-table synthetic BI
+// case, replays one mutation of each kind (no-op, single-table row append,
+// add table, drop table, rename column, replace cells) and times
 // AutoBi::PredictIncremental with a pre-seeded IncrementalState against a
-// cold Predict on the same post-change tables. Bit-identity between the two
-// (JSON model export + degradation flags) is enforced in-binary: any
-// divergence prints FATAL and exits nonzero, so the timing numbers can never
-// mask a correctness regression.
+// cold Predict on the same post-change tables. Their bit-identity is tested
+// by IncrementalDifferentialTest (tests/incremental_test.cc).
 //
-// Usage: bench_incremental [--json] [--tables N] [--reps N] [--threads N]
-//   --json   emit one machine-readable JSON object (consumed by
-//            scripts/bench_smoke.sh -> BENCH_pr8.json; the smoke gates
-//            append_rows.speedup >= 5 and every kind's bit_identical).
+// Usage: bench_incremental [--tables N] [--reps N] [--threads N]
 
 #include <algorithm>
 #include <cstdio>
@@ -25,7 +20,6 @@
 #include "common/timer.h"
 #include "core/auto_bi.h"
 #include "core/incremental.h"
-#include "core/model_export.h"
 #include "synth/bi_generator.h"
 
 namespace autobi {
@@ -135,7 +129,6 @@ struct KindResult {
   double cold_ms = 0.0;
   double incremental_ms = 0.0;
   double speedup = 0.0;
-  bool bit_identical = false;
   IncrementalStats stats;
 };
 
@@ -179,40 +172,16 @@ KindResult RunKind(const MutationKind& kind, const AutoBi& predictor,
   out.incremental_ms = incr_best * 1e3;
   out.stats = incr.incremental;
 
-  AutoBiResult cold;
   double cold_best = 1e100;
   for (int r = 0; r < reps; ++r) {
     Timer timer;
     StatusOr<AutoBiResult> result = predictor.Predict(mutated, nullptr);
     if (!result.ok()) Fatal("Predict failed: " + result.status().ToString());
     cold_best = std::min(cold_best, timer.Seconds());
-    cold = std::move(result.value());
   }
   out.cold_ms = cold_best * 1e3;
   out.speedup = out.incremental_ms > 0 ? out.cold_ms / out.incremental_ms : 0;
-
-  StatusOr<std::string> incr_json = ExportJson(mutated, incr.model);
-  StatusOr<std::string> cold_json = ExportJson(mutated, cold.model);
-  out.bit_identical = incr_json.ok() && cold_json.ok() &&
-                      *incr_json == *cold_json &&
-                      incr.degradation.Any() == cold.degradation.Any() &&
-                      incr.graph.StructurallyEqual(cold.graph);
-  if (!out.bit_identical) {
-    Fatal(out.name + ": incremental result diverged from cold Predict");
-  }
   return out;
-}
-
-std::string KindJson(const KindResult& r) {
-  return StrFormat(
-      "    \"%s\": {\"cold_ms\": %.3f, \"incremental_ms\": %.3f, "
-      "\"speedup\": %.2f, \"bit_identical\": %s, \"tables_reprofiled\": %zu, "
-      "\"tables_delta_merged\": %zu, \"pairs_rescored\": %zu, "
-      "\"pairs_reused\": %zu, \"warm_start_used\": %s}",
-      r.name.c_str(), r.cold_ms, r.incremental_ms, r.speedup,
-      r.bit_identical ? "true" : "false", r.stats.tables_reprofiled,
-      r.stats.tables_delta_merged, r.stats.pairs_rescored,
-      r.stats.pairs_reused, r.stats.warm_start_used ? "true" : "false");
 }
 
 }  // namespace
@@ -220,14 +189,11 @@ std::string KindJson(const KindResult& r) {
 
 int main(int argc, char** argv) {
   using namespace autobi;
-  bool json = false;
   int num_tables = 20;
   int reps = 2;
   int threads = 0;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-    } else if (std::strcmp(argv[i], "--tables") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--tables") == 0 && i + 1 < argc) {
       num_tables = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
       reps = std::atoi(argv[++i]);
@@ -235,8 +201,8 @@ int main(int argc, char** argv) {
       threads = std::atoi(argv[++i]);
     } else {
       std::fprintf(stderr,
-                   "usage: bench_incremental [--json] [--tables N] "
-                   "[--reps N] [--threads N]\n");
+                   "usage: bench_incremental [--tables N] [--reps N] "
+                   "[--threads N]\n");
       return 2;
     }
   }
@@ -252,28 +218,16 @@ int main(int argc, char** argv) {
     results.push_back(RunKind(kind, predictor, base, reps));
   }
 
-  if (json) {
-    std::string out = "{\n";
-    out += StrFormat("  \"tables\": %d,\n  \"reps\": %d,\n", num_tables, reps);
-    out += "  \"kinds\": {\n";
-    for (size_t i = 0; i < results.size(); ++i) {
-      out += KindJson(results[i]);
-      out += i + 1 < results.size() ? ",\n" : "\n";
-    }
-    out += "  }\n}\n";
-    std::fputs(out.c_str(), stdout);
-  } else {
-    std::printf("Incremental re-prediction, %d tables (best of %d):\n",
-                num_tables, reps);
-    std::printf("  %-14s %10s %14s %9s %s\n", "mutation", "cold", "incremental",
-                "speedup", "work (reprof/merge/rescore/reuse/warm)");
-    for (const KindResult& r : results) {
-      std::printf("  %-14s %8.1fms %12.1fms %8.1fx %zu/%zu/%zu/%zu/%s\n",
-                  r.name.c_str(), r.cold_ms, r.incremental_ms, r.speedup,
-                  r.stats.tables_reprofiled, r.stats.tables_delta_merged,
-                  r.stats.pairs_rescored, r.stats.pairs_reused,
-                  r.stats.warm_start_used ? "warm" : "cold-solve");
-    }
+  std::printf("Incremental re-prediction, %d tables (best of %d):\n",
+              num_tables, reps);
+  std::printf("  %-14s %10s %14s %9s %s\n", "mutation", "cold", "incremental",
+              "speedup", "work (reprof/merge/rescore/reuse/warm)");
+  for (const KindResult& r : results) {
+    std::printf("  %-14s %8.1fms %12.1fms %8.1fx %zu/%zu/%zu/%zu/%s\n",
+                r.name.c_str(), r.cold_ms, r.incremental_ms, r.speedup,
+                r.stats.tables_reprofiled, r.stats.tables_delta_merged,
+                r.stats.pairs_rescored, r.stats.pairs_reused,
+                r.stats.warm_start_used ? "warm" : "cold-solve");
   }
   return 0;
 }

@@ -1,20 +1,13 @@
-// Lake-scale Predict scaling (PR 9): sweeps synthetic data lakes of
-// disconnected star/snowflake islands (synth/lake.h) over increasing table
-// counts and measures how blocking + the partitioned solve bend the
-// end-to-end curve. At every size the blocked run is compared against the
-// exhaustive all-pairs oracle (blocking.enabled = false): any divergence in
-// the exported model, the join graph, or the selected edge sets prints
-// FATAL and exits nonzero — the scaling numbers can never mask a recall
-// loss.
+// Lake-scale Predict scaling: sweeps synthetic data lakes of disconnected
+// star/snowflake islands (synth/lake.h) over increasing table counts and
+// measures how blocking + the partitioned solve bend the end-to-end curve
+// against the exhaustive all-pairs oracle (blocking.enabled = false), and
+// fits the growth exponent of blocking-admitted column pairs against table
+// count (all-pairs scanning is exactly 2.0 at fixed island size).
+// tests/blocking_test.cc holds the blocked run bit-identical to the oracle
+// and the admitted-pair counts to their pruning and growth bounds.
 //
-// The sub-quadratic claim is gated on the admitted-column-pair curve: a
-// log-log least-squares fit of blocking-admitted pairs against table count
-// must stay below exponent 1.5 (all-pairs scanning is exactly 2.0 in table
-// count at fixed island size).
-//
-// Usage: bench_lake [--json] [--max_tables N] [--threads N]
-//   --json        one machine-readable JSON object (consumed by
-//                 scripts/bench_smoke.sh -> BENCH_pr9.json).
+// Usage: bench_lake [--max_tables N] [--threads N]
 //   --max_tables  largest sweep point (default 500, capped at 1000).
 
 #include <algorithm>
@@ -30,7 +23,6 @@
 #include "common/strings.h"
 #include "common/timer.h"
 #include "core/auto_bi.h"
-#include "core/model_export.h"
 #include "synth/lake.h"
 
 namespace autobi {
@@ -46,17 +38,13 @@ struct SizeResult {
   double predict_on_ms = 0.0;   // Blocking + partitioned solve (default).
   double predict_off_ms = 0.0;  // Exhaustive all-pairs oracle.
   double speedup = 0.0;
-  bool bit_identical = false;
   // Blocking counters of the blocked run.
   double pruning_rate = 0.0;
-  size_t column_pairs_total = 0;
   size_t column_pairs_admitted = 0;
   size_t table_pairs_total = 0;
   size_t table_pairs_active = 0;
   // Partitioned-solve telemetry.
-  bool partition_used = false;
   size_t components = 0;
-  size_t components_solved = 0;
   size_t joins = 0;
 };
 
@@ -97,28 +85,12 @@ SizeResult RunSize(const LocalModel& model, int num_tables, int threads) {
   out.speedup =
       out.predict_on_ms > 0 ? out.predict_off_ms / out.predict_on_ms : 0;
 
-  StatusOr<std::string> json_on = ExportJson(lake.tables, r_on.model);
-  StatusOr<std::string> json_off = ExportJson(lake.tables, r_off.model);
-  out.bit_identical = json_on.ok() && json_off.ok() &&
-                      *json_on == *json_off &&
-                      r_on.graph.StructurallyEqual(r_off.graph) &&
-                      r_on.backbone_edges == r_off.backbone_edges &&
-                      r_on.recall_edges == r_off.recall_edges;
-  if (!out.bit_identical) {
-    Fatal(StrFormat("%d tables: blocking changed the prediction (recall "
-                    "loss or graph divergence vs exhaustive oracle)",
-                    num_tables));
-  }
-
   const BlockingStats& b = r_on.ind_stats.blocking;
   out.pruning_rate = b.PruningRate();
-  out.column_pairs_total = b.column_pairs_total;
   out.column_pairs_admitted = b.column_pairs_admitted;
   out.table_pairs_total = b.table_pairs_total;
   out.table_pairs_active = b.table_pairs_active;
-  out.partition_used = r_on.partition.used;
   out.components = r_on.partition.components;
-  out.components_solved = r_on.partition.components_solved;
   out.joins = r_on.model.joins.size();
   return out;
 }
@@ -143,40 +115,21 @@ double FitExponent(const std::vector<SizeResult>& results) {
   return denom != 0 ? (double(n) * sxy - sx * sy) / denom : 0.0;
 }
 
-std::string SizeJson(const SizeResult& r) {
-  return StrFormat(
-      "    {\"tables\": %d, \"predict_on_ms\": %.3f, \"predict_off_ms\": "
-      "%.3f, \"speedup\": %.2f, \"bit_identical\": %s, \"pruning_rate\": "
-      "%.4f, \"column_pairs_total\": %zu, \"column_pairs_admitted\": %zu, "
-      "\"table_pairs_total\": %zu, \"table_pairs_active\": %zu, "
-      "\"partition_used\": %s, \"components\": %zu, \"components_solved\": "
-      "%zu, \"joins\": %zu}",
-      r.tables, r.predict_on_ms, r.predict_off_ms, r.speedup,
-      r.bit_identical ? "true" : "false", r.pruning_rate,
-      r.column_pairs_total, r.column_pairs_admitted, r.table_pairs_total,
-      r.table_pairs_active, r.partition_used ? "true" : "false",
-      r.components, r.components_solved, r.joins);
-}
-
 }  // namespace
 }  // namespace autobi
 
 int main(int argc, char** argv) {
   using namespace autobi;
-  bool json = false;
   int max_tables = 500;
   int threads = 0;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-    } else if (std::strcmp(argv[i], "--max_tables") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--max_tables") == 0 && i + 1 < argc) {
       max_tables = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       threads = std::atoi(argv[++i]);
     } else {
       std::fprintf(stderr,
-                   "usage: bench_lake [--json] [--max_tables N] "
-                   "[--threads N]\n");
+                   "usage: bench_lake [--max_tables N] [--threads N]\n");
       return 2;
     }
   }
@@ -193,41 +146,13 @@ int main(int argc, char** argv) {
   for (int s : sizes) {
     results.push_back(RunSize(model, s, threads));
     const SizeResult& r = results.back();
-    if (!json) {
-      std::printf(
-          "%5d tables: on %8.1f ms  off %8.1f ms  (%5.2fx)  pruning %.4f  "
-          "active pairs %zu/%zu  components %zu  joins %zu\n",
-          r.tables, r.predict_on_ms, r.predict_off_ms, r.speedup,
-          r.pruning_rate, r.table_pairs_active, r.table_pairs_total,
-          r.components, r.joins);
-    }
+    std::printf(
+        "%5d tables: on %8.1f ms  off %8.1f ms  (%5.2fx)  pruning %.4f  "
+        "active pairs %zu/%zu  components %zu  joins %zu\n",
+        r.tables, r.predict_on_ms, r.predict_off_ms, r.speedup,
+        r.pruning_rate, r.table_pairs_active, r.table_pairs_total,
+        r.components, r.joins);
   }
-
-  double exponent = FitExponent(results);
-  const SizeResult& largest = results.back();
-  bool all_identical = true;
-  for (const SizeResult& r : results) all_identical &= r.bit_identical;
-
-  if (json) {
-    std::string out = "{\n  \"runs\": [\n";
-    for (size_t i = 0; i < results.size(); ++i) {
-      out += SizeJson(results[i]);
-      out += i + 1 < results.size() ? ",\n" : "\n";
-    }
-    out += "  ],\n";
-    out += StrFormat("  \"admitted_pairs_exponent\": %.3f,\n", exponent);
-    out += StrFormat("  \"max_tables\": %d,\n", largest.tables);
-    out += StrFormat("  \"max_size_pruning_rate\": %.4f,\n",
-                     largest.pruning_rate);
-    out += StrFormat("  \"max_size_predict_ms\": %.3f,\n",
-                     largest.predict_on_ms);
-    out += StrFormat("  \"all_bit_identical\": %s\n",
-                     all_identical ? "true" : "false");
-    out += "}\n";
-    std::fputs(out.c_str(), stdout);
-  } else {
-    std::printf("admitted-pairs growth exponent: %.3f (gate: < 1.5)\n",
-                exponent);
-  }
+  std::printf("admitted-pairs growth exponent: %.3f\n", FitExponent(results));
   return 0;
 }

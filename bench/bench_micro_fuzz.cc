@@ -8,8 +8,8 @@
 #include "common/rng.h"
 #include "fuzz/differential.h"
 #include "fuzz/generator.h"
-#include "graph/brute_force.h"
 #include "graph/kmca_cc.h"
+#include "oracle/brute_force.h"
 
 namespace autobi {
 namespace {

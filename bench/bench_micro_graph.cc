@@ -19,6 +19,7 @@
 #include "graph/join_graph.h"
 #include "graph/kmca.h"
 #include "graph/kmca_cc.h"
+#include "oracle/solver_oracle.h"
 
 // --- Global allocation counter. Counting overrides of the replaceable
 // global operators; relaxed atomics keep the probe cheap enough to leave on.

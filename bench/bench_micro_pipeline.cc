@@ -8,9 +8,8 @@
 //   --json   skip google-benchmark and emit one machine-readable JSON object
 //            measuring RunContext overhead: end-to-end Predict with no
 //            context vs. an armed-but-untripped context (generous deadline,
-//            generous budgets) on the Figure 5 workload. Consumed by
-//            scripts/bench_smoke.sh (BENCH_pr5.json); the overhead must stay
-//            under the 2% guard.
+//            generous budgets) on the Figure 5 workload. The overhead must
+//            stay under the 2% guard.
 
 #include <benchmark/benchmark.h>
 

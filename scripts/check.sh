@@ -56,9 +56,41 @@ done < <(grep -oHE '\]\([^)]+\.md[^)]*\)' ./*.md \
 [[ "$docs_fail" == "0" ]] || exit 1
 echo "check.sh: docs lint clean (module map + markdown links)."
 
+# --- Oracle lint (always on). The reference kernels of src/oracle/ are for
+# tests/, src/fuzz and bench/ only: no library autobi_serve links, directly
+# or transitively, may name autobi_oracle in its target_link_libraries, and
+# the daemon binary built below must carry none of their symbols.
+python3 - <<'PY'
+import glob, re, sys
+links = {}
+for path in glob.glob("src/*/CMakeLists.txt"):
+    text = re.sub(r"#[^\n]*", "", open(path).read())
+    pattern = r"target_link_libraries\(\s*(\S+)([^)]*)\)"
+    for target, body in re.findall(pattern, text):
+        links.setdefault(target, []).extend(
+            w for w in body.split() if w not in ("PUBLIC", "PRIVATE"))
+seen, todo = set(), ["autobi_serve"]
+while todo:
+    target = todo.pop()
+    for dep in links.get(target, []):
+        if dep == "autobi_oracle":
+            sys.exit(f"check.sh: LINT FAIL — {target} links autobi_oracle,"
+                     " which puts the oracles into autobi_serve.")
+        if dep not in seen:
+            seen.add(dep)
+            todo.append(dep)
+PY
+
 cmake -B "$BUILD_DIR" -S . -DAUTOBI_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j --target autobi_parallel_tests autobi_core_tests \
-  autobi_incremental_tests autobi_fuzz_tests
+  autobi_incremental_tests autobi_fuzz_tests autobi_serve
+if nm -C "$BUILD_DIR/src/serve/autobi_serve" \
+    | grep -E 'Legacy|BruteForce|ViaStringMap|ReadCsvOracle'; then
+  echo "check.sh: LINT FAIL — oracle symbols in autobi_serve (above);" \
+       "the daemon must not link src/oracle/." >&2
+  exit 1
+fi
+echo "check.sh: oracle lint clean (link graph + autobi_serve symbols)."
 
 export TSAN_OPTIONS="halt_on_error=1${TSAN_OPTIONS:+:$TSAN_OPTIONS}"
 # Force multi-threaded execution even on small machines so races are reachable.
@@ -86,9 +118,10 @@ echo "check.sh: ThreadSanitizer clean (pipeline, incremental, solver" \
 
 # --- Kernel-oracle equivalence under ASan/UBSan (always on since PR 7):
 # the hash-first profiling/UCC/IND kernels (table/key_view.h + radix-sorted
-# aggregation) must stay bit-identical to the retained legacy string-map
-# oracles on adversarial data, the REAL corpus, and TPC-H-via-DDL, with the
-# arena/offset arithmetic of the key view checked for memory and UB errors.
+# aggregation) must stay bit-identical to the legacy string-map oracles of
+# src/oracle/ on adversarial data, the REAL corpus, and TPC-H-via-DDL, with
+# the arena/offset arithmetic of the key view checked for memory and UB
+# errors.
 ASAN_BUILD_DIR="${AUTOBI_ASAN_BUILD_DIR:-build-asan}"
 cmake -B "$ASAN_BUILD_DIR" -S . -DAUTOBI_SANITIZE=address,undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
@@ -101,9 +134,9 @@ echo "check.sh: kernel-oracle equivalence clean (ASan/UBSan)."
 
 # --- Ingest path under ASan/UBSan (always on): the CSV reader does pointer
 # arithmetic over untrusted bytes, so its unit tests, the differential test
-# against the reference reader (tests/csv_oracle.cc), the loader byte-fuzz,
-# JSON string decoding and the socket framing (chunked, batched and
-# over-cap lines) all run here.
+# against the reference reader (src/oracle/csv_oracle.cc), the loader
+# byte-fuzz, JSON string decoding and the socket framing (chunked, batched
+# and over-cap lines) all run here.
 INGEST_FILTER='CsvTest*:CsvOracle*:LoaderFuzz*:ServeJson*:ServeTransport*'
 for t in autobi_base_tests autobi_service_tests autobi_serve_tests; do
   UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
@@ -224,12 +257,6 @@ rm -f "$SERVE_SOCK2"
 rm -rf "$SERVE_STATE"
 echo "check.sh: serve smoke clean (client hang-up survived, demo + publish," \
      "SIGKILL restart round-trip byte-identical, clean shutdown)."
-
-# Opt-in perf smoke (AUTOBI_BENCH_SMOKE=1): refresh the BENCH_*.json perf
-# trajectory after the sanitizer gate passes.
-if [[ "${AUTOBI_BENCH_SMOKE:-0}" == "1" ]]; then
-  scripts/bench_smoke.sh
-fi
 
 # Opt-in fuzz smoke (AUTOBI_FUZZ_SMOKE=1): run the differential/metamorphic
 # harness under the same sanitizer build — corpus replay, the bounded gtest

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <fstream>
 #include <map>
+#include <sstream>
 
+#include "common/fs.h"
 #include "common/strings.h"
 #include "common/timer.h"
 #include "core/candidates.h"
@@ -96,10 +98,9 @@ bool MlFkModel::Load(std::istream& is) {
 }
 
 bool MlFkModel::SaveToFile(const std::string& path) const {
-  std::ofstream os(path);
-  if (!os) return false;
+  std::ostringstream os;
   Save(os);
-  return static_cast<bool>(os);
+  return WriteFileAtomic(path, os.str()).ok();
 }
 
 bool MlFkModel::LoadFromFile(const std::string& path) {

@@ -4,9 +4,11 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <sstream>
 #include <utility>
 
 #include "common/check.h"
+#include "common/fs.h"
 
 namespace autobi {
 
@@ -121,11 +123,10 @@ bool LocalModel::Load(std::istream& is) {
 }
 
 bool LocalModel::SaveToFile(const std::string& path) const {
-  std::ofstream os(path);
-  if (!os) return false;
+  std::ostringstream os;
   os.precision(17);
   Save(os);
-  return static_cast<bool>(os);
+  return WriteFileAtomic(path, os.str()).ok();
 }
 
 bool LocalModel::LoadFromFile(const std::string& path) {

@@ -31,7 +31,7 @@ namespace autobi {
 //     fingerprint, so a hit returns exactly what recomputation would have
 //     produced (modulo 64-bit hash collisions, probability ~ n^2 / 2^64).
 //     Warm results are bit-identical to cold ones; tests/serve_test.cc pins
-//     this and bench_serve measures the speedup.
+//     this and perfbench's predict_warm_p50_ms measures the speedup.
 //   - Entries are immutable once inserted (shared_ptr<const T>), so lookups
 //     need no copy and hits can be shared across concurrent requests.
 //   - Only healthy (non-degraded) results are cached: a run tripped by a

@@ -7,11 +7,12 @@
 #include <vector>
 
 #include "common/strings.h"
-#include "graph/brute_force.h"
 #include "graph/ems.h"
 #include "graph/kmca.h"
 #include "graph/kmca_cc.h"
 #include "graph/validate.h"
+#include "oracle/brute_force.h"
+#include "oracle/solver_oracle.h"
 
 namespace autobi {
 

@@ -6,110 +6,6 @@
 
 namespace autobi {
 
-namespace {
-
-// One recursion level of the legacy contraction algorithm. `arcs` are this
-// level's arcs; returns indices into `arcs`.
-std::optional<std::vector<int>> SolveRecursive(int n,
-                                               const std::vector<Arc>& arcs,
-                                               int root) {
-  // 1. Cheapest incoming arc for every non-root vertex.
-  std::vector<int> best(static_cast<size_t>(n), -1);
-  for (size_t i = 0; i < arcs.size(); ++i) {
-    const Arc& a = arcs[i];
-    if (a.src == a.dst || a.dst == root) continue;
-    int v = a.dst;
-    if (best[v] < 0 || a.weight < arcs[size_t(best[v])].weight) {
-      best[v] = static_cast<int>(i);
-    }
-  }
-  for (int v = 0; v < n; ++v) {
-    if (v != root && best[v] < 0) return std::nullopt;  // Unreachable.
-  }
-
-  // 2. Detect cycles in the functional graph v -> src(best[v]).
-  // color: 0 = unvisited, 1 = on current path, 2 = finished.
-  std::vector<int> color(static_cast<size_t>(n), 0);
-  std::vector<int> cycle_id(static_cast<size_t>(n), -1);
-  int num_cycles = 0;
-  for (int start = 0; start < n; ++start) {
-    if (color[start] != 0) continue;
-    int v = start;
-    std::vector<int> path;
-    while (v != root && color[v] == 0) {
-      color[v] = 1;
-      path.push_back(v);
-      v = arcs[size_t(best[v])].src;
-    }
-    if (v != root && color[v] == 1) {
-      // Found a new cycle: the path suffix starting at v.
-      int c = num_cycles++;
-      size_t pos = 0;
-      while (path[pos] != v) ++pos;
-      for (size_t k = pos; k < path.size(); ++k) cycle_id[path[k]] = c;
-    }
-    for (int u : path) color[u] = 2;
-  }
-
-  if (num_cycles == 0) {
-    std::vector<int> result;
-    result.reserve(static_cast<size_t>(n) - 1);
-    for (int v = 0; v < n; ++v) {
-      if (v != root) result.push_back(best[v]);
-    }
-    return result;
-  }
-
-  // 3. Contract each cycle to a super-vertex.
-  std::vector<int> comp(static_cast<size_t>(n), -1);
-  int next = num_cycles;  // Cycle c maps to component c.
-  for (int v = 0; v < n; ++v) {
-    comp[v] = cycle_id[v] >= 0 ? cycle_id[v] : next++;
-  }
-  int n_contracted = next;
-
-  std::vector<Arc> sub_arcs;
-  std::vector<int> parent_arc;  // sub arc index -> this-level arc index.
-  sub_arcs.reserve(arcs.size());
-  parent_arc.reserve(arcs.size());
-  for (size_t i = 0; i < arcs.size(); ++i) {
-    const Arc& a = arcs[i];
-    if (a.src == a.dst || a.dst == root) continue;
-    int nu = comp[a.src];
-    int nv = comp[a.dst];
-    if (nu == nv) continue;  // Internal to a contracted component.
-    double w = a.weight;
-    if (cycle_id[a.dst] >= 0) {
-      // Entering a cycle: pay the difference against the cycle's own in-arc
-      // at the entry vertex (the cycle arc it would displace).
-      w -= arcs[size_t(best[a.dst])].weight;
-    }
-    sub_arcs.push_back(Arc{nu, nv, w});
-    parent_arc.push_back(static_cast<int>(i));
-  }
-
-  auto sub = SolveRecursive(n_contracted, sub_arcs, comp[root]);
-  if (!sub.has_value()) return std::nullopt;
-
-  // 4. Expand: chosen sub-arcs map back; each cycle keeps all its internal
-  // best-arcs except the one displaced at the entry vertex.
-  std::vector<int> result;
-  result.reserve(static_cast<size_t>(n) - 1);
-  std::vector<char> is_entry_head(static_cast<size_t>(n), 0);
-  for (int si : *sub) {
-    int ai = parent_arc[size_t(si)];
-    result.push_back(ai);
-    is_entry_head[arcs[size_t(ai)].dst] = 1;
-  }
-  for (int v = 0; v < n; ++v) {
-    if (v == root) continue;
-    if (cycle_id[v] >= 0 && !is_entry_head[v]) result.push_back(best[v]);
-  }
-  return result;
-}
-
-}  // namespace
-
 EdmondsWorkspace::Level& EdmondsWorkspace::level(size_t l) {
   if (levels_.size() <= l) levels_.resize(l + 1);
   return levels_[l];
@@ -255,14 +151,6 @@ std::optional<std::vector<int>> SolveMinCostArborescence(
   static thread_local EdmondsWorkspace workspace;
   if (!workspace.Solve(num_vertices, arcs, root)) return std::nullopt;
   return workspace.selected();
-}
-
-std::optional<std::vector<int>> SolveMinCostArborescenceLegacy(
-    int num_vertices, const std::vector<Arc>& arcs, int root) {
-  // invariant: the solver passes a root it constructed in range.
-  AUTOBI_CHECK(root >= 0 && root < num_vertices);
-  if (num_vertices == 1) return std::vector<int>{};
-  return SolveRecursive(num_vertices, arcs, root);
 }
 
 double ArcSetWeight(const std::vector<Arc>& arcs,

@@ -28,9 +28,10 @@ struct Arc {
 // lets every branch-and-bound node solve over one shared augmented arc array
 // instead of re-materializing a filtered copy per node.
 //
-// Tie-breaks are identical to the legacy recursive implementation (first
+// Tie-breaks are identical to the original recursive implementation (first
 // strictly-cheaper arc in index order wins), so the selected arc set — and
-// its order — is bit-identical to SolveMinCostArborescenceLegacy.
+// its order — is bit-identical to SolveMinCostArborescenceLegacy
+// (oracle/solver_oracle.h).
 class EdmondsWorkspace {
  public:
   // Solves 1-MCA rooted at `root` over the (optionally masked) arc view.
@@ -79,12 +80,6 @@ class EdmondsWorkspace {
 // Convenience wrapper over EdmondsWorkspace (one thread-local workspace per
 // calling thread); hot paths should own a workspace instead.
 std::optional<std::vector<int>> SolveMinCostArborescence(
-    int num_vertices, const std::vector<Arc>& arcs, int root);
-
-// The original recursive, allocating implementation, kept verbatim as a
-// differential reference for the workspace rewrite (tests compare the two
-// arc-for-arc on the checked-in fuzz corpus). Not for production use.
-std::optional<std::vector<int>> SolveMinCostArborescenceLegacy(
     int num_vertices, const std::vector<Arc>& arcs, int root);
 
 // Sum of the weights of `selected` arcs.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <queue>
 #include <tuple>
 #include <unordered_set>
@@ -17,7 +16,7 @@ namespace autobi {
 namespace {
 
 // Bound slack: a subproblem whose relaxation cannot beat the incumbent by
-// more than this is cut (matches the legacy serial solver).
+// more than this is cut (matches the original serial solver).
 constexpr double kBoundEps = 1e-12;
 
 // Finds one FK-once conflict set in `edge_ids`: a maximal group of selected
@@ -356,139 +355,6 @@ KmcaResult SolveKmcaCc(const JoinGraph& graph, const KmcaCcOptions& options,
     GreedyThinnedFallback(graph, options, stats, &best_cost, &best_edges);
   }
   return AssembleResult(graph, best_cost, std::move(best_edges));
-}
-
-// --- Legacy reference implementation (frozen; see header). ---------------
-
-namespace {
-
-std::vector<int> LegacyFindConflictSet(const JoinGraph& graph,
-                                       const std::vector<int>& edge_ids) {
-  std::map<int, std::vector<int>> by_source;
-  for (int id : edge_ids) {
-    by_source[graph.edge(id).source_key].push_back(id);
-  }
-  std::vector<int> best;
-  for (auto& [key, group] : by_source) {
-    (void)key;
-    if (group.size() >= 2 && group.size() > best.size()) {
-      best = group;
-    }
-  }
-  return best;
-}
-
-struct LegacySearchState {
-  const JoinGraph* graph;
-  KmcaCcOptions options;
-  KmcaCcStats* stats;
-  double best_cost = std::numeric_limits<double>::infinity();
-  std::vector<int> best_edges;
-  bool have_best = false;
-};
-
-// Recursive branch-and-bound (Algorithm 3). `mask[e]` marks edges still in
-// the graph of this subproblem.
-void LegacySearch(LegacySearchState& state, std::vector<char>& mask) {
-  if (state.stats->one_mca_calls >= state.options.max_one_mca_calls) {
-    state.stats->budget_exhausted = true;
-    return;
-  }
-  ++state.stats->nodes;
-
-  // Line 1: relaxation — solve unconstrained k-MCA on the masked graph.
-  KmcaResult relaxed = SolveKmca(*state.graph, state.options.penalty_weight,
-                                 mask, &state.stats->one_mca_calls);
-
-  // Line 4: bound — constraints can only increase cost.
-  if (state.have_best && relaxed.cost >= state.best_cost - kBoundEps) {
-    ++state.stats->pruned;
-    return;
-  }
-
-  // Line 2: feasibility.
-  std::vector<int> conflict =
-      LegacyFindConflictSet(*state.graph, relaxed.edge_ids);
-  if (conflict.empty()) {
-    state.best_cost = relaxed.cost;
-    state.best_edges = relaxed.edge_ids;
-    state.have_best = true;
-    return;
-  }
-
-  // Lines 7-11: branch — keep exactly one edge of the conflict set per
-  // child.
-  for (int keep : conflict) {
-    for (int id : conflict) {
-      mask[size_t(id)] = (id == keep) ? 1 : 0;
-    }
-    LegacySearch(state, mask);
-  }
-  for (int id : conflict) mask[size_t(id)] = 1;  // Restore.
-}
-
-}  // namespace
-
-KmcaResult SolveKmcaCcLegacy(const JoinGraph& graph,
-                             const KmcaCcOptions& options,
-                             KmcaCcStats* stats) {
-  KmcaCcStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-  *stats = KmcaCcStats{};
-
-  if (!options.enforce_fk_once) {
-    return SolveKmca(graph, options.penalty_weight, {},
-                     &stats->one_mca_calls);
-  }
-
-  LegacySearchState state;
-  state.graph = &graph;
-  state.options = options;
-  state.stats = stats;
-  std::vector<char> mask(graph.num_edges(), 1);
-  LegacySearch(state, mask);
-
-  if (!state.have_best) {
-    GreedyThinnedFallback(graph, options, stats, &state.best_cost,
-                          &state.best_edges);
-  }
-  return AssembleResult(graph, state.best_cost, std::move(state.best_edges));
-}
-
-double EstimateBruteForceKmcaCalls(int num_vertices) {
-  // sum_k S(n,k) * k, with Stirling-second-kind recurrence in doubles
-  // (saturates at +inf for very large n, which is fine on a log-scale plot).
-  int n = num_vertices;
-  if (n <= 0) return 0.0;
-  std::vector<double> prev(static_cast<size_t>(n) + 1, 0.0);
-  prev[0] = 1.0;  // S(0,0) = 1.
-  for (int row = 1; row <= n; ++row) {
-    std::vector<double> cur(static_cast<size_t>(n) + 1, 0.0);
-    for (int k = 1; k <= row; ++k) {
-      cur[size_t(k)] = prev[size_t(k - 1)] + double(k) * prev[size_t(k)];
-    }
-    prev = std::move(cur);
-  }
-  double total = 0.0;
-  for (int k = 1; k <= n; ++k) total += prev[size_t(k)] * double(k);
-  return total;
-}
-
-double EstimateUnprunedBranchCalls(const JoinGraph& graph) {
-  // Only edges with probability >= 0.5 can ever appear in a k-MCA
-  // relaxation (cheaper to drop them than to pay the virtual-edge penalty),
-  // so exhaustive branching enumerates one choice per conflict group among
-  // those edges.
-  std::map<int, long> group_sizes;
-  for (const JoinEdge& e : graph.edges()) {
-    if (e.probability >= 0.5) ++group_sizes[e.source_key];
-  }
-  double product = 1.0;
-  for (const auto& [key, size] : group_sizes) {
-    (void)key;
-    if (size >= 2) product *= double(size);
-  }
-  return product;
 }
 
 }  // namespace autobi

@@ -74,32 +74,9 @@ KmcaResult SolveKmcaCc(const JoinGraph& graph,
                        const KmcaCcOptions& options = {},
                        KmcaCcStats* stats = nullptr);
 
-// The original serial depth-first branch-and-bound, re-materializing the
-// augmented arc array at every node. Kept verbatim as a differential oracle
-// (an exact reference without the 2^m edge cap of brute_force.cc) and as the
-// "before" column of bench_fig6_kmcacc. `options.threads` is ignored;
-// `stats->memo_hits`/`waves` stay 0.
-KmcaResult SolveKmcaCcLegacy(const JoinGraph& graph,
-                             const KmcaCcOptions& options = {},
-                             KmcaCcStats* stats = nullptr);
-
 // True if the edge set satisfies FK-once (Equation 16): no two selected
 // edges share the same source column set.
 bool SatisfiesFkOnce(const JoinGraph& graph, const std::vector<int>& edge_ids);
-
-// --- Counterfactual cost estimators for Figure 7. Both return the *count of
-// 1-MCA invocations* the unoptimized algorithms would need (computed
-// analytically; actually running them would time out, as the paper notes).
-
-// Brute-force k-MCA without the artificial-root reduction: one 1-MCA call
-// per block of every set partition of the vertices, i.e.
-// sum over k of S(n,k) * k (Stirling numbers of the second kind).
-double EstimateBruteForceKmcaCalls(int num_vertices);
-
-// k-MCA-CC without branch-and-bound pruning: exhaustive enumeration of one
-// edge per conflict group — the product of conflict-group sizes over all
-// FK-once groups with >= 2 candidate edges.
-double EstimateUnprunedBranchCalls(const JoinGraph& graph);
 
 }  // namespace autobi
 

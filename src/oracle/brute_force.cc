@@ -1,7 +1,8 @@
-#include "graph/brute_force.h"
+#include "oracle/brute_force.h"
 
 #include <algorithm>
 #include <limits>
+#include <map>
 
 #include "common/check.h"
 #include "graph/kmca_cc.h"
@@ -109,6 +110,42 @@ KmcaResult BruteForceKmca(const JoinGraph& graph, double penalty_weight) {
 
 KmcaResult BruteForceKmcaCc(const JoinGraph& graph, double penalty_weight) {
   return BruteForceSubsets(graph, penalty_weight, /*enforce_fk_once=*/true);
+}
+
+double EstimateBruteForceKmcaCalls(int num_vertices) {
+  // sum_k S(n,k) * k, with Stirling-second-kind recurrence in doubles
+  // (saturates at +inf for very large n, which is fine on a log-scale plot).
+  int n = num_vertices;
+  if (n <= 0) return 0.0;
+  std::vector<double> prev(static_cast<size_t>(n) + 1, 0.0);
+  prev[0] = 1.0;  // S(0,0) = 1.
+  for (int row = 1; row <= n; ++row) {
+    std::vector<double> cur(static_cast<size_t>(n) + 1, 0.0);
+    for (int k = 1; k <= row; ++k) {
+      cur[size_t(k)] = prev[size_t(k - 1)] + double(k) * prev[size_t(k)];
+    }
+    prev = std::move(cur);
+  }
+  double total = 0.0;
+  for (int k = 1; k <= n; ++k) total += prev[size_t(k)] * double(k);
+  return total;
+}
+
+double EstimateUnprunedBranchCalls(const JoinGraph& graph) {
+  // Only edges with probability >= 0.5 can ever appear in a k-MCA
+  // relaxation (cheaper to drop them than to pay the virtual-edge penalty),
+  // so exhaustive branching enumerates one choice per conflict group among
+  // those edges.
+  std::map<int, long> group_sizes;
+  for (const JoinEdge& e : graph.edges()) {
+    if (e.probability >= 0.5) ++group_sizes[e.source_key];
+  }
+  double product = 1.0;
+  for (const auto& [key, size] : group_sizes) {
+    (void)key;
+    if (size >= 2) product *= double(size);
+  }
+  return product;
 }
 
 }  // namespace autobi

@@ -1,4 +1,4 @@
-#include "csv_oracle.h"
+#include "oracle/csv_oracle.h"
 
 #include <cctype>
 #include <cerrno>

@@ -1,5 +1,5 @@
-#ifndef AUTOBI_TESTS_CSV_ORACLE_H_
-#define AUTOBI_TESTS_CSV_ORACLE_H_
+#ifndef AUTOBI_ORACLE_CSV_ORACLE_H_
+#define AUTOBI_ORACLE_CSV_ORACLE_H_
 
 #include <string>
 #include <string_view>
@@ -24,4 +24,4 @@ StatusOr<Table> ReadCsvOracle(std::string_view text, std::string table_name,
 
 }  // namespace autobi
 
-#endif  // AUTOBI_TESTS_CSV_ORACLE_H_
+#endif  // AUTOBI_ORACLE_CSV_ORACLE_H_

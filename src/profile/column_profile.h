@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "table/key_view.h"
@@ -22,14 +21,16 @@ namespace autobi {
 // aggregated by their stable 64-bit FNV-1a hashes with a radix sort — no
 // per-cell std::string, no per-row string-map operation. The pooled key
 // bytes stay recoverable for the consumers that need the values themselves
-// (the legacy string-map containment oracle, tests, debugging).
+// (the string-map reference kernels of oracle/profile_oracle.h, tests,
+// debugging).
 struct ColumnProfile {
   ValueType type = ValueType::kNull;
   size_t row_count = 0;
   size_t non_null_count = 0;
   // Number of distinct canonical keys among non-null cells. Exact (collision
   // runs in the hash aggregation are verified against the pooled key bytes),
-  // so IsUnique/distinct_ratio match the legacy string-map definition.
+  // so IsUnique/distinct_ratio match the string-map definition of
+  // ProfileColumnLegacy (oracle/profile_oracle.h).
   size_t num_distinct = 0;
   // Hash-sketch view of the distinct values (profile/sketch.h): stable
   // 64-bit FNV-1a hashes of the canonical keys, sorted ascending and
@@ -104,12 +105,6 @@ ColumnProfile ProfileColumn(const Column& col, const ColumnKeyView& view,
 inline constexpr uint32_t kNullValueId = UINT32_MAX;
 void ColumnValueIds(const ColumnKeyView& view, std::vector<uint32_t>* ids);
 
-// Legacy reference kernel: the original per-cell KeyAt + string-map path,
-// producing a bit-identical ColumnProfile. Retained as the oracle for the
-// kernel-equivalence property tests and the old-vs-new micro-benchmark
-// (bench_micro_profile); production call sites use ProfileColumn.
-ColumnProfile ProfileColumnLegacy(const Column& col, size_t max_sample = 512);
-
 // Profiles every column of `table` (optionally through a prebuilt view of
 // the same table).
 TableProfile ProfileTable(const Table& table, size_t max_sample = 512);
@@ -156,25 +151,11 @@ std::vector<TableProfile> ProfileTables(const std::vector<Table>& tables,
 // vectors, switching to a galloping (exponential) search when the dependent
 // side is much smaller — tiny/skewed sets probe a handful of nearby cache
 // lines instead of full-width binary searches, so they never lose to the
-// legacy string-map kernel. Exact modulo 64-bit FNV collisions between
+// string-map kernel. Exact modulo 64-bit FNV collisions between
 // distinct canonical keys (probability ~ n^2 / 2^64; the sketch property
-// tests verify equality with the string-map reference on randomized and
-// corpus data).
+// tests verify equality with ContainmentViaStringMap,
+// oracle/profile_oracle.h, on randomized and corpus data).
 double Containment(const ColumnProfile& a, const ColumnProfile& b);
-
-// The legacy distinct-value map of a profile, materialized from the pooled
-// keys (key -> occurrence count). Oracle/bench scaffolding, not a hot path.
-using DistinctKeyMap = std::unordered_map<std::string, int32_t>;
-DistinctKeyMap BuildDistinctKeyMap(const ColumnProfile& p);
-
-// Legacy reference implementation of Containment over string maps. Retained
-// as the oracle for the sketch property tests and the old-vs-new
-// micro-benchmark; production call sites use Containment. The two-profile
-// convenience form materializes both maps per call; the prebuilt-map form is
-// what the benchmark times (probe cost only, as the historical kernel paid).
-double ContainmentViaStringMap(const ColumnProfile& a, const ColumnProfile& b);
-double ContainmentViaStringMap(const DistinctKeyMap& a, size_t a_non_null,
-                               const DistinctKeyMap& b);
 
 }  // namespace autobi
 

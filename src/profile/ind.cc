@@ -310,34 +310,6 @@ double CompositeContainment(const Table& ta, const std::vector<int>& ca,
   return CompositeContainment(ta, ca, BuildCompositeKeySet(tb, cb));
 }
 
-CompositeKeyCache::HashSet BuildCompositeKeySetLegacy(
-    const Table& table, const std::vector<int>& cols) {
-  CompositeKeyCache::HashSet referenced;
-  referenced.reserve(table.num_rows() * 2);
-  std::string scratch;
-  uint64_t h = 0;
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    if (TupleHash(table, cols, r, &h, &scratch)) referenced.insert(h);
-  }
-  return referenced;
-}
-
-double CompositeContainmentLegacy(const Table& ta, const std::vector<int>& ca,
-                                  const Table& tb, const std::vector<int>& cb) {
-  CompositeKeyCache::HashSet referenced = BuildCompositeKeySetLegacy(tb, cb);
-  size_t total = 0;
-  size_t hits = 0;
-  std::string scratch;
-  uint64_t h = 0;
-  for (size_t r = 0; r < ta.num_rows(); ++r) {
-    if (!TupleHash(ta, ca, r, &h, &scratch)) continue;
-    ++total;
-    if (referenced.count(h)) ++hits;
-  }
-  if (total == 0) return 0.0;
-  return static_cast<double>(hits) / static_cast<double>(total);
-}
-
 std::vector<Ind> DiscoverInds(const std::vector<Table>& tables,
                               const std::vector<TableProfile>& profiles,
                               const std::vector<std::vector<Ucc>>& uccs,

@@ -154,14 +154,6 @@ double CompositeContainment(const std::vector<const ColumnKeyView*>& cols,
 double CompositeContainment(const Table& ta, const std::vector<int>& ca,
                             const Table& tb, const std::vector<int>& cb);
 
-// Legacy reference kernels: the original per-row KeyAt-based TupleHash path
-// (profile/sketch.h). Retained as oracles for the kernel-equivalence
-// property tests; production call sites use the view-based forms above.
-CompositeKeyCache::HashSet BuildCompositeKeySetLegacy(
-    const Table& table, const std::vector<int>& cols);
-double CompositeContainmentLegacy(const Table& ta, const std::vector<int>& ca,
-                                  const Table& tb, const std::vector<int>& cb);
-
 // Result of scanning one ordered table pair: the INDs found plus the pair's
 // share of the run counters (aggregated serially by DiscoverInds).
 struct IndPairScan {

@@ -6,30 +6,6 @@
 
 namespace autobi {
 
-SortedHashCounts BuildSortedHashCounts(
-    const std::unordered_map<std::string, int32_t>& distinct) {
-  std::vector<std::pair<uint64_t, int32_t>> entries;
-  entries.reserve(distinct.size());
-  for (const auto& [key, count] : distinct) {
-    entries.emplace_back(StableHash64(key), count);
-  }
-  std::sort(entries.begin(), entries.end());
-  SortedHashCounts out;
-  out.hashes.reserve(entries.size());
-  out.counts.reserve(entries.size());
-  for (const auto& [hash, count] : entries) {
-    if (!out.hashes.empty() && out.hashes.back() == hash) {
-      // In-column 64-bit collision: merge so the vector stays strictly
-      // increasing. Astronomically rare; counts stay row-weight-correct.
-      out.counts.back() += count;
-    } else {
-      out.hashes.push_back(hash);
-      out.counts.push_back(count);
-    }
-  }
-  return out;
-}
-
 KmvEstimate EstimateContainment(const std::vector<uint64_t>& a_hashes,
                                 const std::vector<int32_t>& a_counts,
                                 const std::vector<uint64_t>& b_hashes,
@@ -179,25 +155,6 @@ uint64_t TablesContentHashFromHashes(
   MixU64(h, table_hashes.size());
   for (uint64_t th : table_hashes) MixU64(h, th);
   return SplitMix64(h);
-}
-
-bool TupleHash(const Table& table, const std::vector<int>& columns, size_t r,
-               uint64_t* out, std::string* scratch) {
-  uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](char c) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  };
-  for (int c : columns) {
-    if (!table.column(static_cast<size_t>(c)).KeyAt(r, scratch)) return false;
-    for (char ch : *scratch) {
-      if (ch == '|' || ch == '\\') mix('\\');
-      mix(ch);
-    }
-    mix('|');
-  }
-  *out = h;
-  return true;
 }
 
 }  // namespace autobi

@@ -4,8 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
-#include <unordered_map>
-#include <string>
 #include <vector>
 
 #include "table/table.h"
@@ -42,22 +40,6 @@ inline uint64_t StableHash64(std::string_view s) {
 inline double HashToUnitInterval(uint64_t h) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
-
-// Sorted-ascending distinct hashes with parallel occurrence counts. Equal
-// hashes (collisions within a column) are merged by summing counts so the
-// hash vector is strictly increasing — a precondition of the sorted-merge
-// intersection in Containment and of the KMV prefix views below.
-struct SortedHashCounts {
-  std::vector<uint64_t> hashes;
-  std::vector<int32_t> counts;
-};
-
-// Builds the sorted hash/count vectors from a distinct-value map. Historical
-// helper of the string-map profiling path; production profiles now fill
-// these vectors directly from the columnar key view (table/key_view.h), so
-// this survives for the legacy-oracle scaffolding and tests.
-SortedHashCounts BuildSortedHashCounts(
-    const std::unordered_map<std::string, int32_t>& distinct);
 
 // KMV (bottom-k minimum values) containment estimate. Because the per-column
 // hash vectors are sorted ascending, the bottom-k sketch of a column is
@@ -148,15 +130,6 @@ uint64_t TablesContentHash(const std::vector<Table>& tables);
 // already hashed every table (the schema-diff stage) derive the case hash
 // without another pass over the cell bytes.
 uint64_t TablesContentHashFromHashes(const std::vector<uint64_t>& table_hashes);
-
-// Streaming hash of the composite tuple of `columns` at row r. Byte-for-byte
-// equivalent to StableHash64 of the escaped rendering "v1|v2|...|" with '|'
-// and '\' backslash-escaped inside values (the TupleKey convention of
-// profile/ucc.cc), but never materializes the concatenated string. Returns
-// false if any cell is null (null-containing tuples do not participate in
-// composite containment, matching SQL key semantics).
-bool TupleHash(const Table& table, const std::vector<int>& columns, size_t r,
-               uint64_t* out, std::string* scratch);
 
 }  // namespace autobi
 

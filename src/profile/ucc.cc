@@ -2,31 +2,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <string>
-#include <unordered_set>
+
+#include "profile/ucc_internal.h"
 
 namespace autobi {
 
 namespace {
-
-// Concatenates the canonical keys of `columns` at row r with an unambiguous
-// separator. Returns false if any cell is null. (Legacy-kernel helper; the
-// hash-first oracle streams the same bytes through TupleHashFromViews.)
-bool TupleKey(const Table& table, const std::vector<int>& columns, size_t r,
-              std::string* out) {
-  out->clear();
-  std::string cell;
-  for (int c : columns) {
-    if (!table.column(static_cast<size_t>(c)).KeyAt(r, &cell)) return false;
-    // Escape the separator so ("a|b","c") != ("a","b|c").
-    for (char ch : cell) {
-      if (ch == '|' || ch == '\\') out->push_back('\\');
-      out->push_back(ch);
-    }
-    out->push_back('|');
-  }
-  return true;
-}
 
 bool IsSubset(const std::vector<int>& small, const std::vector<int>& big) {
   // Both sorted.
@@ -58,8 +39,7 @@ class PliLattice {
       : table_(table), view_(view), ids_(table.num_columns()) {}
 
   // True iff base + {c} is unique: no two rows of a base cluster share a
-  // value of c, and at least one row is non-null in every member column
-  // (the IsUniqueCombination rule).
+  // value of c, and at least one row is non-null in every member column.
   bool IsUniqueExtension(const std::vector<int>& base, int c) {
     const StrippedPartition& part = Partition(base);
     const std::vector<uint32_t>& ids = Ids(c);
@@ -179,83 +159,11 @@ class PliLattice {
   std::vector<uint32_t> cursor_;
 };
 
-// The hash-first point kernel behind IsUniqueCombination, kept as an oracle
-// for the lattice: radix-sort the non-null-complete (tuple hash, row) pairs,
-// then scan equal-hash runs. Any two rows in a run with equal pooled tuples
-// are a true duplicate; unequal tuples in a run are a 64-bit collision and
-// do not break uniqueness.
-bool UniqueOverViews(const std::vector<const ColumnKeyView*>& cols,
-                     size_t rows) {
-  std::vector<HashRow> hr;
-  std::vector<HashRow> scratch;
-  hr.reserve(rows);
-  uint64_t h = 0;
-  for (size_t r = 0; r < rows; ++r) {
-    if (TupleHashFromViews(cols, r, &h)) {
-      hr.push_back(HashRow{h, static_cast<uint32_t>(r)});
-    }
-  }
-  if (hr.empty()) return false;
-  StableRadixSortByHash(&hr, &scratch);
-  for (size_t i = 0; i < hr.size();) {
-    size_t j = i + 1;
-    while (j < hr.size() && hr[j].hash == hr[i].hash) ++j;
-    if (j - i > 1) {
-      for (size_t x = i; x < j; ++x) {
-        for (size_t y = x + 1; y < j; ++y) {
-          if (TuplesEqual(cols, hr[x].row, hr[y].row)) return false;
-        }
-      }
-    }
-    i = j;
-  }
-  return true;
-}
-
-}  // namespace
-
-bool IsUniqueCombination(const TableKeyView& view,
-                         const std::vector<int>& columns) {
-  std::vector<const ColumnKeyView*> cols;
-  cols.reserve(columns.size());
-  size_t rows = 0;
-  for (int c : columns) {
-    const ColumnKeyView& cv = view.column(static_cast<size_t>(c));
-    cols.push_back(&cv);
-    rows = cv.size();
-  }
-  return UniqueOverViews(cols, rows);
-}
-
-bool IsUniqueCombination(const Table& table, const std::vector<int>& columns) {
-  std::vector<ColumnKeyView> storage;
-  storage.reserve(columns.size());
-  for (int c : columns) {
-    storage.emplace_back(table.column(static_cast<size_t>(c)));
-  }
-  std::vector<const ColumnKeyView*> cols;
-  cols.reserve(storage.size());
-  for (const ColumnKeyView& v : storage) cols.push_back(&v);
-  return UniqueOverViews(cols, table.num_rows());
-}
-
-bool IsUniqueCombinationLegacy(const Table& table,
-                               const std::vector<int>& columns) {
-  std::unordered_set<std::string> seen;
-  seen.reserve(table.num_rows() * 2);
-  std::string key;
-  size_t non_null_rows = 0;
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    if (!TupleKey(table, columns, r, &key)) continue;
-    ++non_null_rows;
-    if (!seen.insert(key).second) return false;
-  }
-  return non_null_rows > 0;
-}
-
-std::vector<Ucc> DiscoverUccs(const Table& table, const TableProfile& profile,
-                              const UccOptions& options,
-                              const TableKeyView* view) {
+// The lattice of DiscoverUccs. A null `check` tests candidates by partition
+// refinement; the reference kernels pass their own predicate.
+std::vector<Ucc> RunLattice(const Table& table, const TableProfile& profile,
+                            const UccOptions& options,
+                            const TableKeyView* view, UccCandidateCheck check) {
   std::vector<Ucc> result;
   size_t ncols = table.num_columns();
   if (ncols == 0 || table.num_rows() == 0) return result;
@@ -318,8 +226,8 @@ std::vector<Ucc> DiscoverUccs(const Table& table, const TableProfile& profile,
         bool unique;
         if (max_tuples < min_tuple_rows) {
           unique = false;
-        } else if (options.legacy_kernel) {
-          unique = IsUniqueCombinationLegacy(table, cand);
+        } else if (check != nullptr) {
+          unique = check(table, cand);
         } else {
           unique = pli.IsUniqueExtension(base, c);
         }
@@ -333,6 +241,21 @@ std::vector<Ucc> DiscoverUccs(const Table& table, const TableProfile& profile,
     frontier = std::move(next);
   }
   return result;
+}
+
+}  // namespace
+
+std::vector<Ucc> DiscoverUccs(const Table& table, const TableProfile& profile,
+                              const UccOptions& options,
+                              const TableKeyView* view) {
+  return RunLattice(table, profile, options, view, nullptr);
+}
+
+std::vector<Ucc> DiscoverUccsWithCheck(const Table& table,
+                                       const TableProfile& profile,
+                                       const UccOptions& options,
+                                       UccCandidateCheck check) {
+  return RunLattice(table, profile, options, nullptr, check);
 }
 
 }  // namespace autobi

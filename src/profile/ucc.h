@@ -23,10 +23,6 @@ struct UccOptions {
   // A column with distinct ratio below this cannot participate in any UCC
   // (pruning heuristic; 0 disables).
   double min_distinct_ratio = 0.05;
-  // Run candidate checks through the legacy string-set kernel
-  // (IsUniqueCombinationLegacy) instead of partition refinement. Oracle knob
-  // for the kernel-equivalence property tests; production leaves it off.
-  bool legacy_kernel = false;
 };
 
 // One discovered minimal unique column combination.
@@ -44,34 +40,15 @@ struct Ucc {
 // base combination's partition is its prefix's partition refined by one
 // column, and a candidate base + {c} is unique iff no cluster of the base
 // holds two rows with the same value of c and some row is non-null in every
-// member. Ids and partitions are transient per call.
+// member (rows with a null in any member are skipped, matching the SQL
+// semantics of candidate keys with nullable columns). Ids and partitions are
+// transient per call.
 // If `view` is non-null it must be a TableKeyView of `table` and the ids are
 // computed from it; otherwise each column's view is built transiently the
 // first time the column appears in an arity >= 2 candidate.
 std::vector<Ucc> DiscoverUccs(const Table& table, const TableProfile& profile,
                               const UccOptions& options = {},
                               const TableKeyView* view = nullptr);
-
-// True if the given column set has no duplicate (non-null-complete) tuples
-// and at least one non-null-complete tuple. Rows with a null in any of the
-// columns are skipped, matching the SQL semantics of candidate keys with
-// nullable columns. Point check for tests and the oracle of DiscoverUccs'
-// partition checks; the lattice does not call it.
-//
-// Hash-first kernel: streams the composite tuple hashes (the TupleHash
-// escape convention of profile/sketch.h), radix-sorts (hash, row) pairs, and
-// scans equal-hash runs — a run of length >= 2 is a duplicate unless the
-// pooled key bytes prove it a 64-bit collision (verify-on-collision keeps
-// the result exact). No per-row string tuple keys, no string set.
-bool IsUniqueCombination(const Table& table, const std::vector<int>& columns);
-bool IsUniqueCombination(const TableKeyView& view,
-                         const std::vector<int>& columns);
-
-// Legacy reference kernel: escaped string tuple keys probed through an
-// unordered_set. Retained as the oracle for the kernel-equivalence property
-// tests and, through UccOptions::legacy_kernel, of the lattice.
-bool IsUniqueCombinationLegacy(const Table& table,
-                               const std::vector<int>& columns);
 
 }  // namespace autobi
 

@@ -31,8 +31,8 @@ namespace autobi {
 // infers types and counts rows, the second appends typed values straight
 // into columns reserved to exactly that many rows.
 // Its tables, CsvStats and errors are bit-identical to those of the
-// reference reader in tests/csv_oracle.cc, which tests/csv_oracle_test.cc
-// checks.
+// reference reader in src/oracle/csv_oracle.cc, which
+// tests/csv_oracle_test.cc checks.
 //
 // This is an untrusted-input surface: all entry points return a typed
 // Status (common/status.h) instead of aborting, whatever the bytes are.

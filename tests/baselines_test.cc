@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "baselines/fk_baselines.h"
 #include "baselines/ml_fk.h"
+#include "common/fs.h"
 #include "core/candidates.h"
 #include "eval/metrics.h"
 #include "tests/test_util.h"
@@ -152,6 +155,31 @@ TEST(MlFkModelTest, SerializationRoundTrip) {
   for (const JoinCandidate& cand : cands.candidates) {
     EXPECT_NEAR(model.Score(ctx, cand), loaded.Score(ctx, cand), 1e-9);
   }
+}
+
+// A save cut off part-way fails and leaves the previous model file
+// byte-identical; an uncut save then writes exactly Save()'s bytes.
+TEST(MlFkModelTest, InterruptedSaveKeepsPreviousFile) {
+  MlFkModel old_model;
+  MlFkModel new_model;
+  new_model.Train(std::vector<BiCase>(10, CleanStar()));
+  std::ostringstream os;
+  new_model.Save(os);
+  const std::string new_bytes = os.str();
+
+  std::string path = ::testing::TempDir() + "/mlfk_interrupted.txt";
+  ASSERT_TRUE(old_model.SaveToFile(path));
+  StatusOr<std::string> old_bytes = ReadFileToString(path);
+  ASSERT_TRUE(old_bytes.ok());
+  ASSERT_NE(*old_bytes, new_bytes);
+
+  EXPECT_FALSE(SaveWithFileSizeLimit(new_bytes.size() / 2, [&] {
+    return new_model.SaveToFile(path);
+  }));
+  EXPECT_EQ(ReadFileToString(path).value(), *old_bytes);
+
+  ASSERT_TRUE(new_model.SaveToFile(path));
+  EXPECT_EQ(ReadFileToString(path).value(), new_bytes);
 }
 
 }  // namespace

@@ -4,9 +4,12 @@
 // synthetic REAL corpus, the DDL-driven TPC-H schema, and adversarial lakes
 // (shared dimension names, shared key ranges) — and the partitioned
 // per-component solve must stitch the same result at 1, 2 and 8 threads.
+// The plan's admitted-pair counts must also stay within the lake-scale
+// pruning bounds as lakes grow.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -14,6 +17,8 @@
 #include "core/auto_bi.h"
 #include "core/model_export.h"
 #include "core/trainer.h"
+#include "profile/blocking.h"
+#include "profile/column_profile.h"
 #include "synth/corpus.h"
 #include "synth/lake.h"
 #include "synth/tpch_ddl.h"
@@ -148,6 +153,51 @@ TEST(BlockingDifferentialTest, SingletonComponentsAreSkippedNotSolved) {
     EXPECT_LE(result.partition.components_solved, result.partition.components);
   }
   ExpectMatchesExhaustive(lake.tables, 2, "singleton lake");
+}
+
+// Least-squares slope of log(pairs[i]) against log(tables[i]).
+double GrowthExponent(const std::vector<int>& tables,
+                      const std::vector<size_t>& pairs) {
+  double sx = 0, sy = 0, sxx = 0, sxy = 0;
+  for (size_t i = 0; i < tables.size(); ++i) {
+    double x = std::log(double(tables[i]));
+    double y = std::log(double(pairs[i]));
+    sx += x;
+    sy += y;
+    sxx += x * x;
+    sxy += x * y;
+  }
+  double n = double(tables.size());
+  return (n * sxy - sx * sy) / (n * sxx - sx * sx);
+}
+
+// On lakes of 50 to 400 tables, generated from one seed so the sizes share
+// their leading islands, the plan prunes at least 90% of the ordered column
+// pairs at the largest size, and the admitted pairs grow with table count at
+// an exponent below 1.5. The counters are deterministic, so these are
+// properties of the code, not timings.
+TEST(BlockingDifferentialTest, PlanPruningBoundsHoldAsLakesGrow) {
+  const std::vector<int> sizes = {50, 100, 200, 400};
+  std::vector<size_t> admitted;
+  std::vector<size_t> total;
+  BlockingStats largest;
+  for (int tables : sizes) {
+    LakeGenOptions gen;
+    gen.num_tables = tables;
+    Rng rng(0x1a6e);
+    BiCase lake = GenerateLake(gen, rng);
+    BlockingStats stats;
+    BuildBlockingPlan(ProfileTables(lake.tables), BlockingOptions{}, &stats);
+    ASSERT_GT(stats.column_pairs_admitted, 0u) << tables;
+    admitted.push_back(stats.column_pairs_admitted);
+    total.push_back(stats.column_pairs_total);
+    largest = stats;
+  }
+  EXPECT_GE(largest.PruningRate(), 0.90);
+  EXPECT_LT(GrowthExponent(sizes, admitted), 1.5);
+  // A plan that admitted every column pair would prune nothing, and the
+  // all-pairs count grows at ~2.0, past the exponent bound.
+  EXPECT_GE(GrowthExponent(sizes, total), 1.5);
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "common/fs.h"
 #include "core/auto_bi.h"
 #include "core/bi_model.h"
 #include "core/candidates.h"
@@ -240,6 +243,36 @@ TEST(LocalModelTest, SaveLoadPreservesScores) {
     EXPECT_NEAR(model.Score(ctx, cand, true), loaded.Score(lctx, cand, true),
                 1e-9);
   }
+}
+
+// A save cut off part-way fails and leaves the previous model file
+// byte-identical; an uncut save then writes exactly Save()'s bytes.
+TEST(LocalModelTest, InterruptedSaveKeepsPreviousFile) {
+  BiCase c = MiniCase();
+  TrainerOptions small;
+  small.forest.num_trees = 2;
+  LocalModel old_model = TrainLocalModel(std::vector<BiCase>(4, c), small);
+  TrainerOptions large;
+  large.forest.num_trees = 8;
+  LocalModel new_model = TrainLocalModel(std::vector<BiCase>(8, c), large);
+  std::ostringstream os;
+  os.precision(17);
+  new_model.Save(os);
+  const std::string new_bytes = os.str();
+
+  std::string path = ::testing::TempDir() + "/autobi_model_interrupted.txt";
+  ASSERT_TRUE(old_model.SaveToFile(path));
+  StatusOr<std::string> old_bytes = ReadFileToString(path);
+  ASSERT_TRUE(old_bytes.ok());
+  ASSERT_NE(*old_bytes, new_bytes);
+
+  EXPECT_FALSE(SaveWithFileSizeLimit(new_bytes.size() / 2, [&] {
+    return new_model.SaveToFile(path);
+  }));
+  EXPECT_EQ(ReadFileToString(path).value(), *old_bytes);
+
+  ASSERT_TRUE(new_model.SaveToFile(path));
+  EXPECT_EQ(ReadFileToString(path).value(), new_bytes);
 }
 
 }  // namespace

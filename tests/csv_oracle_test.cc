@@ -1,5 +1,5 @@
 // Differential test of ReadCsv against ReadCsvOracle, the original reader
-// kept in tests/csv_oracle.cc. On every input both must produce the same
+// kept in src/oracle/csv_oracle.cc. On every input both must produce the same
 // column names, types, null masks, cell bits and CsvStats, or fail with the
 // same status code and message (and the same CsvStats).
 
@@ -11,8 +11,8 @@
 
 #include "common/rng.h"
 #include "common/strings.h"
-#include "csv_oracle.h"
 #include "loader_fuzz_inputs.h"
+#include "oracle/csv_oracle.h"
 #include "synth/bi_generator.h"
 #include "synth/lake.h"
 #include "synth/tpch_ddl.h"

@@ -5,13 +5,13 @@
 #include "common/rng.h"
 #include "fuzz/corpus.h"
 #include "fuzz/differential.h"
-#include "graph/brute_force.h"
 #include "graph/edmonds.h"
 #include "graph/ems.h"
 #include "graph/join_graph.h"
 #include "graph/kmca.h"
 #include "graph/kmca_cc.h"
 #include "graph/validate.h"
+#include "oracle/brute_force.h"
 
 namespace autobi {
 namespace {

@@ -4,6 +4,7 @@
 
 #include "common/rng.h"
 #include "common/strings.h"
+#include "oracle/profile_oracle.h"
 #include "tests/test_util.h"
 
 namespace autobi {

@@ -1,11 +1,12 @@
 // Kernel-oracle equivalence suite (PR 7): the hash-first columnar kernels
 // (table/key_view.h + radix-sorted aggregation) must be *bit-identical* to
-// the retained legacy string-map/string-set kernels on every surface the
-// pipeline consumes — canonical key bytes, ColumnProfile fields, UCC sets,
-// composite IND key sets and containments, and end-to-end candidates — on
-// adversarial randomized data (nulls, escape bytes '|' and '\', int/double
-// canonicalization edges, mixed-type columns), on the synthetic REAL corpus,
-// and on TPC-H ingested through the SQL-DDL path, at 1, 2, and 8 threads.
+// the legacy string-map/string-set kernels of oracle/profile_oracle.h on
+// every surface the pipeline consumes — canonical key bytes, ColumnProfile
+// fields, UCC sets, composite IND key sets and containments, and end-to-end
+// candidates — on adversarial randomized data (nulls, escape bytes '|' and
+// '\', int/double canonicalization edges, mixed-type columns), on the
+// synthetic REAL corpus, and on TPC-H ingested through the SQL-DDL path, at
+// 1, 2, and 8 threads.
 // The partition-refinement UCC lattice is held to the legacy string-set
 // lattice the same way, plus its own edge cases (KernelOraclePliTest).
 //
@@ -23,6 +24,7 @@
 #include "common/rng.h"
 #include "common/strings.h"
 #include "core/candidates.h"
+#include "oracle/profile_oracle.h"
 #include "profile/column_profile.h"
 #include "profile/ind.h"
 #include "profile/sketch.h"
@@ -209,33 +211,18 @@ TEST_P(KernelOracleTest, ProfileMatchesLegacyOracle) {
   }
 }
 
-// UCC discovery with the hash-first candidate checks (lazy and prebuilt
-// views) returns exactly the legacy string-set lattice result.
+// UCC discovery with the partition-refinement candidate checks (lazy and
+// prebuilt views) returns exactly the legacy string-set lattice result.
 TEST_P(KernelOracleTest, UccsMatchLegacyOracle) {
   Rng rng(GetParam() * 15485863 + 3);
   Table t = RandomTable(rng, "ucc");
   TableProfile profile = ProfileTable(t);
-  UccOptions legacy_opt;
-  legacy_opt.legacy_kernel = true;
-  std::vector<Ucc> legacy = DiscoverUccs(t, profile, legacy_opt);
+  std::vector<Ucc> legacy = DiscoverUccsLegacy(t, profile);
   std::vector<Ucc> lazy = DiscoverUccs(t, profile);
   TableKeyView view(t);
   std::vector<Ucc> prebuilt = DiscoverUccs(t, profile, {}, &view);
   EXPECT_EQ(UccsToString(lazy), UccsToString(legacy));
   EXPECT_EQ(UccsToString(prebuilt), UccsToString(legacy));
-
-  // And the point kernel agrees on every arity-1/2 combination directly.
-  for (size_t a = 0; a < t.num_columns(); ++a) {
-    std::vector<int> cols = {int(a)};
-    EXPECT_EQ(IsUniqueCombination(t, cols), IsUniqueCombinationLegacy(t, cols));
-    for (size_t b = a + 1; b < t.num_columns(); ++b) {
-      cols = {int(a), int(b)};
-      EXPECT_EQ(IsUniqueCombination(t, cols),
-                IsUniqueCombinationLegacy(t, cols));
-      EXPECT_EQ(IsUniqueCombination(view, cols),
-                IsUniqueCombinationLegacy(t, cols));
-    }
-  }
 }
 
 // Composite key sets and containments from the streamed view kernel equal
@@ -270,14 +257,11 @@ TEST_P(KernelOracleTest, IndsMatchLegacyPipeline) {
   std::vector<TableProfile> legacy_profiles;
   std::vector<std::vector<Ucc>> uccs;
   std::vector<std::vector<Ucc>> legacy_uccs;
-  UccOptions legacy_opt;
-  legacy_opt.legacy_kernel = true;
   for (size_t i = 0; i < tables.size(); ++i) {
     legacy_profiles.push_back(ProfileTableLegacy(tables[i]));
     TableKeyView view(tables[i]);
     uccs.push_back(DiscoverUccs(tables[i], profiles[i], {}, &view));
-    legacy_uccs.push_back(
-        DiscoverUccs(tables[i], legacy_profiles[i], legacy_opt));
+    legacy_uccs.push_back(DiscoverUccsLegacy(tables[i], legacy_profiles[i]));
   }
   for (int threads : {1, 8}) {
     IndOptions opt;
@@ -334,12 +318,9 @@ TEST(KernelOracleEndToEndTest, CorpusAndTpchIdenticalAcrossThreadsAndKernels) {
     // same IND scan must yield the same discovery result.
     std::vector<TableProfile> legacy_profiles;
     std::vector<std::vector<Ucc>> legacy_uccs;
-    UccOptions legacy_opt;
-    legacy_opt.legacy_kernel = true;
     for (const Table& t : tables) {
       legacy_profiles.push_back(ProfileTableLegacy(t));
-      legacy_uccs.push_back(
-          DiscoverUccs(t, legacy_profiles.back(), legacy_opt));
+      legacy_uccs.push_back(DiscoverUccsLegacy(t, legacy_profiles.back()));
     }
     for (size_t t = 0; t < tables.size(); ++t) {
       ASSERT_EQ(legacy_profiles[t].columns.size(),
@@ -365,9 +346,7 @@ TEST(KernelOracleEndToEndTest, CorpusAndTpchIdenticalAcrossThreadsAndKernels) {
 // string-set lattice. Returns the legacy result for shape assertions.
 std::string ExpectLatticeMatchesLegacy(const Table& t, const UccOptions& opt) {
   TableProfile profile = ProfileTable(t);
-  UccOptions legacy_opt = opt;
-  legacy_opt.legacy_kernel = true;
-  std::string legacy = UccsToString(DiscoverUccs(t, profile, legacy_opt));
+  std::string legacy = UccsToString(DiscoverUccsLegacy(t, profile, opt));
   TableKeyView view(t);
   EXPECT_EQ(UccsToString(DiscoverUccs(t, profile, opt)), legacy) << t.name();
   EXPECT_EQ(UccsToString(DiscoverUccs(t, profile, opt, &view)), legacy)
@@ -542,7 +521,7 @@ TEST(TpchDdlTest, GeneratesExpectedShape) {
   // The partsupp composite key is genuinely unique (cross-product keys).
   const Table& partsupp = c->tables[5];
   EXPECT_EQ(partsupp.name(), "partsupp");
-  EXPECT_TRUE(IsUniqueCombination(partsupp, {0, 1}));
+  EXPECT_TRUE(IsUniqueCombinationLegacy(partsupp, {0, 1}));
 }
 
 // The canonical double key is produced via std::to_chars(general, 12), which

@@ -19,6 +19,7 @@
 #include "common/rng.h"
 #include "common/strings.h"
 #include "core/candidates.h"
+#include "oracle/profile_oracle.h"
 #include "profile/column_profile.h"
 #include "profile/ind.h"
 #include "profile/ucc.h"

@@ -22,6 +22,7 @@
 #include "graph/join_graph.h"
 #include "graph/kmca.h"
 #include "graph/kmca_cc.h"
+#include "oracle/solver_oracle.h"
 
 namespace autobi {
 namespace {

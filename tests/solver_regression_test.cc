@@ -6,12 +6,12 @@
 
 #include "common/rng.h"
 #include "fuzz/generator.h"
-#include "graph/brute_force.h"
 #include "graph/edmonds.h"
 #include "graph/join_graph.h"
 #include "graph/kmca.h"
 #include "graph/kmca_cc.h"
 #include "graph/validate.h"
+#include "oracle/brute_force.h"
 
 namespace autobi {
 namespace {

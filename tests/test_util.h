@@ -1,6 +1,11 @@
 #ifndef AUTOBI_TESTS_TEST_UTIL_H_
 #define AUTOBI_TESTS_TEST_UTIL_H_
 
+#include <sys/resource.h>
+
+#include <algorithm>
+#include <csignal>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -35,6 +40,24 @@ inline std::vector<std::string> SeqCells(int lo, int hi) {
   std::vector<std::string> out;
   for (int i = lo; i <= hi; ++i) out.push_back(std::to_string(i));
   return out;
+}
+
+// Runs `save` with the process file-size limit (RLIMIT_FSIZE) at `limit`
+// bytes and SIGXFSZ ignored, so a write past the limit fails with EFBIG
+// instead of killing the process: a save cut off part-way. Restores the
+// limit and the signal disposition, then returns `save`'s result.
+inline bool SaveWithFileSizeLimit(rlim_t limit,
+                                  const std::function<bool()>& save) {
+  rlimit saved;
+  getrlimit(RLIMIT_FSIZE, &saved);
+  rlimit capped = saved;
+  capped.rlim_cur = std::min(limit, saved.rlim_max);
+  void (*saved_handler)(int) = std::signal(SIGXFSZ, SIG_IGN);
+  setrlimit(RLIMIT_FSIZE, &capped);
+  bool ok = save();
+  setrlimit(RLIMIT_FSIZE, &saved);
+  std::signal(SIGXFSZ, saved_handler);
+  return ok;
 }
 
 }  // namespace autobi

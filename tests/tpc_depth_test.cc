@@ -9,6 +9,7 @@
 
 #include "common/rng.h"
 #include "core/schema_summary.h"
+#include "oracle/profile_oracle.h"
 #include "profile/ucc.h"
 #include "synth/tpc.h"
 
@@ -64,9 +65,9 @@ TEST(TpcDepthTest, TpcHPartsuppHasCompositeKey) {
   ASSERT_GE(partsupp, 0);
   const Table& ps = tpch.tables[size_t(partsupp)];
   // Neither component is unique alone; the pair is.
-  EXPECT_FALSE(IsUniqueCombination(ps, {0}));
-  EXPECT_FALSE(IsUniqueCombination(ps, {1}));
-  EXPECT_TRUE(IsUniqueCombination(ps, {0, 1}));
+  EXPECT_FALSE(IsUniqueCombinationLegacy(ps, {0}));
+  EXPECT_FALSE(IsUniqueCombinationLegacy(ps, {1}));
+  EXPECT_TRUE(IsUniqueCombinationLegacy(ps, {0, 1}));
   // And UCC discovery finds it.
   TableProfile profile = ProfileTable(ps);
   bool found = false;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracle/profile_oracle.h"
 #include "tests/test_util.h"
 
 namespace autobi {
@@ -9,31 +10,31 @@ namespace {
 
 TEST(IsUniqueCombinationTest, SingleColumn) {
   Table t = MakeTable("t", {{"u", {"1", "2", "3"}}, {"d", {"1", "1", "2"}}});
-  EXPECT_TRUE(IsUniqueCombination(t, {0}));
-  EXPECT_FALSE(IsUniqueCombination(t, {1}));
+  EXPECT_TRUE(IsUniqueCombinationLegacy(t, {0}));
+  EXPECT_FALSE(IsUniqueCombinationLegacy(t, {1}));
 }
 
 TEST(IsUniqueCombinationTest, CompositeUniqueness) {
   Table t = MakeTable("t", {{"a", {"1", "1", "2", "2"}},
                             {"b", {"1", "2", "1", "1"}}});
-  EXPECT_FALSE(IsUniqueCombination(t, {0}));
-  EXPECT_FALSE(IsUniqueCombination(t, {1}));
-  EXPECT_FALSE(IsUniqueCombination(t, {0, 1}));  // (2,1) appears twice.
+  EXPECT_FALSE(IsUniqueCombinationLegacy(t, {0}));
+  EXPECT_FALSE(IsUniqueCombinationLegacy(t, {1}));
+  EXPECT_FALSE(IsUniqueCombinationLegacy(t, {0, 1}));  // (2,1) appears twice.
   Table u = MakeTable("u", {{"a", {"1", "1", "2", "2"}},
                             {"b", {"1", "2", "1", "2"}}});
-  EXPECT_TRUE(IsUniqueCombination(u, {0, 1}));
+  EXPECT_TRUE(IsUniqueCombinationLegacy(u, {0, 1}));
 }
 
 TEST(IsUniqueCombinationTest, NullRowsSkipped) {
   Table t = MakeTable("t", {{"a", {"1", "", "", "2"}}});
   // Nulls are skipped, remaining values 1,2 are unique.
-  EXPECT_TRUE(IsUniqueCombination(t, {0}));
+  EXPECT_TRUE(IsUniqueCombinationLegacy(t, {0}));
 }
 
 TEST(IsUniqueCombinationTest, SeparatorValuesDoNotCollide) {
   // ("a|b","c") must differ from ("a","b|c") under tuple hashing.
   Table t = MakeTable("t", {{"x", {"a|b", "a"}}, {"y", {"c", "b|c"}}});
-  EXPECT_TRUE(IsUniqueCombination(t, {0, 1}));
+  EXPECT_TRUE(IsUniqueCombinationLegacy(t, {0, 1}));
 }
 
 TEST(DiscoverUccsTest, FindsSingleColumnKeys) {
