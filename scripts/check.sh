@@ -30,6 +30,19 @@ fi
 [[ "$lint_fail" == "0" ]] || exit 1
 echo "check.sh: service-layer lint clean."
 
+# --- Solve-path lint (always on; no build needed). Stage 4 has one
+# implementation, RunGlobalPredict in src/core/auto_bi.cc: no other
+# production code may call the k-MCA-CC or EMS solvers directly.
+if grep -rnE '\b(SolveKmcaCc|SolveEmsGreedy)\(' src \
+    --include='*.cc' --include='*.h' \
+    | grep -vE '^src/(graph|oracle|fuzz)/|^src/core/auto_bi\.cc:'; then
+  echo "check.sh: LINT FAIL — SolveKmcaCc/SolveEmsGreedy called outside" \
+       "src/graph/, src/oracle/, src/fuzz/ and src/core/auto_bi.cc;" \
+       "run stage 4 through RunGlobalPredict instead." >&2
+  exit 1
+fi
+echo "check.sh: solve-path lint clean (one stage-4 implementation)."
+
 # --- Docs lint (always on; no build needed). Two rules:
 #   1. Every src/<subsystem>/ directory must be named in the ARCHITECTURE.md
 #      module map, so the map cannot silently go stale.
@@ -104,17 +117,19 @@ export AUTOBI_THREADS="${AUTOBI_THREADS:-4}"
 
 # Solver determinism under TSan: the wave-parallel branch-and-bound must be
 # byte-identical (results and stats) at 1, 2, and 8 threads, with the
-# parallel relaxation phase actually racing real pool workers. Runs the
-# explicit-threads sweep, then the whole suite again under the forced
-# AUTOBI_THREADS=1 and =8 environment overrides.
-"$BUILD_DIR/tests/autobi_fuzz_tests" --gtest_filter='SolverDeterminismTest.*'
+# parallel relaxation phase actually racing real pool workers, and the
+# per-component solve stitched across pool workers must match the
+# whole-graph solve. Runs the explicit-threads sweeps, then both suites
+# again under the forced AUTOBI_THREADS=1 and =8 environment overrides.
+SOLVER_FILTER='SolverDeterminismTest.*:PartitionSolveTest.*'
+"$BUILD_DIR/tests/autobi_fuzz_tests" --gtest_filter="$SOLVER_FILTER"
 AUTOBI_THREADS=1 "$BUILD_DIR/tests/autobi_fuzz_tests" \
-  --gtest_filter='SolverDeterminismTest.*'
+  --gtest_filter="$SOLVER_FILTER"
 AUTOBI_THREADS=8 "$BUILD_DIR/tests/autobi_fuzz_tests" \
-  --gtest_filter='SolverDeterminismTest.*'
+  --gtest_filter="$SOLVER_FILTER"
 
 echo "check.sh: ThreadSanitizer clean (pipeline, incremental, solver" \
-     "determinism)."
+     "determinism, partitioned solve)."
 
 # --- Kernel-oracle equivalence under ASan/UBSan (always on since PR 7):
 # the hash-first profiling/UCC/IND kernels (table/key_view.h + radix-sorted

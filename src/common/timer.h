@@ -11,9 +11,7 @@ class Timer {
  public:
   Timer() : start_(Clock::now()) {}
 
-  void Reset() { start_ = Clock::now(); }
-
-  // Elapsed time since construction / last Reset, in seconds.
+  // Elapsed time since construction, in seconds.
   double Seconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }

@@ -132,14 +132,12 @@ void RunGlobalPredict(const AutoBiOptions& options, const RunContext* ctx,
       solver.max_one_mca_calls =
           std::min(solver.max_one_mca_calls, ctx->budgets.max_one_mca_calls);
     }
-    // Partition into connected components. Cost and FK-once are separable
-    // across components, so with 2+ solvable components each is solved
-    // independently (in parallel) and the selections stitched in component
-    // order. With 0-1 solvable components the flat solve runs unchanged —
-    // it is the historical path and the two are NOT guaranteed bit-identical
-    // on cost ties (per-component lexicographic tie-breaks compare local
-    // subsequences, not the global id sequence), so single-island inputs
-    // keep their exact pre-partition outputs.
+    // Cost and FK-once are separable across connected components
+    // (graph/partition.h), so each component with edges is solved on its
+    // own graph and the selections are stitched in component order; a graph
+    // that is one island is a partition of one. Each component gets the
+    // FULL 1-MCA budget: a trip degrades that one component to its greedy
+    // feasible backbone while the others keep their exact solves.
     std::vector<GraphComponent> components = PartitionJoinGraph(graph);
     std::vector<const GraphComponent*> solvable;
     result.partition.components = components.size();
@@ -149,80 +147,49 @@ void RunGlobalPredict(const AutoBiOptions& options, const RunContext* ctx,
       result.partition.largest_component_edges = std::max(
           result.partition.largest_component_edges, c.edge_ids.size());
     }
+    result.partition.components_solved = solvable.size();
+    result.partition.component_health.resize(solvable.size());
     Timer kmca_timer;
-    if (solvable.size() <= 1) {
-      KmcaResult backbone = SolveKmcaCc(graph, solver, &result.solver_stats);
-      result.backbone_edges = backbone.edge_ids;
-    } else {
-      result.partition.used = true;
-      result.partition.components_solved = solvable.size();
-      result.partition.component_health.resize(solvable.size());
-      // Each component gets the FULL 1-MCA budget: a trip degrades that one
-      // component to its greedy feasible fallback while the others keep
-      // their exact solves (the flat path would degrade the whole model).
-      KmcaCcOptions comp_solver = solver;
-      comp_solver.threads = 1;  // Components are the unit of parallelism.
-      struct CompSolve {
-        KmcaResult backbone;
-        KmcaCcStats stats;
-        bool skipped = false;
-      };
-      std::vector<CompSolve> solves = ParallelMap(
-          solvable.size(),
-          [&](size_t i) {
-            CompSolve s;
-            // Component-boundary stop poll: a tripped run leaves remaining
-            // components unsolved (empty backbone there, marked below).
-            if (ctx != nullptr && ctx->StopRequested()) {
-              s.skipped = true;
-              return s;
-            }
-            JoinGraph local = BuildComponentGraph(graph, *solvable[i]);
-            s.backbone = SolveKmcaCc(local, comp_solver, &s.stats);
-            return s;
-          },
-          options.threads);
-      // Stitch serially in component order; map local edge ids back through
-      // the component's ascending edge-id list.
-      size_t skipped = 0;
-      for (size_t i = 0; i < solves.size(); ++i) {
-        const CompSolve& s = solves[i];
-        StageHealth& health = result.partition.component_health[i];
-        if (s.skipped) {
-          ++skipped;
-          health.MarkDegraded("run stopped before component solve");
-          continue;
-        }
-        for (int local_id : s.backbone.edge_ids) {
-          result.backbone_edges.push_back(
-              solvable[i]->edge_ids[size_t(local_id)]);
-        }
-        result.solver_stats.one_mca_calls += s.stats.one_mca_calls;
-        result.solver_stats.nodes += s.stats.nodes;
-        result.solver_stats.pruned += s.stats.pruned;
-        result.solver_stats.memo_hits += s.stats.memo_hits;
-        result.solver_stats.waves += s.stats.waves;
-        if (s.stats.budget_exhausted) {
-          result.solver_stats.budget_exhausted = true;
-          health.MarkDegraded(
-              "1-MCA call budget exhausted; greedy feasible backbone for "
-              "this component");
-        }
+    // Component-boundary stop poll: a tripped run leaves the remaining
+    // components unsolved (empty backbone there, marked below).
+    std::vector<ComponentSolve> solves = SolveKmcaCcPerComponent(
+        graph, solvable, solver, options.threads,
+        [ctx] { return ctx != nullptr && ctx->StopRequested(); });
+    // Stitch serially in component order.
+    size_t skipped = 0;
+    for (size_t i = 0; i < solves.size(); ++i) {
+      const ComponentSolve& s = solves[i];
+      StageHealth& health = result.partition.component_health[i];
+      if (s.skipped) {
+        ++skipped;
+        health.MarkDegraded("run stopped before component solve");
+        continue;
       }
-      if (skipped > 0) {
-        result.degradation.global_predict.MarkDegraded(StrFormat(
-            "run stopped during partitioned solve; %zu of %zu components "
-            "unsolved",
-            skipped, solves.size()));
+      result.backbone_edges.insert(result.backbone_edges.end(),
+                                   s.edge_ids.begin(), s.edge_ids.end());
+      result.solver_stats.one_mca_calls += s.stats.one_mca_calls;
+      result.solver_stats.nodes += s.stats.nodes;
+      result.solver_stats.pruned += s.stats.pruned;
+      result.solver_stats.memo_hits += s.stats.memo_hits;
+      result.solver_stats.waves += s.stats.waves;
+      if (s.stats.budget_exhausted) {
+        result.solver_stats.budget_exhausted = true;
+        health.MarkDegraded(
+            "1-MCA call budget exhausted; greedy feasible backbone for "
+            "this component");
       }
+    }
+    if (skipped > 0) {
+      result.degradation.global_predict.MarkDegraded(StrFormat(
+          "run stopped during partitioned solve; %zu of %zu components "
+          "unsolved",
+          skipped, solves.size()));
     }
     result.kmca_cc_seconds = kmca_timer.Seconds();
     if (result.solver_stats.budget_exhausted) {
       result.degradation.global_predict.MarkDegraded(
-          result.partition.used
-              ? "1-MCA call budget exhausted; greedy feasible backbone in "
-                "some components"
-              : "1-MCA call budget exhausted; greedy feasible backbone");
+          "1-MCA call budget exhausted; greedy feasible backbone in some "
+          "components");
     }
   } else {
     // Ablation "no-precision-mode": recall mode growing from nothing.
@@ -304,15 +271,15 @@ AutoBiResult RunPipeline(const LocalModel& model, const AutoBiOptions& options,
   if (state != nullptr && state->valid && state->options_fp == fp) {
     run.prev = state;
   }
+  // A stateful run neither reads nor writes the table shard of the cache:
+  // its reuse comes from the state.
+  if (state == nullptr) run.cache = options.cache;
 
   // Stage 1+2: UCC and IND discovery (candidate generation). The top-level
   // thread setting flows into candidate generation unless the caller pinned
-  // a stage-specific count. A stateful run neither reads nor writes the
-  // table shard of the cache: its reuse comes from the state.
+  // a stage-specific count.
   CandidateGenOptions cand_options = options.candidates;
   if (cand_options.threads == 0) cand_options.threads = options.threads;
-  if (cand_options.cache == nullptr) cand_options.cache = options.cache;
-  if (state != nullptr) cand_options.cache = nullptr;
   CandidateSet candidates =
       GenerateCandidates(tables, snapshots, cand_options, ctx, &run);
   result.timing.ucc = candidates.ucc_seconds;
@@ -401,9 +368,9 @@ StatusOr<AutoBiResult> PredictWith(const LocalModel& model,
     const bool memo_usable =
         cache != nullptr && (ctx == nullptr || !ctx->StopRequested());
     // Every cell is hashed once, here: the snapshots key the solve memo
-    // below, and in-run dedupe, the table cache and the schema diff inside
-    // the pipeline. Ahead of a memo lookup the pass is serial, so a hit
-    // never waits on pool workers busy with other requests' stages.
+    // below, and the table cache and the schema diff inside the pipeline.
+    // Ahead of a memo lookup the pass is serial, so a hit never waits on
+    // pool workers busy with other requests' stages.
     Timer hash_timer;
     const int threads = options.candidates.threads != 0
                             ? options.candidates.threads

@@ -13,6 +13,8 @@
 
 namespace autobi {
 
+class PredictCache;
+
 // The three Auto-BI variants evaluated in Section 5.
 enum class AutoBiMode {
   kFull,           // Auto-BI: precision mode + recall mode.
@@ -23,9 +25,12 @@ enum class AutoBiMode {
 struct AutoBiOptions {
   AutoBiMode mode = AutoBiMode::kFull;
   // Worker threads for the data-parallel pipeline stages (profiling/UCC,
-  // IND, local inference). ResolveThreads semantics: 0 = AUTOBI_THREADS env
-  // or hardware concurrency, 1 = serial. Predictions are bit-identical at
-  // any thread count (see ARCHITECTURE.md, "Concurrency model").
+  // IND, local inference, global solve). ResolveThreads semantics: 0 =
+  // AUTOBI_THREADS env or hardware concurrency, 1 = serial. The global
+  // solve parallelizes across connected components; a graph that is one
+  // island hands these threads to its branch-and-bound instead.
+  // Predictions are bit-identical at any thread count (see ARCHITECTURE.md,
+  // "Concurrency model").
   int threads = 0;
   // Virtual-edge probability: penalty p = -log(this). 0.5 is the calibrated
   // coin-toss default (Section 4.3.2, Figure 9(a)).
@@ -37,15 +42,18 @@ struct AutoBiOptions {
   bool use_precision_mode = true; // false => "no-precision-mode".
   bool lc_only = false;           // true  => "LC-only".
   CandidateGenOptions candidates;
-  KmcaCcOptions solver;  // penalty_weight/enforce_fk_once are overwritten.
+  // penalty_weight, enforce_fk_once and threads are overwritten (threads
+  // from `threads` above).
+  KmcaCcOptions solver;
   // Optional cross-request cache (core/predict_cache.h; not owned, must
-  // outlive the predictor). Flows into candidates.cache for the profiling
-  // layer, and additionally memoizes whole healthy solves keyed by the
-  // content hash of the table set plus an options/budget fingerprint: a
-  // byte-identical re-submission returns the cached result without running
-  // the pipeline. Hits are bit-identical to recomputation (models, graph,
-  // solver stats); only timing differs. Runs tripped by a deadline/cancel
-  // never populate the memo. Stateful predicts only add to the memo.
+  // outlive the predictor). Stateless predicts read and fill its table
+  // shard in the profiling layer. It also memoizes whole healthy solves
+  // keyed by the content hash of the table set plus an options/budget
+  // fingerprint: a byte-identical re-submission returns the cached result
+  // without running the pipeline. Hits are bit-identical to recomputation
+  // (models, graph, solver stats); only timing differs. Runs tripped by a
+  // deadline/cancel never populate the memo. Stateful predicts only add to
+  // the memo.
   PredictCache* cache = nullptr;
 };
 
@@ -101,8 +109,8 @@ struct IncrementalStats {
 struct AutoBiResult {
   BiModel model;
   AutoBiTiming timing;
-  // Solver telemetry for Figures 6 and 7 (summed over components when the
-  // partitioned solve ran).
+  // Solver telemetry for Figures 6 and 7, summed over the solved
+  // components.
   KmcaCcStats solver_stats;
   double kmca_cc_seconds = 0.0;
   // The constructed join graph (diagnostics / tests).
@@ -183,11 +191,12 @@ class AutoBi {
 // a single normalized join).
 BiModel EdgesToModel(const JoinGraph& graph, const std::vector<int>& edges);
 
-// Stage 4 of the pipeline (global prediction) when no warm start applies:
-// consumes result->graph and fills model/backbone_edges/recall_edges/
-// solver_stats/kmca_cc_seconds, timing.global_predict, and
-// degradation.global_predict. Deterministic function of (graph, options,
-// ctx stop/budget state).
+// Stage 4 of the pipeline (global prediction) when no warm start applies,
+// and its only implementation: one k-MCA-CC solve per connected component
+// of result->graph, stitched in component order, then EMS recall edges.
+// Fills model/backbone_edges/recall_edges/solver_stats/kmca_cc_seconds/
+// partition, timing.global_predict, and degradation.global_predict.
+// Deterministic function of (graph, options, ctx stop/budget state).
 void RunGlobalPredict(const AutoBiOptions& options, const RunContext* ctx,
                       AutoBiResult* result);
 

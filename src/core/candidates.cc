@@ -6,7 +6,6 @@
 #include <iterator>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "common/parallel.h"
@@ -206,33 +205,22 @@ CandidateSet GenerateCandidates(const std::vector<Table>& tables,
   //   2. unchanged or renamed against the state: reuse (both are name-free);
   //   3. appended: merge the state's profile forward over the new rows and
   //      re-run the (profile-pruned) UCC lattice;
-  //   4. same content as an earlier table of this call: copy (in-run dedupe);
-  //   5. in the cross-request PredictCache (options.cache): reuse;
-  //   6. otherwise: profile.
+  //   4. in the cross-request PredictCache (run->cache): reuse;
+  //   5. otherwise: profile.
   // Every source is byte-identical to profiling the table afresh.
   out.profiles.resize(n);
   out.uccs.resize(n);
+  PredictCache* cache = run->cache;
   const uint64_t ucc_fp = UccOptionsFingerprint(options.ucc);
   std::vector<uint64_t> table_keys(n, 0);
-  // rep[i] = lowest index with the same content key when rule 4 applies to
-  // table i, else i. Serial in index order, like the cache lookups of the
-  // tables rule 5 reaches (hit/miss counters stay deterministic).
-  std::vector<size_t> rep(n);
+  // Cache lookups run serially in index order, so hit/miss counters stay
+  // deterministic.
   std::vector<std::shared_ptr<const PredictCache::TableEntry>> cached(n);
-  {
-    std::unordered_map<uint64_t, size_t> first_by_key;
-    first_by_key.reserve(n);
+  if (cache != nullptr) {
     for (size_t i = 0; i < n; ++i) {
-      rep[i] = i;
-      if (!admitted[i]) continue;
+      if (!admitted[i] || from_state(i)) continue;
       table_keys[i] = SplitMix64(snapshots[i].table_hash ^ ucc_fp);
-      auto [it, inserted] = first_by_key.emplace(table_keys[i], i);
-      if (from_state(i)) continue;
-      if (!inserted) {
-        rep[i] = it->second;
-      } else if (options.cache != nullptr) {
-        cached[i] = options.cache->FindTable(table_keys[i]);
-      }
+      cached[i] = cache->FindTable(table_keys[i]);
     }
   }
   std::atomic<bool> ucc_stopped{false};
@@ -251,7 +239,6 @@ CandidateSet GenerateCandidates(const std::vector<Table>& tables,
           out.uccs[i] = prev->uccs[size_t(prev_index)];
           return;
         }
-        if (rep[i] != i) return;  // Copied from rep[i] below.
         if (cached[i] != nullptr) {
           out.profiles[i] = cached[i]->profile;
           out.uccs[i] = cached[i]->uccs;
@@ -284,19 +271,13 @@ CandidateSet GenerateCandidates(const std::vector<Table>& tables,
         fresh[i] = 1;
       },
       options.threads);
-  // Serial epilogue in index order: copy duplicate slots from their
-  // representative and publish freshly profiled tables to the cache.
-  for (size_t i = 0; i < n; ++i) {
-    if (rep[i] != i) {
-      out.profiles[i] = out.profiles[rep[i]];
-      out.uccs[i] = out.uccs[rep[i]];
-      ++out.profile_dedup_hits;
-    } else if (options.cache != nullptr && fresh[i]) {
-      auto entry = std::make_shared<PredictCache::TableEntry>();
-      entry->profile = out.profiles[i];
-      entry->uccs = out.uccs[i];
-      options.cache->InsertTable(table_keys[i], std::move(entry));
-    }
+  // Publish freshly profiled tables to the cache, serially in index order.
+  for (size_t i = 0; cache != nullptr && i < n; ++i) {
+    if (!fresh[i]) continue;
+    auto entry = std::make_shared<PredictCache::TableEntry>();
+    entry->profile = out.profiles[i];
+    entry->uccs = out.uccs[i];
+    cache->InsertTable(table_keys[i], std::move(entry));
   }
   if (ucc_stopped.load(std::memory_order_relaxed)) {
     out.ucc_health.MarkDegraded(

@@ -15,8 +15,6 @@
 
 namespace autobi {
 
-class PredictCache;
-
 struct CandidateGenOptions {
   UccOptions ucc;
   IndOptions ind;
@@ -35,13 +33,6 @@ struct CandidateGenOptions {
   // 1 = serial. Also the default for ind.threads when that is 0. The
   // candidate set produced is identical at any thread count.
   int threads = 0;
-  // Optional cross-request profile cache (core/predict_cache.h), shared by
-  // the serving layer across sessions. When set, tables whose content hash
-  // (⊕ the UccOptions fingerprint) matches a cached entry reuse its
-  // profile + UCCs instead of re-scanning; fresh entries are inserted after
-  // profiling. A hit is byte-identical to recomputation, so results are
-  // unchanged with or without the cache. Not owned; must outlive the call.
-  PredictCache* cache = nullptr;
 };
 
 // Output of the candidate-generation stage (UCC + IND discovery, the first
@@ -61,9 +52,6 @@ struct CandidateSet {
   // ARCHITECTURE.md). Healthy runs leave both untouched.
   StageHealth ucc_health;
   StageHealth ind_health;
-  // Tables deduplicated against an identical table earlier in the same case
-  // (content-hash equality). PredictCache::Stats counts cross-request hits.
-  size_t profile_dedup_hits = 0;
 };
 
 // Profiles the tables, discovers UCCs and approximate INDs, and converts
@@ -87,12 +75,13 @@ struct PipelineRun;  // core/incremental.h
 
 // Stages 1-2 as every predict runs them (the overload above is this with a
 // stateless run). `snapshots[i]` must equal SnapshotTable(tables[i]); its
-// hashes key dedupe, the table cache and the schema diff. With run->prev
-// set, what the diff proves unchanged is reused, including the scored
-// candidates of pairs of unchanged tables (scores land in run->scores).
-// Other pairs are rescanned: by DiscoverInds' global blocking plan when no
-// pair is reusable, else pair by pair with pair-local admission. The
-// candidate set is byte-identical to a stateless run's either way.
+// hashes key the table cache (run->cache) and the schema diff. With
+// run->prev set, what the diff proves unchanged is reused, including the
+// scored candidates of pairs of unchanged tables (scores land in
+// run->scores). Other pairs are rescanned: by DiscoverInds' global blocking
+// plan when no pair is reusable, else pair by pair with pair-local
+// admission. The candidate set is byte-identical to a stateless run's
+// either way.
 CandidateSet GenerateCandidates(const std::vector<Table>& tables,
                                 const std::vector<TableSnapshot>& snapshots,
                                 const CandidateGenOptions& options,

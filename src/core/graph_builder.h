@@ -7,6 +7,7 @@
 #include "core/candidates.h"
 #include "core/local_model.h"
 #include "graph/join_graph.h"
+#include "graph/partition.h"
 
 namespace autobi {
 
@@ -73,39 +74,10 @@ JoinGraph BuildJoinGraphFromScores(size_t num_tables,
                                    const std::vector<double>& probabilities,
                                    StageHealth* health = nullptr);
 
-// --- Lake-scale partitioned solve (PR 9). On a data lake the join graph is
-// a union of disconnected islands; k-MCA-CC cost and the FK-once constraint
-// are both separable across connected components (conflict groups share a
-// source vertex, and the solver's artificial-root arcs are per-vertex), so
-// each component can be solved independently and the per-component
-// selections stitched in deterministic component order.
-
-// One connected component of the join graph under undirected connectivity.
-// Components are returned ordered by smallest vertex; `vertices` and
-// `edge_ids` are ascending. Every vertex appears in exactly one component —
-// including edgeless singletons (callers skip solving those).
-struct GraphComponent {
-  std::vector<int> vertices;
-  std::vector<int> edge_ids;
-};
-
-std::vector<GraphComponent> PartitionJoinGraph(const JoinGraph& graph);
-
-// The component's induced subgraph with vertices/edges relabeled to local
-// dense ids: vertex = rank in comp.vertices, edge k = comp.edge_ids[k]. The
-// remap is monotone, so every deterministic tie-break the solver applies to
-// local ids agrees with the global-id order restricted to the component.
-// Probabilities, weights, 1:1 pair ids and FK-once conflict groups carry
-// over exactly (pair ids are passed through verbatim; source keys re-intern
-// to the same grouping because interning is per (src, columns)).
-JoinGraph BuildComponentGraph(const JoinGraph& graph,
-                              const GraphComponent& comp);
-
-// Telemetry of the partitioned global solve (PR 9): how the join graph
-// decomposed into connected components and how each fared. The flat
-// single-instance solve (0 or 1 solvable component) leaves `used` false.
+// Telemetry of the global solve (graph/partition.h): how the join graph
+// decomposed into connected components and how each fared. A graph that is
+// one island reports one solved component.
 struct PartitionStats {
-  bool used = false;               // Partitioned path taken this run.
   size_t components = 0;           // All components, edgeless singletons too.
   size_t components_solved = 0;    // Components with >= 1 edge (one solve each).
   size_t largest_component_edges = 0;

@@ -60,6 +60,9 @@ struct PipelineRun {
   // The state to reuse from (valid, same options fingerprint), or null:
   // every table counts as new.
   const IncrementalState* prev = nullptr;
+  // The cross-request cache whose table shard stage 1 reads and fills
+  // (AutoBiOptions::cache), or null. Stateful runs leave it null.
+  PredictCache* cache = nullptr;
   // Per candidate: the score carried over from `prev`, or
   // kSkippedCandidateScore when stage 3 must score it.
   std::vector<double> scores;

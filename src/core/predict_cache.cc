@@ -74,12 +74,4 @@ PredictCache::Stats PredictCache::GetStats() const {
   return s;
 }
 
-void PredictCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  tables_.map.clear();
-  tables_.insertion_order.clear();
-  solves_.map.clear();
-  solves_.insertion_order.clear();
-}
-
 }  // namespace autobi

@@ -95,7 +95,6 @@ class PredictCache {
   void InsertSolve(uint64_t key, std::shared_ptr<const SolveEntry> entry);
 
   Stats GetStats() const;
-  void Clear();
 
  private:
   template <typename T>

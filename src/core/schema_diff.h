@@ -27,8 +27,8 @@ namespace autobi {
 // Previous tables matched by nothing are reported as dropped.
 
 // Hash summary of one table. Every predict computes one per table, once:
-// the hashes key the schema diff, in-run dedupe, the PredictCache table
-// shard and the solve memo, and a healthy stateful run keeps them in its
+// the hashes key the schema diff, the PredictCache table shard and the
+// solve memo, and a healthy stateful run keeps them in its
 // IncrementalState.
 struct TableSnapshot {
   std::string name;

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 #include "common/check.h"
-#include "graph/ems.h"
-#include "graph/kmca_cc.h"
 
 namespace autobi {
 
@@ -69,7 +68,6 @@ std::vector<Join> PredictJoinsForNewTable(const std::vector<Table>& tables,
   // in-degrees and FK-once slots the new table's candidates must respect.
   constexpr double kConfirmedProbability = 1.0 - 1e-6;
   JoinGraph forced(graph.num_vertices());
-  std::vector<char> is_confirmed_edge;
   auto matches_confirmed = [&](const JoinEdge& e) {
     Join as_join;
     as_join.from = ColumnRef{e.src, e.src_columns};
@@ -91,7 +89,6 @@ std::vector<Join> PredictJoinsForNewTable(const std::vector<Table>& tables,
     forced.AddEdge(e.src, e.dst, e.src_columns, e.dst_columns,
                    conf ? kConfirmedProbability : e.probability,
                    e.one_to_one, e.pair_id);
-    is_confirmed_edge.push_back(conf ? 1 : 0);
   }
   // Confirmed joins with no surviving candidate edge (e.g. user-specified
   // joins the IND pass would not re-derive) are injected directly.
@@ -101,24 +98,13 @@ std::vector<Join> PredictJoinsForNewTable(const std::vector<Table>& tables,
     forced.AddEdge(j.from.table, j.to.table, j.from.columns, j.to.columns,
                    kConfirmedProbability,
                    j.kind == JoinKind::kOneToOne, -1);
-    is_confirmed_edge.push_back(1);
   }
-
-  KmcaCcOptions solver = options.solver;
-  solver.penalty_weight =
-      -std::log(JoinGraph::ClampProbability(options.penalty_probability));
-  solver.enforce_fk_once = options.enforce_fk_once;
-  KmcaResult backbone = SolveKmcaCc(forced, solver);
-  EmsOptions ems;
-  ems.tau = options.tau;
-  std::vector<int> extra = SolveEmsGreedy(forced, backbone.edge_ids, ems);
-
-  std::vector<int> all = backbone.edge_ids;
-  all.insert(all.end(), extra.begin(), extra.end());
-  BiModel predicted = EdgesToModel(forced, all);
+  AutoBiResult result;
+  result.graph = std::move(forced);
+  RunGlobalPredict(options, nullptr, &result);
 
   std::vector<Join> out;
-  for (const Join& j : predicted.joins) {
+  for (const Join& j : result.model.joins) {
     if (j.from.table == new_table || j.to.table == new_table) {
       out.push_back(j);
     }

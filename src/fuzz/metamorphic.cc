@@ -8,6 +8,7 @@
 #include "common/strings.h"
 #include "graph/kmca.h"
 #include "graph/kmca_cc.h"
+#include "graph/partition.h"
 
 namespace autobi {
 
@@ -147,7 +148,102 @@ MetamorphicOutcome CheckJoinGraphMetamorphic(const JoinGraph& g,
 
   // Property 6: EMS feasibility on the optimal backbone.
   out.check = CheckEmsOnBackbone(g, base.edge_ids);
+  if (!out.check.ok) return out;
+
+  // Property 7: solving per component and stitching equals the whole-graph
+  // solve.
+  out.check = CheckStitchedSolve(g, cc_opt, /*threads=*/1, &exhausted);
+  out.skipped = exhausted;
   return out;
+}
+
+StitchedSolve SolveKmcaCcStitched(const JoinGraph& graph,
+                                  const KmcaCcOptions& options, int threads) {
+  std::vector<GraphComponent> components = PartitionJoinGraph(graph);
+  std::vector<const GraphComponent*> solvable;
+  for (const GraphComponent& c : components) {
+    if (!c.edge_ids.empty()) solvable.push_back(&c);
+  }
+  StitchedSolve out;
+  out.components_solved = solvable.size();
+  if (!components.empty()) {
+    out.cost = double(components.size() - 1) * options.penalty_weight;
+  }
+  for (const ComponentSolve& s :
+       SolveKmcaCcPerComponent(graph, solvable, options, threads)) {
+    out.edge_ids.insert(out.edge_ids.end(), s.edge_ids.begin(),
+                        s.edge_ids.end());
+    out.cost += s.cost;
+    out.stats.one_mca_calls += s.stats.one_mca_calls;
+    out.stats.nodes += s.stats.nodes;
+    out.stats.pruned += s.stats.pruned;
+    out.stats.memo_hits += s.stats.memo_hits;
+    out.stats.waves += s.stats.waves;
+    out.stats.budget_exhausted |= s.stats.budget_exhausted;
+  }
+  return out;
+}
+
+CheckResult CheckStitchedSolve(const JoinGraph& graph,
+                               const KmcaCcOptions& options, int threads,
+                               bool* exhausted) {
+  KmcaCcOptions whole_opt = options;
+  whole_opt.threads = threads;
+  KmcaCcStats whole_stats;
+  KmcaResult whole = SolveKmcaCc(graph, whole_opt, &whole_stats);
+  StitchedSolve stitched = SolveKmcaCcStitched(graph, options, threads);
+  *exhausted = whole_stats.budget_exhausted || stitched.stats.budget_exhausted;
+  if (*exhausted) return CheckResult{};
+
+  if (std::fabs(stitched.cost - whole.cost) >
+      RelTolerance(stitched.cost, whole.cost)) {
+    return CheckFail("stitched_cost_mismatch",
+                     StrFormat("stitched objective %.17g, whole-graph %.17g",
+                               stitched.cost, whole.cost));
+  }
+  KmcaResult as_whole;
+  as_whole.edge_ids = stitched.edge_ids;
+  std::sort(as_whole.edge_ids.begin(), as_whole.edge_ids.end());
+  if (as_whole.edge_ids != whole.edge_ids) {
+    // Different edges are only legitimate as another optimum of an exact
+    // cost tie: the branch-and-bound returns the smallest edge list among
+    // the equal-cost leaves it explored, and the two searches explore
+    // different trees. Such a set must be a valid FK-once k-arborescence of
+    // the whole graph at the whole-graph optimum.
+    as_whole.k = graph.num_vertices() - int(as_whole.edge_ids.size());
+    as_whole.cost =
+        KArborescenceCost(graph, as_whole.edge_ids, options.penalty_weight);
+    as_whole.feasible = true;
+    CheckResult valid = ValidateKmcaResult(
+        graph, as_whole, options.penalty_weight, options.enforce_fk_once,
+        "stitched");
+    if (!valid.ok) return valid;
+    if (std::fabs(as_whole.cost - whole.cost) >
+        1e-9 * std::max(1.0, std::fabs(whole.cost))) {
+      return CheckFail(
+          "stitched_edges_mismatch",
+          StrFormat("%zu solved components: stitched edges cost %.17g on the "
+                    "whole graph, whole-graph solve %.17g",
+                    stitched.components_solved, as_whole.cost, whole.cost));
+    }
+  }
+  // A connected graph with no edgeless vertex is its own component: the
+  // component graph is the graph itself, so the search must be too.
+  if (PartitionJoinGraph(graph).size() != 1) return CheckResult{};
+  const KmcaCcStats& a = stitched.stats;
+  const KmcaCcStats& b = whole_stats;
+  if (stitched.edge_ids != whole.edge_ids ||
+      a.one_mca_calls != b.one_mca_calls || a.nodes != b.nodes ||
+      a.pruned != b.pruned || a.memo_hits != b.memo_hits ||
+      a.waves != b.waves) {
+    return CheckFail(
+        "stitched_stats_mismatch",
+        StrFormat("one component: stitched calls/nodes/pruned/memo/waves "
+                  "%ld/%ld/%ld/%ld/%ld, whole-graph %ld/%ld/%ld/%ld/%ld",
+                  a.one_mca_calls, a.nodes, a.pruned, a.memo_hits, a.waves,
+                  b.one_mca_calls, b.nodes, b.pruned, b.memo_hits, b.waves));
+  }
+  return CheckResult{};
 }
 
 }  // namespace autobi

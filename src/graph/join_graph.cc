@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "common/strings.h"
 
 namespace autobi {
 
@@ -12,14 +11,33 @@ double JoinGraph::ClampProbability(double p) {
   return std::min(1.0 - 1e-9, std::max(1e-9, p));
 }
 
+namespace {
+
+uint64_t HashSourceKey(int src, const std::vector<int>& cols) {
+  auto mix = [](uint64_t h, uint64_t v) {
+    h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
+    return h * 0xBF58476D1CE4E5B9ULL;
+  };
+  uint64_t h = mix(0, uint64_t(uint32_t(src)));
+  for (int c : cols) h = mix(h, uint64_t(uint32_t(c)));
+  return mix(h, cols.size());
+}
+
+}  // namespace
+
 int JoinGraph::InternSourceKey(int src, const std::vector<int>& cols) {
-  std::string name = StrFormat("%d|", src);
-  for (int c : cols) name += StrFormat("%d,", c);
-  for (size_t i = 0; i < source_key_names_.size(); ++i) {
-    if (source_key_names_[i] == name) return static_cast<int>(i);
+  const uint64_t hash = HashSourceKey(src, cols);
+  auto it = std::lower_bound(group_index_.begin(), group_index_.end(),
+                             std::make_pair(hash, 0));
+  for (; it != group_index_.end() && it->first == hash; ++it) {
+    const JoinEdge& opener = edges_[size_t(group_edge_[size_t(it->second)])];
+    if (opener.src == src && opener.src_columns == cols) return it->second;
   }
-  source_key_names_.push_back(name);
-  return static_cast<int>(source_key_names_.size()) - 1;
+  // `it` is past every entry with this hash, so the index stays sorted.
+  const int group = int(group_edge_.size());
+  group_edge_.push_back(int(edges_.size()));  // The edge being added.
+  group_index_.insert(it, {hash, group});
+  return group;
 }
 
 int JoinGraph::AddEdge(int src, int dst, std::vector<int> src_columns,

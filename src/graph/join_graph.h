@@ -1,8 +1,9 @@
 #ifndef AUTOBI_GRAPH_JOIN_GRAPH_H_
 #define AUTOBI_GRAPH_JOIN_GRAPH_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
+#include <utility>
 #include <vector>
 
 namespace autobi {
@@ -70,10 +71,16 @@ class JoinGraph {
  private:
   int num_vertices_ = 0;
   std::vector<JoinEdge> edges_;
-  // Maps "src|col,col" -> conflict group id.
-  std::vector<std::string> source_key_names_;
+  // FK-once conflict groups: group g was opened by edge group_edge_[g], and
+  // group_index_ holds (hash of (src, src_columns), g) sorted, so a lookup
+  // is a binary search plus an exact check against the opening edge. Two
+  // flat vectors keep graph copies cheap.
+  std::vector<int> group_edge_;
+  std::vector<std::pair<uint64_t, int>> group_index_;
   int next_pair_id_ = 0;
 
+  // The conflict group of (src, cols); groups are numbered in order of
+  // first appearance.
   int InternSourceKey(int src, const std::vector<int>& cols);
 };
 

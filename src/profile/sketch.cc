@@ -1,37 +1,6 @@
 #include "profile/sketch.h"
 
-#include <algorithm>
-#include <limits>
-#include <utility>
-
 namespace autobi {
-
-KmvEstimate EstimateContainment(const std::vector<uint64_t>& a_hashes,
-                                const std::vector<int32_t>& a_counts,
-                                const std::vector<uint64_t>& b_hashes,
-                                size_t k) {
-  KmvEstimate est;
-  if (a_hashes.empty() || k == 0) return est;
-  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
-  uint64_t ta = a_hashes.size() > k ? a_hashes[k - 1] : kMax;
-  uint64_t tb = b_hashes.size() > k ? b_hashes[k - 1] : kMax;
-  uint64_t tau = std::min(ta, tb);
-  // Both distinct sets are fully enumerated in [0, tau]; sorted merge over
-  // that prefix (at most k entries per side).
-  int64_t total = 0;
-  int64_t hits = 0;
-  size_t j = 0;
-  for (size_t i = 0; i < a_hashes.size() && a_hashes[i] <= tau; ++i) {
-    ++est.sample;
-    total += a_counts[i];
-    while (j < b_hashes.size() && b_hashes[j] < a_hashes[i]) ++j;
-    if (j < b_hashes.size() && b_hashes[j] == a_hashes[i]) hits += a_counts[i];
-  }
-  if (total > 0) {
-    est.containment = static_cast<double>(hits) / static_cast<double>(total);
-  }
-  return est;
-}
 
 namespace {
 

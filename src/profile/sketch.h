@@ -11,7 +11,7 @@
 namespace autobi {
 
 // Hash-sketch primitives for the profiling layer. The join-discovery kernels
-// (Containment, CompositeContainment, the KMV pre-screen of DiscoverInds)
+// (Containment, CompositeContainment, the blocking plan of DiscoverInds)
 // operate on stable 64-bit hashes of canonical keys instead of on the keys
 // themselves: candidate generation then touches only contiguous sorted
 // uint64 vectors — no per-pair string hashing, no pointer chasing.
@@ -40,31 +40,6 @@ inline uint64_t StableHash64(std::string_view s) {
 inline double HashToUnitInterval(uint64_t h) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
-
-// KMV (bottom-k minimum values) containment estimate. Because the per-column
-// hash vectors are sorted ascending, the bottom-k sketch of a column is
-// simply the first min(k, n) entries — no extra storage is kept per column.
-//
-// The estimate restricts both sides to the hash region [0, tau] where
-// tau = min(k-th smallest hash of A, k-th smallest hash of B) (or the
-// column's max hash when it has <= k distinct values). Below tau both
-// columns' distinct sets are fully known, and a uniform-hashing argument
-// makes A's below-tau values a uniform sample of A's distinct values; the
-// row-weighted hit ratio over that sample estimates the exact row-weighted
-// containment. `sample` is the number of A-distinct values that
-// participated — callers must require a minimum sample before trusting the
-// estimate. (The PR 5 IND pre-screen built on this was retired in PR 9 in
-// favor of inverted-index blocking — profile/blocking.h — which prunes
-// whole table pairs instead of individual merges; the kernel survives as a
-// standalone estimator for tests and tooling.)
-struct KmvEstimate {
-  double containment = 0.0;  // Estimated row-weighted containment of A in B.
-  size_t sample = 0;         // Distinct A-values below the threshold.
-};
-KmvEstimate EstimateContainment(const std::vector<uint64_t>& a_hashes,
-                                const std::vector<int32_t>& a_counts,
-                                const std::vector<uint64_t>& b_hashes,
-                                size_t k);
 
 // SplitMix64 finalizer: a strong, stable 64 -> 64 bit mixer. Shared by the
 // k-MCA-CC memo signatures and the content hashes below so every layer's

@@ -796,7 +796,9 @@ Json ServeEngine::HandlePredict(const Json& req) {
     blocking.Set("pruning_rate", Json::MakeDouble(b.PruningRate()));
     resp.Set("blocking", std::move(blocking));
     Json partition = Json::MakeObject();
-    partition.Set("used", Json::MakeBool(result->partition.used));
+    // `used`: more than one island was solved.
+    partition.Set("used",
+                  Json::MakeBool(result->partition.components_solved > 1));
     partition.Set("components",
                   Json::MakeInt(int64_t(result->partition.components)));
     partition.Set("components_solved",

@@ -138,7 +138,6 @@ class ServeEngine {
     return shutdown_.load(std::memory_order_acquire);
   }
 
-  PredictCache::Stats CacheStats() const { return cache_.GetStats(); }
   const ServeOptions& options() const { return options_; }
 
   // Attaches options().state_dir (no-op when empty) and replays any state

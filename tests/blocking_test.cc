@@ -120,8 +120,7 @@ TEST(BlockingDifferentialTest, ComponentStitchDeterministicAcrossThreads) {
   BiCase lake = GenerateLake(gen, rng);
 
   AutoBiResult reference = RunPredict(lake.tables, true, 1);
-  ASSERT_TRUE(reference.partition.used);
-  ASSERT_GT(reference.partition.components, 1u);
+  ASSERT_GT(reference.partition.components_solved, 1u);
   EXPECT_EQ(reference.partition.component_health.size(),
             reference.partition.components_solved);
   std::string reference_json = ExportOrDie(lake.tables, reference);
@@ -132,7 +131,6 @@ TEST(BlockingDifferentialTest, ComponentStitchDeterministicAcrossThreads) {
     EXPECT_TRUE(run.graph.StructurallyEqual(reference.graph)) << threads;
     EXPECT_EQ(run.backbone_edges, reference.backbone_edges) << threads;
     EXPECT_EQ(run.recall_edges, reference.recall_edges) << threads;
-    EXPECT_EQ(run.partition.used, reference.partition.used) << threads;
     EXPECT_EQ(run.partition.components, reference.partition.components);
     EXPECT_EQ(run.partition.components_solved,
               reference.partition.components_solved);
@@ -149,9 +147,7 @@ TEST(BlockingDifferentialTest, SingletonComponentsAreSkippedNotSolved) {
   Rng rng(0xbeef);
   BiCase lake = GenerateLake(gen, rng);
   AutoBiResult result = RunPredict(lake.tables, true, 2);
-  if (result.partition.used) {
-    EXPECT_LE(result.partition.components_solved, result.partition.components);
-  }
+  EXPECT_LE(result.partition.components_solved, result.partition.components);
   ExpectMatchesExhaustive(lake.tables, 2, "singleton lake");
 }
 

@@ -293,7 +293,8 @@ std::vector<Table> StarTables() {
 }
 
 // ---------------------------------------------------------------------------
-// Library-side cache behaviour: warm == cold, partial reuse, in-run dedupe.
+// Library-side cache behaviour: warm == cold, partial reuse, identical
+// tables in one run.
 
 TEST(PredictCacheTest, WarmSolveIsBitIdenticalToCold) {
   PredictCache cache;
@@ -367,17 +368,25 @@ TEST(PredictCacheTest, DegradedRunsNeverPopulateTheSolveMemo) {
   EXPECT_EQ(cache.GetStats().solve_entries, 0u);
 }
 
-TEST(CandidatesTest, IdenticalTablesInOneRunAreProfiledOnce) {
+TEST(CandidatesTest, IdenticalTablesInOneRunGetIdenticalProfiles) {
   std::vector<Table> tables = StarTables();
   tables.push_back(tables[0]);  // The same dimension table twice.
   CandidateGenOptions options;
   options.threads = 1;
   CandidateSet set = GenerateCandidates(tables, options, nullptr);
-  EXPECT_EQ(set.profile_dedup_hits, 1u);
   ASSERT_EQ(set.profiles.size(), 3u);
   ASSERT_EQ(set.uccs.size(), 3u);
-  EXPECT_EQ(set.uccs[0].size(), set.uccs[2].size());
-  EXPECT_EQ(set.profiles[0].columns.size(), set.profiles[2].columns.size());
+  ASSERT_EQ(set.uccs[0].size(), set.uccs[2].size());
+  for (size_t u = 0; u < set.uccs[0].size(); ++u) {
+    EXPECT_EQ(set.uccs[0][u].columns, set.uccs[2][u].columns);
+  }
+  ASSERT_EQ(set.profiles[0].columns.size(), set.profiles[2].columns.size());
+  for (size_t c = 0; c < set.profiles[0].columns.size(); ++c) {
+    EXPECT_EQ(set.profiles[0].columns[c].distinct_hashes,
+              set.profiles[2].columns[c].distinct_hashes);
+    EXPECT_EQ(set.profiles[0].columns[c].distinct_counts,
+              set.profiles[2].columns[c].distinct_counts);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -943,6 +952,27 @@ TEST(ServeEngineTest, PredictReportsBlockingAndPartitionCounters) {
   EXPECT_EQ(cumulative->Find("column_pairs_pruned")->AsInt(), pruned);
   EXPECT_EQ(cumulative->Find("column_pairs_admitted")->AsInt(), admitted);
   EXPECT_GE(cumulative->Find("components_solved")->AsInt(), 0);
+}
+
+// A graph that is one island is a partition of one: its predict solves one
+// component, and `used` (more than one island) stays false.
+TEST(ServeEngineTest, OneIslandPredictSolvesOneComponent) {
+  ServeEngine engine(&TestModel(), ServeOptions{});
+  std::string session = SetUpStarSession(engine);
+  Json predict =
+      Call(engine, R"({"verb":"predict","session":")" + session + R"("})");
+  ASSERT_TRUE(IsOk(predict)) << predict.Write();
+  ASSERT_GT(predict.Find("joins")->size(), 0u);
+  const Json* partition = predict.Find("partition");
+  ASSERT_NE(partition, nullptr);
+  EXPECT_EQ(partition->Find("components")->AsInt(), 1);
+  EXPECT_EQ(partition->Find("components_solved")->AsInt(), 1);
+  EXPECT_GT(partition->Find("largest_component_edges")->AsInt(), 0);
+  EXPECT_FALSE(partition->Find("used")->AsBool());
+
+  Json stats = Call(engine, R"({"verb":"stats"})");
+  ASSERT_TRUE(IsOk(stats));
+  EXPECT_EQ(stats.Find("blocking")->Find("components_solved")->AsInt(), 1);
 }
 
 TEST(ServeEngineTest, StatsAndShutdown) {

@@ -168,18 +168,6 @@ TEST_P(ContainmentEquivalenceTest, CompositeHashEqualsStringOracle) {
   EXPECT_DOUBLE_EQ(CompositeContainment(a, cols, a, cols), 1.0);
 }
 
-TEST(SketchTest, KmvEstimateIsExactWhenSketchCoversColumns) {
-  // Below k the estimate degenerates to the exact distinct containment.
-  Table t = MakeTable("t", {{"x", SeqCells(1, 40)}, {"y", SeqCells(21, 60)}});
-  ColumnProfile px = ProfileColumn(t.column(0));
-  ColumnProfile py = ProfileColumn(t.column(1));
-  KmvEstimate est = EstimateContainment(px.distinct_hashes,
-                                        px.distinct_counts,
-                                        py.distinct_hashes, 256);
-  EXPECT_EQ(est.sample, 40u);
-  EXPECT_DOUBLE_EQ(est.containment, 0.5);
-}
-
 TEST(SketchTest, BlockingSkipsDisjointHighCardinalityPair) {
   // Two large key-like string columns with disjoint domains: blocking must
   // prune both ordered pairs — no exact merges, no active table pairs —

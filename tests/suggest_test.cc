@@ -106,6 +106,25 @@ TEST(PredictJoinsForNewTableTest, FindsJoinForAppendedTable) {
   }
 }
 
+// The new table's predict runs the same global solve as AutoBi::Predict, so
+// it honours the options that shape it: visits -> customers is a recall-mode
+// join, and precision-only mode leaves it out.
+TEST(PredictJoinsForNewTableTest, PrecisionOnlyModeSkipsRecallJoins) {
+  LocalModel model = TinyModel();
+  std::vector<Table> tables = SuggestTables();
+  BiModel confirmed = SuggestCase().ground_truth;
+  tables.push_back(MakeTable(
+      "visits", {{"cust_id", {"1", "1", "2", "3", "2", "1"}},
+                 {"dur", {"4", "5", "6", "7", "8", "9"}}}));
+  AutoBiOptions full;
+  ASSERT_FALSE(PredictJoinsForNewTable(tables, confirmed, model, full).empty());
+  AutoBiOptions precision_only;
+  precision_only.mode = AutoBiMode::kPrecisionOnly;
+  EXPECT_TRUE(
+      PredictJoinsForNewTable(tables, confirmed, model, precision_only)
+          .empty());
+}
+
 TEST(PredictJoinsForNewTableTest, ConfirmedJoinsOccupyStructure) {
   LocalModel model = TinyModel();
   std::vector<Table> tables = SuggestTables();
