@@ -193,8 +193,19 @@ UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
 rm -rf "$CRASH_SCRATCH"
 echo "check.sh: crash-recovery differential smoke clean (ASan/UBSan)."
 
+# --- Serve request-line smoke under ASan/UBSan (always on): every case
+# sends one well-formed, byte-mutated or random request line through
+# ServeEngine::HandleLine, sometimes with the serve.request fault point
+# armed, and requires exactly one well-formed JSON response line — the
+# error path of every verb handler, leak- and UB-checked.
+UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
+  "$ASAN_BUILD_DIR/src/fuzz/autobi_faultfuzz" --seed 1 --cases 3000 \
+  --scenario serve
+echo "check.sh: serve request-line smoke clean (ASan/UBSan)."
+
 # --- Serve smoke (always on, under the same TSan build so the
-# thread-per-connection transport and shared caches are race-checked): boot
+# thread-per-connection transport and shared caches are race-checked): pipe
+# CRLF and unterminated lines through --stdio, boot
 # the daemon on a unix socket with a durable state dir, hang up a client
 # that never reads its responses, run the client demo
 # with a publish (create_session, three uploads, predict, get_model, diff,
@@ -212,6 +223,20 @@ wait_for_socket() {  # $1 = socket path, $2 = daemon pid
   done
   return 1
 }
+
+# Stdio framing, the same as the socket's (ServeTransportTest.
+# ServesUnterminatedLastLineAtEof sends these bytes over a socket): a CRLF
+# line, a CRLF blank line that is skipped, and a last line without '\n'
+# that is served at EOF — exactly two pong lines.
+STDIO_OUT="$(printf '{"verb":"ping","id":1}\r\n\r\n{"verb":"ping","id":2}' \
+  | "$BUILD_DIR/src/serve/autobi_serve" --stdio --train_cases 60 2>/dev/null)"
+STDIO_WANT='{"id":1,"ok":true,"pong":true}
+{"id":2,"ok":true,"pong":true}'
+if [[ "$STDIO_OUT" != "$STDIO_WANT" ]]; then
+  echo "check.sh: SERVE FAIL — stdio framing: want two pong lines, got:" >&2
+  echo "$STDIO_OUT" >&2
+  exit 1
+fi
 
 SERVE_SOCK="$(mktemp -u /tmp/autobi_check.XXXXXX.sock)"
 SERVE_STATE="$(mktemp -d /tmp/autobi_check_state.XXXXXX)"
@@ -270,8 +295,9 @@ wait "$SERVE_PID"
 SERVE_PID=""
 rm -f "$SERVE_SOCK2"
 rm -rf "$SERVE_STATE"
-echo "check.sh: serve smoke clean (client hang-up survived, demo + publish," \
-     "SIGKILL restart round-trip byte-identical, clean shutdown)."
+echo "check.sh: serve smoke clean (stdio framing, client hang-up survived," \
+     "demo + publish, SIGKILL restart round-trip byte-identical, clean" \
+     "shutdown)."
 
 # Opt-in fuzz smoke (AUTOBI_FUZZ_SMOKE=1): run the differential/metamorphic
 # harness under the same sanitizer build — corpus replay, the bounded gtest

@@ -8,7 +8,9 @@
 // cancellation and injected faults. The invariant: every case yields either
 // a well-formed Status error or a validator-passing (possibly degraded)
 // model — never a crash, hang, or leak. CI runs this under ASan/UBSan
-// (scripts/check.sh, AUTOBI_FAULT_SMOKE=1). Exit code 0 iff zero failures.
+// (scripts/check.sh: the schema, lake, crash and serve scenarios always,
+// the mixed campaign with AUTOBI_FAULT_SMOKE=1). Exit code 0 iff zero
+// failures.
 
 #include <cstdio>
 #include <cstdlib>
@@ -30,7 +32,8 @@ void Usage() {
       "                     the schema-evolution differential scenario;\n"
       "                     'lake' = only the lake blocking differential;\n"
       "                     'crash' = only the catalog crash-recovery\n"
-      "                     differential (torn-write journal replay)\n");
+      "                     differential (torn-write journal replay);\n"
+      "                     'serve' = only the serve-engine request lines\n");
 }
 
 }  // namespace
@@ -67,7 +70,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--scenario") {
       opt.scenario = need_value();
       if (!opt.scenario.empty() && opt.scenario != "schema" &&
-          opt.scenario != "lake" && opt.scenario != "crash") {
+          opt.scenario != "lake" && opt.scenario != "crash" &&
+          opt.scenario != "serve") {
         std::fprintf(stderr, "unknown scenario: %s\n", opt.scenario.c_str());
         return 2;
       }

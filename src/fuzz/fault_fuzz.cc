@@ -637,6 +637,13 @@ const char* const kServeSeeds[] = {
     R"({"verb":"list_models","id":7,"tenant":"fuzz"})",
     R"({"verb":"stats","id":8})",
     R"({"verb":"nonsense","id":9,"payload":[1,[2,[3]]]})",
+    R"({"verb":"update_table","id":10,"session":"s1","name":"t",)"
+    R"("columns":[{"name":"a","values":[3]},{"name":"b","values":["z"]}]})",
+    R"({"verb":"upload_table","id":11,"session":"s1","name":"v",)"
+    R"("columns":[{"name":"c","values":["x",1]}]})",
+    R"({"verb":"predict","id":12,"session":"s1","incremental":true})",
+    R"({"verb":"diff","id":13,"session":"s1"})",
+    R"({"verb":"publish_model","id":14,"session":"s1","label":"l"})",
 };
 
 // One engine shared by every serve case: the campaign probes the wire
@@ -1042,6 +1049,12 @@ FaultFuzzReport RunFaultFuzz(const FaultFuzzOptions& options) {
       RunCrashCase(rng, s,
                    options.scratch_dir.empty() ? "/tmp"
                                                : options.scratch_dir);
+      ++report.cases_run;
+      continue;
+    }
+    if (options.scenario == "serve") {
+      s.scenario = "serve";
+      RunServeCase(rng, s);
       ++report.cases_run;
       continue;
     }

@@ -57,8 +57,9 @@ struct FaultFuzzOptions {
   std::string scratch_dir = "/tmp";
   // Empty runs the mixed campaign above; "schema" runs only the
   // schema-evolution differential scenario, "lake" only the lake
-  // blocking-differential scenario, and "crash" only the crash-recovery
-  // differential (the dedicated ASan CI stages).
+  // blocking-differential scenario, "crash" only the crash-recovery
+  // differential, and "serve" only the serve-engine request lines (the
+  // dedicated ASan CI stages).
   std::string scenario;
 };
 

@@ -62,68 +62,44 @@ AdmissionGate::AdmissionGate(int max_inflight, int max_queue)
 
 Status AdmissionGate::Enter() {
   std::unique_lock<std::mutex> lock(mu_);
-  if (inflight_ < max_inflight_) {
-    ++inflight_;
-    ++admitted_;
+  if (stats_.inflight < max_inflight_) {
+    ++stats_.inflight;
+    ++stats_.admitted;
     return Status::Ok();
   }
-  if (queued_ >= max_queue_) {
-    ++rejected_;
+  if (stats_.queued >= max_queue_) {
+    ++stats_.rejected;
     return Status::ResourceExhausted(StrFormat(
         "admission queue full (%d in flight, %d queued); retry with backoff",
-        inflight_, queued_));
+        stats_.inflight, stats_.queued));
   }
-  ++queued_;
+  ++stats_.queued;
   const auto wait_start = std::chrono::steady_clock::now();
-  cv_.wait(lock, [this] { return inflight_ < max_inflight_; });
+  cv_.wait(lock, [this] { return stats_.inflight < max_inflight_; });
   const double waited =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wait_start)
           .count();
-  queue_wait_total_seconds_ += waited;
-  if (waited > queue_wait_max_seconds_) queue_wait_max_seconds_ = waited;
-  --queued_;
-  ++inflight_;
-  ++admitted_;
+  stats_.queue_wait_total_seconds += waited;
+  stats_.queue_wait_max_seconds =
+      std::max(stats_.queue_wait_max_seconds, waited);
+  --stats_.queued;
+  ++stats_.inflight;
+  ++stats_.admitted;
   return Status::Ok();
 }
 
 void AdmissionGate::Exit() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    --inflight_;
+    --stats_.inflight;
   }
   cv_.notify_one();
 }
 
-int AdmissionGate::inflight() const {
+AdmissionGate::Stats AdmissionGate::GetStats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return inflight_;
-}
-
-int AdmissionGate::queued() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queued_;
-}
-
-int64_t AdmissionGate::rejected() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return rejected_;
-}
-
-int64_t AdmissionGate::admitted() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return admitted_;
-}
-
-double AdmissionGate::queue_wait_total_seconds() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_wait_total_seconds_;
-}
-
-double AdmissionGate::queue_wait_max_seconds() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_wait_max_seconds_;
+  return stats_;
 }
 
 namespace {
@@ -149,10 +125,10 @@ Json BeginResponse(const Json* request) {
   return resp;
 }
 
-Json OkResponse(const Json& request) {
-  Json resp = BeginResponse(&request);
-  resp.Set("ok", Json::MakeBool(true));
-  return resp;
+// A 64-bit content hash as the wire's 16 lower-case hex digits.
+Json HexHash(uint64_t hash) {
+  return Json::MakeString(
+      StrFormat("%016llx", static_cast<unsigned long long>(hash)));
 }
 
 Json JoinsToJson(const std::vector<NamedJoin>& joins) {
@@ -192,6 +168,11 @@ Status AppendJsonCell(Column& out, const Json& v, size_t r) {
       // Integral JSON numbers become int cells, fractional ones double
       // cells — but a column must stay single-typed, so once the column
       // has a type, coerce to it.
+      if (out.type() == ValueType::kString) {
+        return Status::InvalidInput(
+            StrFormat("column '%s' mixes numbers with string cells",
+                      out.name().c_str()));
+      }
       if (out.type() == ValueType::kDouble) {
         out.AppendDouble(v.AsDouble());
       } else if (out.type() == ValueType::kInt) {
@@ -370,306 +351,247 @@ std::string ServeEngine::HandleLine(std::string_view line) {
 
 Json ServeEngine::Handle(const Json& request) {
   ++requests_;
-  Json resp;
+  // Only an object request has an id to echo.
+  const Json* echo = request.is_object() ? &request : nullptr;
+  Json resp = BeginResponse(echo);
+  resp.Set("ok", Json::MakeBool(true));
+  Status status;
   try {
-    if (!request.is_object()) {
-      resp = MakeErrorResponse(
-          nullptr, Status::InvalidInput("request must be a JSON object"));
-    } else {
-      StatusOr<std::string> verb =
-          request.GetString("verb", std::string());
-      if (!verb.ok()) {
-        resp = MakeErrorResponse(&request, verb.status());
-      } else if (verb->empty()) {
-        resp = MakeErrorResponse(
-            &request, Status::InvalidInput("request is missing 'verb'"));
-      } else if (*verb == "ping") {
-        resp = HandlePing(request);
-      } else if (*verb == "create_session") {
-        resp = HandleCreateSession(request);
-      } else if (*verb == "close_session") {
-        resp = HandleCloseSession(request);
-      } else if (*verb == "upload_table") {
-        resp = HandleUploadTable(request);
-      } else if (*verb == "update_table") {
-        resp = HandleUpdateTable(request);
-      } else if (*verb == "predict") {
-        resp = HandlePredict(request);
-      } else if (*verb == "get_model") {
-        resp = HandleGetModel(request);
-      } else if (*verb == "diff") {
-        resp = HandleDiff(request);
-      } else if (*verb == "publish_model") {
-        resp = HandlePublishModel(request);
-      } else if (*verb == "list_models") {
-        resp = HandleListModels(request);
-      } else if (*verb == "pin_model") {
-        resp = HandlePinModel(request);
-      } else if (*verb == "diff_models") {
-        resp = HandleDiffModels(request);
-      } else if (*verb == "get_catalog_model") {
-        resp = HandleGetCatalogModel(request);
-      } else if (*verb == "stats") {
-        resp = HandleStats(request);
-      } else if (*verb == "shutdown") {
-        resp = HandleShutdown(request);
-      } else {
-        resp = MakeErrorResponse(
-            &request,
-            Status::InvalidInput(StrFormat(
-                "unknown verb '%s' (see SERVING.md for the protocol)",
-                verb->c_str())));
-      }
-    }
+    status = Dispatch(request, &resp);
   } catch (const std::exception& e) {
     // Service boundary: nothing escapes as an exception.
-    resp = MakeErrorResponse(
-        &request, Status::Internal(StrFormat("request failed: %s", e.what())));
+    status = Status::Internal(StrFormat("request failed: %s", e.what()));
   }
-  const Json* ok = resp.Find("ok");
-  if (ok == nullptr || !ok->is_bool() || !ok->AsBool()) ++errors_;
-  return resp;
+  if (status.ok()) return resp;
+  ++errors_;
+  return MakeErrorResponse(echo, status);
 }
 
-Json ServeEngine::HandlePing(const Json& req) {
-  Json resp = OkResponse(req);
-  resp.Set("pong", Json::MakeBool(true));
-  return resp;
-}
-
-Json ServeEngine::HandleCreateSession(const Json& req) {
-  StatusOr<std::string> tenant = req.GetString("tenant", "default");
-  if (!tenant.ok()) return MakeErrorResponse(&req, tenant.status());
-  std::lock_guard<std::mutex> lock(mu_);
-  if (int(sessions_.size()) >= options_.max_sessions) {
-    return MakeErrorResponse(
-        &req, Status::ResourceExhausted(StrFormat(
-                  "session limit reached (%d); close_session first",
-                  options_.max_sessions)));
+Status ServeEngine::Dispatch(const Json& request, Json* resp) {
+  static constexpr struct {
+    std::string_view name;
+    Status (ServeEngine::*handler)(const Json&, Json*);
+  } kVerbs[] = {
+      {"ping", &ServeEngine::HandlePing},
+      {"create_session", &ServeEngine::HandleCreateSession},
+      {"close_session", &ServeEngine::HandleCloseSession},
+      {"upload_table", &ServeEngine::HandleUploadTable},
+      {"update_table", &ServeEngine::HandleUpdateTable},
+      {"predict", &ServeEngine::HandlePredict},
+      {"get_model", &ServeEngine::HandleGetModel},
+      {"diff", &ServeEngine::HandleDiff},
+      {"publish_model", &ServeEngine::HandlePublishModel},
+      {"list_models", &ServeEngine::HandleListModels},
+      {"pin_model", &ServeEngine::HandlePinModel},
+      {"diff_models", &ServeEngine::HandleDiffModels},
+      {"get_catalog_model", &ServeEngine::HandleGetCatalogModel},
+      {"stats", &ServeEngine::HandleStats},
+      {"shutdown", &ServeEngine::HandleShutdown},
+  };
+  if (!request.is_object()) {
+    return Status::InvalidInput("request must be a JSON object");
   }
-  std::string id = StrFormat("s%lld", static_cast<long long>(next_session_++));
-  Session session;
-  session.tenant = *tenant;
-  sessions_.emplace(id, std::move(session));
-  Json resp = OkResponse(req);
-  resp.Set("session", Json::MakeString(id));
-  resp.Set("tenant", Json::MakeString(*tenant));
-  return resp;
-}
-
-Json ServeEngine::HandleCloseSession(const Json& req) {
-  StatusOr<std::string> id = req.GetString("session", std::string());
-  if (!id.ok()) return MakeErrorResponse(&req, id.status());
-  std::lock_guard<std::mutex> lock(mu_);
-  if (sessions_.erase(*id) == 0) {
-    return MakeErrorResponse(
-        &req, Status::InvalidInput(
-                  StrFormat("unknown session '%s'", id->c_str())));
+  AUTOBI_ASSIGN_OR_RETURN(const std::string verb,
+                          request.GetString("verb", std::string()));
+  if (verb.empty()) return Status::InvalidInput("request is missing 'verb'");
+  for (const auto& v : kVerbs) {
+    if (verb == v.name) return (this->*v.handler)(request, resp);
   }
-  return OkResponse(req);
+  return Status::InvalidInput(StrFormat(
+      "unknown verb '%s' (see SERVING.md for the protocol)", verb.c_str()));
 }
 
-StatusOr<ServeEngine::Session> ServeEngine::SnapshotSession(
-    const std::string& session_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
+StatusOr<ServeEngine::Session*> ServeEngine::FindSession(
+    const std::string& session_id) {
   auto it = sessions_.find(session_id);
   if (it == sessions_.end()) {
     return Status::InvalidInput(
-        StrFormat("unknown session '%s' (create_session first)",
-                  session_id.c_str()));
+        StrFormat("unknown session '%s'", session_id.c_str()));
   }
-  return it->second;
+  return &it->second;
 }
 
-Json ServeEngine::HandleUploadTable(const Json& req) {
-  StatusOr<std::string> id = req.GetString("session", std::string());
-  if (!id.ok()) return MakeErrorResponse(&req, id.status());
-  StatusOr<std::string> name = req.GetString("name", std::string());
-  if (!name.ok()) return MakeErrorResponse(&req, name.status());
+StatusOr<ServeEngine::Session> ServeEngine::SnapshotSession(
+    const std::string& session_id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  AUTOBI_ASSIGN_OR_RETURN(const Session* session, FindSession(session_id));
+  return *session;
+}
 
-  // Parse the table payload *outside* the session lock (CSV parsing can be
-  // the expensive part of an upload).
+Status ServeEngine::HandlePing(const Json&, Json* resp) {
+  resp->Set("pong", Json::MakeBool(true));
+  return Status::Ok();
+}
+
+Status ServeEngine::HandleCreateSession(const Json& req, Json* resp) {
+  AUTOBI_ASSIGN_OR_RETURN(std::string tenant,
+                          req.GetString("tenant", "default"));
+  std::lock_guard<std::mutex> lock(mu_);
+  if (int(sessions_.size()) >= options_.max_sessions) {
+    return Status::ResourceExhausted(
+        StrFormat("session limit reached (%d); close_session first",
+                  options_.max_sessions));
+  }
+  std::string id = StrFormat("s%lld", static_cast<long long>(next_session_++));
+  resp->Set("session", Json::MakeString(id));
+  resp->Set("tenant", Json::MakeString(tenant));
+  Session session;
+  session.tenant = std::move(tenant);
+  sessions_.emplace(std::move(id), std::move(session));
+  return Status::Ok();
+}
+
+Status ServeEngine::HandleCloseSession(const Json& req, Json*) {
+  AUTOBI_ASSIGN_OR_RETURN(const std::string id,
+                          req.GetString("session", std::string()));
+  std::lock_guard<std::mutex> lock(mu_);
+  AUTOBI_RETURN_IF_ERROR(FindSession(id).status());
+  sessions_.erase(id);
+  return Status::Ok();
+}
+
+Status ServeEngine::HandleUploadTable(const Json& req, Json* resp) {
+  AUTOBI_ASSIGN_OR_RETURN(const std::string id,
+                          req.GetString("session", std::string()));
+  AUTOBI_ASSIGN_OR_RETURN(const std::string name,
+                          req.GetString("name", std::string()));
+
+  // Parse and hash the table payload *outside* the session lock (CSV
+  // parsing can be the expensive part of an upload).
   const Json* csv = req.Find("csv");
   const Json* columns = req.Find("columns");
-  Table table;
-  if (csv != nullptr && csv->is_string()) {
-    CsvOptions csv_options;
-    csv_options.max_bytes = options_.max_csv_bytes;
-    std::string table_name = name->empty() ? "table" : *name;
-    StatusOr<Table> parsed =
-        ReadCsv(csv->AsString(), table_name, csv_options);
-    if (!parsed.ok()) {
-      return MakeErrorResponse(&req,
-                               parsed.status().WithContext("upload_table"));
-    }
-    table = std::move(parsed).value();
-  } else if (columns != nullptr && columns->is_array()) {
-    if (name->empty()) {
-      return MakeErrorResponse(
-          &req, Status::InvalidInput("columns upload needs a 'name'"));
-    }
-    StatusOr<Table> built = TableFromColumnsJson(*name, *columns);
-    if (!built.ok()) {
-      return MakeErrorResponse(&req,
-                               built.status().WithContext("upload_table"));
-    }
-    table = std::move(built).value();
-  } else {
-    return MakeErrorResponse(
-        &req, Status::InvalidInput(
-                  "upload_table needs 'csv' (string) or 'columns' (array)"));
+  const bool is_csv = csv != nullptr && csv->is_string();
+  if (!is_csv && (columns == nullptr || !columns->is_array())) {
+    return Status::InvalidInput(
+        "upload_table needs 'csv' (string) or 'columns' (array)");
   }
-
+  if (!is_csv && name.empty()) {
+    return Status::InvalidInput("columns upload needs a 'name'");
+  }
+  CsvOptions csv_options;
+  csv_options.max_bytes = options_.max_csv_bytes;
+  StatusOr<Table> parsed =
+      is_csv ? ReadCsv(csv->AsString(), name.empty() ? "table" : name,
+                       csv_options)
+             : TableFromColumnsJson(name, *columns);
+  if (!parsed.ok()) return parsed.status().WithContext("upload_table");
+  Table table = std::move(parsed).value();
   const uint64_t content_hash = TableContentHash(table);
-  const std::string table_name = table.name();
-  const size_t table_rows = table.num_rows();
-  const size_t table_cols = table.num_columns();
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = sessions_.find(*id);
-  if (it == sessions_.end()) {
-    return MakeErrorResponse(
-        &req, Status::InvalidInput(
-                  StrFormat("unknown session '%s'", id->c_str())));
-  }
-  Session& session = it->second;
-  // Copy-on-write: re-uploading a name replaces that table, otherwise
-  // append. Predicts running on the old snapshot are unaffected.
-  auto next = std::make_shared<std::vector<Table>>(*session.tables);
-  bool replaced = false;
-  for (Table& t : *next) {
-    if (t.name() == table.name()) {
-      t = std::move(table);
-      replaced = true;
-      break;
-    }
-  }
-  if (!replaced) {
-    if (int(next->size()) >= options_.max_tables_per_session) {
-      return MakeErrorResponse(
-          &req, Status::ResourceExhausted(
-                    StrFormat("session table limit reached (%d)",
-                              options_.max_tables_per_session)));
-    }
-    next->push_back(std::move(table));
-  }
-  session.tables = std::move(next);
+  resp->Set("table", Json::MakeString(table.name()));
+  resp->Set("rows", Json::MakeInt(int64_t(table.num_rows())));
+  resp->Set("columns", Json::MakeInt(int64_t(table.num_columns())));
 
-  Json resp = OkResponse(req);
-  resp.Set("table", Json::MakeString(table_name));
-  resp.Set("rows", Json::MakeInt(int64_t(table_rows)));
-  resp.Set("columns", Json::MakeInt(int64_t(table_cols)));
-  resp.Set("replaced", Json::MakeBool(replaced));
-  resp.Set("content_hash",
-           Json::MakeString(StrFormat("%016llx",
-                                      static_cast<unsigned long long>(
-                                          content_hash))));
-  resp.Set("num_tables", Json::MakeInt(int64_t(session.tables->size())));
-  return resp;
+  std::lock_guard<std::mutex> lock(mu_);
+  AUTOBI_ASSIGN_OR_RETURN(Session* session, FindSession(id));
+  // Copy-on-write: re-uploading a name replaces that table, otherwise
+  // append. Predicts running on the old set are unaffected.
+  auto next = std::make_shared<TableSet>(*session->tables);
+  size_t slot = 0;
+  while (slot < next->tables.size() &&
+         next->tables[slot].name() != table.name()) {
+    ++slot;
+  }
+  const bool replaced = slot < next->tables.size();
+  if (replaced) {
+    next->tables[slot] = std::move(table);
+    next->hashes[slot] = content_hash;
+  } else {
+    if (int(next->tables.size()) >= options_.max_tables_per_session) {
+      return Status::ResourceExhausted(
+          StrFormat("session table limit reached (%d)",
+                    options_.max_tables_per_session));
+    }
+    next->tables.push_back(std::move(table));
+    next->hashes.push_back(content_hash);
+  }
+  resp->Set("replaced", Json::MakeBool(replaced));
+  resp->Set("content_hash", HexHash(content_hash));
+  resp->Set("num_tables", Json::MakeInt(int64_t(next->tables.size())));
+  session->tables = std::move(next);
+  return Status::Ok();
 }
 
-Json ServeEngine::HandleUpdateTable(const Json& req) {
-  StatusOr<std::string> id = req.GetString("session", std::string());
-  if (!id.ok()) return MakeErrorResponse(&req, id.status());
-  StatusOr<std::string> name = req.GetString("name", std::string());
-  if (!name.ok()) return MakeErrorResponse(&req, name.status());
-  if (name->empty()) {
-    return MakeErrorResponse(
-        &req, Status::InvalidInput("update_table needs a 'name'"));
-  }
+Status ServeEngine::HandleUpdateTable(const Json& req, Json* resp) {
+  AUTOBI_ASSIGN_OR_RETURN(const std::string id,
+                          req.GetString("session", std::string()));
+  AUTOBI_ASSIGN_OR_RETURN(const std::string name,
+                          req.GetString("name", std::string()));
+  if (name.empty()) return Status::InvalidInput("update_table needs a 'name'");
   const Json* columns = req.Find("columns");
   if (columns == nullptr || !columns->is_array()) {
-    return MakeErrorResponse(
-        &req, Status::InvalidInput(
-                  "update_table needs 'columns' (array of appended rows)"));
+    return Status::InvalidInput(
+        "update_table needs 'columns' (array of appended rows)");
   }
 
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = sessions_.find(*id);
-  if (it == sessions_.end()) {
-    return MakeErrorResponse(
-        &req, Status::InvalidInput(
-                  StrFormat("unknown session '%s'", id->c_str())));
-  }
-  Session& session = it->second;
+  AUTOBI_ASSIGN_OR_RETURN(Session* session, FindSession(id));
   // Copy-on-write like upload_table: the append mutates a fresh copy, so a
-  // shape/type error discards it and Predicts on the old snapshot are
+  // shape/type error discards it and Predicts on the old set are
   // unaffected. The committed table keeps its old rows byte-identical —
   // the incremental engine's diff classifies it as append-only.
-  auto next = std::make_shared<std::vector<Table>>(*session.tables);
-  Table* target = nullptr;
-  for (Table& t : *next) {
-    if (t.name() == *name) {
-      target = &t;
-      break;
-    }
+  auto next = std::make_shared<TableSet>(*session->tables);
+  size_t slot = 0;
+  while (slot < next->tables.size() && next->tables[slot].name() != name) {
+    ++slot;
   }
-  if (target == nullptr) {
-    return MakeErrorResponse(
-        &req, Status::InvalidInput(StrFormat(
-                  "unknown table '%s' (upload_table first)", name->c_str())));
+  if (slot == next->tables.size()) {
+    return Status::InvalidInput(
+        StrFormat("unknown table '%s' (upload_table first)", name.c_str()));
   }
-  const size_t rows_before = target->num_rows();
-  Status appended = AppendDeltaColumns(target, *columns);
-  if (!appended.ok()) {
-    return MakeErrorResponse(&req, appended.WithContext("update_table"));
-  }
-  const uint64_t content_hash = TableContentHash(*target);
-  const size_t rows_after = target->num_rows();
-  session.tables = std::move(next);
-
-  Json resp = OkResponse(req);
-  resp.Set("table", Json::MakeString(*name));
-  resp.Set("rows_appended", Json::MakeInt(int64_t(rows_after - rows_before)));
-  resp.Set("rows", Json::MakeInt(int64_t(rows_after)));
-  resp.Set("content_hash",
-           Json::MakeString(StrFormat("%016llx",
-                                      static_cast<unsigned long long>(
-                                          content_hash))));
-  return resp;
+  Table& target = next->tables[slot];
+  const size_t rows_before = target.num_rows();
+  AUTOBI_RETURN_IF_ERROR(
+      AppendDeltaColumns(&target, *columns).WithContext("update_table"));
+  next->hashes[slot] = TableContentHash(target);
+  resp->Set("table", Json::MakeString(name));
+  resp->Set("rows_appended",
+            Json::MakeInt(int64_t(target.num_rows() - rows_before)));
+  resp->Set("rows", Json::MakeInt(int64_t(target.num_rows())));
+  resp->Set("content_hash", HexHash(next->hashes[slot]));
+  session->tables = std::move(next);
+  return Status::Ok();
 }
 
-Json ServeEngine::HandlePredict(const Json& req) {
-  StatusOr<std::string> id = req.GetString("session", std::string());
-  if (!id.ok()) return MakeErrorResponse(&req, id.status());
-  StatusOr<std::string> tier_name = req.GetString("tier", "standard");
-  if (!tier_name.ok()) return MakeErrorResponse(&req, tier_name.status());
-  StatusOr<QosTier> tier = ParseQosTier(*tier_name);
-  if (!tier.ok()) return MakeErrorResponse(&req, tier.status());
-  StatusOr<std::string> mode_name = req.GetString("mode", "full");
-  if (!mode_name.ok()) return MakeErrorResponse(&req, mode_name.status());
-  StatusOr<AutoBiMode> mode = ParseMode(*mode_name);
-  if (!mode.ok()) return MakeErrorResponse(&req, mode.status());
+Status ServeEngine::HandlePredict(const Json& req, Json* resp) {
+  AUTOBI_ASSIGN_OR_RETURN(const std::string id,
+                          req.GetString("session", std::string()));
+  AUTOBI_ASSIGN_OR_RETURN(const std::string tier_name,
+                          req.GetString("tier", "standard"));
+  AUTOBI_ASSIGN_OR_RETURN(const QosTier tier, ParseQosTier(tier_name));
+  AUTOBI_ASSIGN_OR_RETURN(const std::string mode_name,
+                          req.GetString("mode", "full"));
+  AUTOBI_ASSIGN_OR_RETURN(const AutoBiMode mode, ParseMode(mode_name));
   // Opt-in delta path: diff against the session's previous incremental run
   // and recompute only what changed. Bit-identical joins/degradation to a
   // plain predict over the same tables; the response additionally carries
   // the "incremental" counters. Plain predicts keep the solve-memo
   // semantics (the delta path populates but never consults the memo).
-  StatusOr<bool> incremental = req.GetBool("incremental", false);
-  if (!incremental.ok()) return MakeErrorResponse(&req, incremental.status());
+  AUTOBI_ASSIGN_OR_RETURN(const bool incremental,
+                          req.GetBool("incremental", false));
 
-  QosPolicy policy = PolicyForTier(*tier);
+  const QosPolicy policy = PolicyForTier(tier);
   // Explicit per-request overrides on top of the tier defaults. Budgets are
   // deterministic and key the cache; the deadline does not.
-  StatusOr<double> deadline =
-      req.GetDouble("deadline_seconds", policy.deadline_seconds);
-  if (!deadline.ok()) return MakeErrorResponse(&req, deadline.status());
-  StatusOr<int64_t> max_rows = req.GetInt(
-      "max_rows_per_table", int64_t(policy.budgets.max_rows_per_table));
-  if (!max_rows.ok()) return MakeErrorResponse(&req, max_rows.status());
-  StatusOr<int64_t> max_pairs = req.GetInt(
-      "max_candidate_pairs", int64_t(policy.budgets.max_candidate_pairs));
-  if (!max_pairs.ok()) return MakeErrorResponse(&req, max_pairs.status());
-  StatusOr<int64_t> max_mca = req.GetInt(
-      "max_one_mca_calls", int64_t(policy.budgets.max_one_mca_calls));
-  if (!max_mca.ok()) return MakeErrorResponse(&req, max_mca.status());
-  if (*deadline < 0 || *max_rows < 0 || *max_pairs < 0 || *max_mca < 0) {
-    return MakeErrorResponse(
-        &req,
-        Status::InvalidInput("deadline and budget overrides must be >= 0"));
+  AUTOBI_ASSIGN_OR_RETURN(
+      const double deadline,
+      req.GetDouble("deadline_seconds", policy.deadline_seconds));
+  AUTOBI_ASSIGN_OR_RETURN(
+      const int64_t max_rows,
+      req.GetInt("max_rows_per_table",
+                 int64_t(policy.budgets.max_rows_per_table)));
+  AUTOBI_ASSIGN_OR_RETURN(
+      const int64_t max_pairs,
+      req.GetInt("max_candidate_pairs",
+                 int64_t(policy.budgets.max_candidate_pairs)));
+  AUTOBI_ASSIGN_OR_RETURN(
+      const int64_t max_mca,
+      req.GetInt("max_one_mca_calls",
+                 int64_t(policy.budgets.max_one_mca_calls)));
+  if (deadline < 0 || max_rows < 0 || max_pairs < 0 || max_mca < 0) {
+    return Status::InvalidInput("deadline and budget overrides must be >= 0");
   }
 
-  Status admitted = gate_.Enter();
-  if (!admitted.ok()) return MakeErrorResponse(&req, admitted);
+  AUTOBI_RETURN_IF_ERROR(gate_.Enter());
   GateGuard slot(&gate_);
   {
     std::function<void()> hook;
@@ -680,78 +602,72 @@ Json ServeEngine::HandlePredict(const Json& req) {
     if (hook) hook();
   }
 
-  StatusOr<Session> snapshot = SnapshotSession(*id);
-  if (!snapshot.ok()) return MakeErrorResponse(&req, snapshot.status());
-  std::shared_ptr<const std::vector<Table>> tables = snapshot->tables;
-  if (tables->empty()) {
-    return MakeErrorResponse(
-        &req, Status::InvalidInput("session has no tables (upload_table "
-                                   "first)"));
+  // The session's tables and, for a delta predict, its incremental state,
+  // taken for exclusive use — the engine must not share one state across
+  // concurrent calls. The state goes back on the session after the run,
+  // errors included (a failed run leaves it describing the last healthy
+  // one).
+  std::shared_ptr<const TableSet> tables;
+  std::shared_ptr<IncrementalState> inc_state;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    AUTOBI_ASSIGN_OR_RETURN(Session* session, FindSession(id));
+    if (session->tables->tables.empty()) {
+      return Status::InvalidInput("session has no tables (upload_table first)");
+    }
+    tables = session->tables;
+    if (incremental) inc_state = std::move(session->incremental);
+  }
+  if (incremental && inc_state == nullptr) {
+    inc_state = std::make_shared<IncrementalState>();
   }
 
   RunContext ctx;
-  if (*deadline > 0) ctx.set_deadline_after(*deadline);
-  ctx.budgets.max_rows_per_table = size_t(*max_rows);
+  if (deadline > 0) ctx.set_deadline_after(deadline);
+  ctx.budgets.max_rows_per_table = size_t(max_rows);
   ctx.budgets.max_cells_per_table = policy.budgets.max_cells_per_table;
-  ctx.budgets.max_candidate_pairs = size_t(*max_pairs);
-  ctx.budgets.max_one_mca_calls = long(*max_mca);
+  ctx.budgets.max_candidate_pairs = size_t(max_pairs);
+  ctx.budgets.max_one_mca_calls = long(max_mca);
 
   AutoBiOptions ab;
-  ab.mode = *mode;
+  ab.mode = mode;
   ab.threads = options_.threads;
   ab.cache = &cache_;
   AutoBi predictor(model_, ab);
   ++predicts_;
-  // Take the session's incremental state (if any) for exclusive use — the
-  // engine must not share one state across concurrent calls. It goes back
-  // on the session after the run, errors included (a failed run leaves the
-  // state describing the last healthy one).
-  std::shared_ptr<IncrementalState> inc_state;
-  if (*incremental) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = sessions_.find(*id);
-    if (it != sessions_.end()) inc_state = std::move(it->second.incremental);
-    if (inc_state == nullptr) inc_state = std::make_shared<IncrementalState>();
-  }
   StatusOr<AutoBiResult> result =
-      *incremental ? predictor.PredictIncremental(*tables, &ctx, inc_state.get())
-                   : predictor.Predict(*tables, &ctx);
-  if (!result.ok()) {
-    if (inc_state != nullptr) {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = sessions_.find(*id);
-      if (it != sessions_.end()) it->second.incremental = std::move(inc_state);
-    }
-    return MakeErrorResponse(&req, result.status());
+      incremental
+          ? predictor.PredictIncremental(tables->tables, &ctx, inc_state.get())
+          : predictor.Predict(tables->tables, &ctx);
+  std::shared_ptr<Prediction> prediction;
+  if (result.ok()) {
+    prediction = std::make_shared<Prediction>();
+    prediction->tables = tables;
+    prediction->joins = NameJoins(tables->tables, result->model);
+    prediction->model = std::move(result->model);
   }
 
-  std::vector<NamedJoin> joins = NameJoins(*tables, result->model);
-
-  // Record the prediction on the session (tolerating a concurrent close:
-  // the response still carries the result).
+  // Record the outcome on the session (tolerating a concurrent close: the
+  // response still carries the result).
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = sessions_.find(*id);
+    auto it = sessions_.find(id);
     if (it != sessions_.end()) {
       Session& session = it->second;
-      if (session.has_predicted) {
-        session.prev_joins = std::move(session.last_joins);
-        session.has_previous = true;
-      }
-      session.last_joins = joins;
-      session.has_predicted = true;
-      session.last_model = result->model;
-      session.last_tables = tables;
       if (inc_state != nullptr) session.incremental = std::move(inc_state);
+      if (prediction != nullptr) {
+        session.previous = std::move(session.last);
+        session.last = prediction;
+      }
     }
   }
+  AUTOBI_RETURN_IF_ERROR(result.status());
 
-  Json resp = OkResponse(req);
-  resp.Set("session", Json::MakeString(*id));
-  resp.Set("tier", Json::MakeString(QosTierName(*tier)));
-  resp.Set("mode", Json::MakeString(*mode_name));
-  resp.Set("num_tables", Json::MakeInt(int64_t(tables->size())));
-  resp.Set("joins", JoinsToJson(joins));
+  resp->Set("session", Json::MakeString(id));
+  resp->Set("tier", Json::MakeString(QosTierName(tier)));
+  resp->Set("mode", Json::MakeString(mode_name));
+  resp->Set("num_tables", Json::MakeInt(int64_t(tables->tables.size())));
+  resp->Set("joins", JoinsToJson(prediction->joins));
   Json timing = Json::MakeObject();
   timing.Set("ucc_seconds", Json::MakeDouble(result->timing.ucc));
   timing.Set("ind_seconds", Json::MakeDouble(result->timing.ind));
@@ -761,8 +677,8 @@ Json ServeEngine::HandlePredict(const Json& req) {
              Json::MakeDouble(result->timing.global_predict));
   timing.Set("total_seconds", Json::MakeDouble(result->timing.Total()));
   timing.Set("threads", Json::MakeInt(result->timing.threads));
-  resp.Set("timing", std::move(timing));
-  if (*incremental) {
+  resp->Set("timing", std::move(timing));
+  if (incremental) {
     Json inc = Json::MakeObject();
     inc.Set("used", Json::MakeBool(result->incremental.used));
     inc.Set("tables_reprofiled",
@@ -775,43 +691,41 @@ Json ServeEngine::HandlePredict(const Json& req) {
             Json::MakeInt(int64_t(result->incremental.pairs_reused)));
     inc.Set("warm_start_used",
             Json::MakeBool(result->incremental.warm_start_used));
-    resp.Set("incremental", std::move(inc));
+    resp->Set("incremental", std::move(inc));
   }
-  // Lake-scale observability (PR 9): what the blocking stage pruned and how
-  // the global solve partitioned. Cumulative engine-level sums feed the
-  // stats verb.
-  {
-    const BlockingStats& b = result->ind_stats.blocking;
-    Json blocking = Json::MakeObject();
-    blocking.Set("column_pairs_total",
-                 Json::MakeInt(int64_t(b.column_pairs_total)));
-    blocking.Set("column_pairs_admitted",
-                 Json::MakeInt(int64_t(b.column_pairs_admitted)));
-    blocking.Set("column_pairs_pruned",
-                 Json::MakeInt(int64_t(b.column_pairs_pruned)));
-    blocking.Set("table_pairs_total",
-                 Json::MakeInt(int64_t(b.table_pairs_total)));
-    blocking.Set("table_pairs_active",
-                 Json::MakeInt(int64_t(b.table_pairs_active)));
-    blocking.Set("pruning_rate", Json::MakeDouble(b.PruningRate()));
-    resp.Set("blocking", std::move(blocking));
-    Json partition = Json::MakeObject();
-    // `used`: more than one island was solved.
-    partition.Set("used",
-                  Json::MakeBool(result->partition.components_solved > 1));
-    partition.Set("components",
-                  Json::MakeInt(int64_t(result->partition.components)));
-    partition.Set("components_solved",
-                  Json::MakeInt(int64_t(result->partition.components_solved)));
-    partition.Set(
-        "largest_component_edges",
-        Json::MakeInt(int64_t(result->partition.largest_component_edges)));
-    resp.Set("partition", std::move(partition));
-    blocked_pairs_ += int64_t(b.column_pairs_pruned);
-    admitted_pairs_ += int64_t(b.column_pairs_admitted);
-    components_solved_ += int64_t(result->partition.components_solved);
-  }
-  resp.Set("degraded", Json::MakeBool(result->degradation.Any()));
+  // Lake-scale observability: what the blocking stage pruned and how the
+  // global solve partitioned. Cumulative engine-level sums feed the stats
+  // verb.
+  const BlockingStats& b = result->ind_stats.blocking;
+  Json blocking = Json::MakeObject();
+  blocking.Set("column_pairs_total",
+               Json::MakeInt(int64_t(b.column_pairs_total)));
+  blocking.Set("column_pairs_admitted",
+               Json::MakeInt(int64_t(b.column_pairs_admitted)));
+  blocking.Set("column_pairs_pruned",
+               Json::MakeInt(int64_t(b.column_pairs_pruned)));
+  blocking.Set("table_pairs_total",
+               Json::MakeInt(int64_t(b.table_pairs_total)));
+  blocking.Set("table_pairs_active",
+               Json::MakeInt(int64_t(b.table_pairs_active)));
+  blocking.Set("pruning_rate", Json::MakeDouble(b.PruningRate()));
+  resp->Set("blocking", std::move(blocking));
+  Json partition = Json::MakeObject();
+  // `used`: more than one island was solved.
+  partition.Set("used",
+                Json::MakeBool(result->partition.components_solved > 1));
+  partition.Set("components",
+                Json::MakeInt(int64_t(result->partition.components)));
+  partition.Set("components_solved",
+                Json::MakeInt(int64_t(result->partition.components_solved)));
+  partition.Set(
+      "largest_component_edges",
+      Json::MakeInt(int64_t(result->partition.largest_component_edges)));
+  resp->Set("partition", std::move(partition));
+  blocked_pairs_ += int64_t(b.column_pairs_pruned);
+  admitted_pairs_ += int64_t(b.column_pairs_admitted);
+  components_solved_ += int64_t(result->partition.components_solved);
+  resp->Set("degraded", Json::MakeBool(result->degradation.Any()));
   if (result->degradation.Any()) {
     Json triggers = Json::MakeArray();
     for (const StageHealth* h :
@@ -820,190 +734,175 @@ Json ServeEngine::HandlePredict(const Json& req) {
           &result->degradation.global_predict}) {
       if (h->degraded) triggers.Append(Json::MakeString(h->trigger));
     }
-    resp.Set("degradation", std::move(triggers));
+    resp->Set("degradation", std::move(triggers));
   }
-  resp.Set("cache", CacheStatsToJson(cache_.GetStats()));
-  return resp;
+  resp->Set("cache", CacheStatsToJson(cache_.GetStats()));
+  return Status::Ok();
 }
 
-Json ServeEngine::HandleGetModel(const Json& req) {
-  StatusOr<std::string> id = req.GetString("session", std::string());
-  if (!id.ok()) return MakeErrorResponse(&req, id.status());
-  StatusOr<std::string> format = req.GetString("format", "json");
-  if (!format.ok()) return MakeErrorResponse(&req, format.status());
-  StatusOr<Session> snapshot = SnapshotSession(*id);
-  if (!snapshot.ok()) return MakeErrorResponse(&req, snapshot.status());
-  if (!snapshot->has_predicted) {
-    return MakeErrorResponse(
-        &req, Status::InvalidInput("session has no prediction yet (predict "
-                                   "first)"));
+Status ServeEngine::HandleGetModel(const Json& req, Json* resp) {
+  AUTOBI_ASSIGN_OR_RETURN(const std::string id,
+                          req.GetString("session", std::string()));
+  AUTOBI_ASSIGN_OR_RETURN(const std::string format,
+                          req.GetString("format", "json"));
+  AUTOBI_ASSIGN_OR_RETURN(const Session session, SnapshotSession(id));
+  if (session.last == nullptr) {
+    return Status::InvalidInput("session has no prediction yet (predict "
+                                "first)");
   }
-  const std::vector<Table>& tables = *snapshot->last_tables;
+  const std::vector<Table>& tables = session.last->tables->tables;
+  const BiModel& model = session.last->model;
   StatusOr<std::string> content = Status::InvalidInput(
-      StrFormat("unknown format '%s' (want json|dot|sql)", format->c_str()));
-  if (*format == "json") {
-    content = ExportJson(tables, snapshot->last_model);
-  } else if (*format == "dot") {
-    content = ExportDot(tables, snapshot->last_model);
-  } else if (*format == "sql") {
-    content = ExportSqlDdl(tables, snapshot->last_model);
+      StrFormat("unknown format '%s' (want json|dot|sql)", format.c_str()));
+  if (format == "json") {
+    content = ExportJson(tables, model);
+  } else if (format == "dot") {
+    content = ExportDot(tables, model);
+  } else if (format == "sql") {
+    content = ExportSqlDdl(tables, model);
   }
-  if (!content.ok()) return MakeErrorResponse(&req, content.status());
+  AUTOBI_ASSIGN_OR_RETURN(std::string text, std::move(content));
 
-  Json resp = OkResponse(req);
-  resp.Set("format", Json::MakeString(*format));
-  if (*format == "json") {
+  resp->Set("format", Json::MakeString(format));
+  if (format == "json") {
     // Embed the document as a JSON object so clients need not double-parse.
-    StatusOr<Json> parsed = ParseJson(*content);
+    StatusOr<Json> parsed = ParseJson(text);
     if (!parsed.ok()) {
-      return MakeErrorResponse(
-          &req, Status::Internal("model export produced invalid JSON"));
+      return Status::Internal("model export produced invalid JSON");
     }
-    resp.Set("model", std::move(*parsed));
+    resp->Set("model", std::move(*parsed));
   } else {
-    resp.Set("content", Json::MakeString(*content));
+    resp->Set("content", Json::MakeString(std::move(text)));
   }
-  return resp;
+  return Status::Ok();
 }
 
-Json ServeEngine::HandleDiff(const Json& req) {
-  StatusOr<std::string> id = req.GetString("session", std::string());
-  if (!id.ok()) return MakeErrorResponse(&req, id.status());
-  StatusOr<Session> snapshot = SnapshotSession(*id);
-  if (!snapshot.ok()) return MakeErrorResponse(&req, snapshot.status());
-  if (!snapshot->has_predicted) {
-    return MakeErrorResponse(
-        &req, Status::InvalidInput("session has no prediction yet (predict "
-                                   "first)"));
+Status ServeEngine::HandleDiff(const Json& req, Json* resp) {
+  AUTOBI_ASSIGN_OR_RETURN(const std::string id,
+                          req.GetString("session", std::string()));
+  AUTOBI_ASSIGN_OR_RETURN(const Session session, SnapshotSession(id));
+  if (session.last == nullptr) {
+    return Status::InvalidInput("session has no prediction yet (predict "
+                                "first)");
   }
-  // First prediction diffs against the empty model: everything is "added".
-  ModelDiff diff = DiffJoinSets(snapshot->prev_joins, snapshot->last_joins);
-  Json resp = OkResponse(req);
-  resp.Set("against_previous", Json::MakeBool(snapshot->has_previous));
-  resp.Set("added", JoinsToJson(diff.added));
-  resp.Set("removed", JoinsToJson(diff.removed));
-  return resp;
+  // The first prediction diffs against the empty model: everything is
+  // "added".
+  static const std::vector<NamedJoin> kNoJoins;
+  const ModelDiff diff = DiffJoinSets(
+      session.previous != nullptr ? session.previous->joins : kNoJoins,
+      session.last->joins);
+  resp->Set("against_previous", Json::MakeBool(session.previous != nullptr));
+  resp->Set("added", JoinsToJson(diff.added));
+  resp->Set("removed", JoinsToJson(diff.removed));
+  return Status::Ok();
 }
 
-Json ServeEngine::HandlePublishModel(const Json& req) {
-  StatusOr<std::string> id = req.GetString("session", std::string());
-  if (!id.ok()) return MakeErrorResponse(&req, id.status());
-  StatusOr<std::string> label = req.GetString("label", std::string());
-  if (!label.ok()) return MakeErrorResponse(&req, label.status());
-  StatusOr<Session> snapshot = SnapshotSession(*id);
-  if (!snapshot.ok()) return MakeErrorResponse(&req, snapshot.status());
-  if (!snapshot->has_predicted) {
-    return MakeErrorResponse(
-        &req, Status::InvalidInput("session has no prediction to publish"));
+Status ServeEngine::HandlePublishModel(const Json& req, Json* resp) {
+  AUTOBI_ASSIGN_OR_RETURN(const std::string id,
+                          req.GetString("session", std::string()));
+  AUTOBI_ASSIGN_OR_RETURN(std::string label,
+                          req.GetString("label", std::string()));
+  AUTOBI_ASSIGN_OR_RETURN(const Session session, SnapshotSession(id));
+  if (session.last == nullptr) {
+    return Status::InvalidInput("session has no prediction to publish");
   }
-  StatusOr<std::string> tenant = req.GetString("tenant", snapshot->tenant);
-  if (!tenant.ok()) return MakeErrorResponse(&req, tenant.status());
-  StatusOr<int64_t> version =
-      catalog_.Publish(*tenant, *label, TablesContentHash(*snapshot->last_tables),
-                       snapshot->last_joins);
-  if (!version.ok()) return MakeErrorResponse(&req, version.status());
-  Json resp = OkResponse(req);
-  resp.Set("tenant", Json::MakeString(*tenant));
-  resp.Set("version", Json::MakeInt(*version));
-  return resp;
+  AUTOBI_ASSIGN_OR_RETURN(const std::string tenant,
+                          req.GetString("tenant", session.tenant));
+  // The upload-time table hashes make this TablesContentHash of the
+  // predicted tables without reading a cell.
+  AUTOBI_ASSIGN_OR_RETURN(
+      const int64_t version,
+      catalog_.Publish(
+          tenant, std::move(label),
+          TablesContentHashFromHashes(session.last->tables->hashes),
+          session.last->joins));
+  resp->Set("tenant", Json::MakeString(tenant));
+  resp->Set("version", Json::MakeInt(version));
+  return Status::Ok();
 }
 
-Json ServeEngine::HandleListModels(const Json& req) {
-  StatusOr<std::string> tenant = req.GetString("tenant", "default");
-  if (!tenant.ok()) return MakeErrorResponse(&req, tenant.status());
-  Json resp = OkResponse(req);
-  resp.Set("tenant", Json::MakeString(*tenant));
+Status ServeEngine::HandleListModels(const Json& req, Json* resp) {
+  AUTOBI_ASSIGN_OR_RETURN(const std::string tenant,
+                          req.GetString("tenant", "default"));
+  resp->Set("tenant", Json::MakeString(tenant));
   Json arr = Json::MakeArray();
-  for (const ModelSnapshot& s : catalog_.List(*tenant)) {
+  for (const ModelSnapshot& s : catalog_.List(tenant)) {
     Json obj = Json::MakeObject();
     obj.Set("version", Json::MakeInt(s.version));
     obj.Set("label", Json::MakeString(s.label));
     obj.Set("pinned", Json::MakeBool(s.pinned));
     obj.Set("num_joins", Json::MakeInt(int64_t(s.joins.size())));
-    obj.Set("tables_hash",
-            Json::MakeString(StrFormat(
-                "%016llx", static_cast<unsigned long long>(s.tables_hash))));
+    obj.Set("tables_hash", HexHash(s.tables_hash));
     arr.Append(std::move(obj));
   }
-  resp.Set("models", std::move(arr));
-  return resp;
+  resp->Set("models", std::move(arr));
+  return Status::Ok();
 }
 
-Json ServeEngine::HandlePinModel(const Json& req) {
-  StatusOr<std::string> tenant = req.GetString("tenant", "default");
-  if (!tenant.ok()) return MakeErrorResponse(&req, tenant.status());
-  StatusOr<int64_t> version = req.GetInt("version", 0);
-  if (!version.ok()) return MakeErrorResponse(&req, version.status());
-  StatusOr<bool> pinned = req.GetBool("pinned", true);
-  if (!pinned.ok()) return MakeErrorResponse(&req, pinned.status());
-  Status status = catalog_.Pin(*tenant, *version, *pinned);
-  if (!status.ok()) return MakeErrorResponse(&req, status);
-  Json resp = OkResponse(req);
-  resp.Set("version", Json::MakeInt(*version));
-  resp.Set("pinned", Json::MakeBool(*pinned));
-  return resp;
+Status ServeEngine::HandlePinModel(const Json& req, Json* resp) {
+  AUTOBI_ASSIGN_OR_RETURN(const std::string tenant,
+                          req.GetString("tenant", "default"));
+  AUTOBI_ASSIGN_OR_RETURN(const int64_t version, req.GetInt("version", 0));
+  AUTOBI_ASSIGN_OR_RETURN(const bool pinned, req.GetBool("pinned", true));
+  AUTOBI_RETURN_IF_ERROR(catalog_.Pin(tenant, version, pinned));
+  resp->Set("version", Json::MakeInt(version));
+  resp->Set("pinned", Json::MakeBool(pinned));
+  return Status::Ok();
 }
 
-Json ServeEngine::HandleDiffModels(const Json& req) {
-  StatusOr<std::string> tenant = req.GetString("tenant", "default");
-  if (!tenant.ok()) return MakeErrorResponse(&req, tenant.status());
-  StatusOr<int64_t> from = req.GetInt("from", 0);
-  if (!from.ok()) return MakeErrorResponse(&req, from.status());
-  StatusOr<int64_t> to = req.GetInt("to", 0);
-  if (!to.ok()) return MakeErrorResponse(&req, to.status());
-  StatusOr<ModelDiff> diff = catalog_.Diff(*tenant, *from, *to);
-  if (!diff.ok()) return MakeErrorResponse(&req, diff.status());
-  Json resp = OkResponse(req);
-  resp.Set("added", JoinsToJson(diff->added));
-  resp.Set("removed", JoinsToJson(diff->removed));
-  return resp;
+Status ServeEngine::HandleDiffModels(const Json& req, Json* resp) {
+  AUTOBI_ASSIGN_OR_RETURN(const std::string tenant,
+                          req.GetString("tenant", "default"));
+  AUTOBI_ASSIGN_OR_RETURN(const int64_t from, req.GetInt("from", 0));
+  AUTOBI_ASSIGN_OR_RETURN(const int64_t to, req.GetInt("to", 0));
+  AUTOBI_ASSIGN_OR_RETURN(const ModelDiff diff,
+                          catalog_.Diff(tenant, from, to));
+  resp->Set("added", JoinsToJson(diff.added));
+  resp->Set("removed", JoinsToJson(diff.removed));
+  return Status::Ok();
 }
 
-Json ServeEngine::HandleGetCatalogModel(const Json& req) {
-  StatusOr<std::string> tenant = req.GetString("tenant", "default");
-  if (!tenant.ok()) return MakeErrorResponse(&req, tenant.status());
-  StatusOr<int64_t> version = req.GetInt("version", 0);
-  if (!version.ok()) return MakeErrorResponse(&req, version.status());
-  StatusOr<ModelSnapshot> snap = catalog_.Get(*tenant, *version);
-  if (!snap.ok()) return MakeErrorResponse(&req, snap.status());
-  Json resp = OkResponse(req);
-  resp.Set("version", Json::MakeInt(snap->version));
-  resp.Set("label", Json::MakeString(snap->label));
-  resp.Set("pinned", Json::MakeBool(snap->pinned));
-  resp.Set("tables_hash",
-           Json::MakeString(StrFormat(
-               "%016llx", static_cast<unsigned long long>(snap->tables_hash))));
-  resp.Set("joins", JoinsToJson(snap->joins));
-  return resp;
+Status ServeEngine::HandleGetCatalogModel(const Json& req, Json* resp) {
+  AUTOBI_ASSIGN_OR_RETURN(const std::string tenant,
+                          req.GetString("tenant", "default"));
+  AUTOBI_ASSIGN_OR_RETURN(const int64_t version, req.GetInt("version", 0));
+  AUTOBI_ASSIGN_OR_RETURN(const ModelSnapshot snap,
+                          catalog_.Get(tenant, version));
+  resp->Set("version", Json::MakeInt(snap.version));
+  resp->Set("label", Json::MakeString(snap.label));
+  resp->Set("pinned", Json::MakeBool(snap.pinned));
+  resp->Set("tables_hash", HexHash(snap.tables_hash));
+  resp->Set("joins", JoinsToJson(snap.joins));
+  return Status::Ok();
 }
 
-Json ServeEngine::HandleStats(const Json& req) {
-  Json resp = OkResponse(req);
+Status ServeEngine::HandleStats(const Json&, Json* resp) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    resp.Set("sessions", Json::MakeInt(int64_t(sessions_.size())));
+    resp->Set("sessions", Json::MakeInt(int64_t(sessions_.size())));
   }
-  resp.Set("requests", Json::MakeInt(requests_.load()));
-  resp.Set("errors", Json::MakeInt(errors_.load()));
-  resp.Set("predicts", Json::MakeInt(predicts_.load()));
-  resp.Set("cache", CacheStatsToJson(cache_.GetStats()));
+  resp->Set("requests", Json::MakeInt(requests_.load()));
+  resp->Set("errors", Json::MakeInt(errors_.load()));
+  resp->Set("predicts", Json::MakeInt(predicts_.load()));
+  resp->Set("cache", CacheStatsToJson(cache_.GetStats()));
+  const AdmissionGate::Stats gate = gate_.GetStats();
   Json admission = Json::MakeObject();
-  admission.Set("inflight", Json::MakeInt(gate_.inflight()));
-  admission.Set("queued", Json::MakeInt(gate_.queued()));
-  admission.Set("admitted", Json::MakeInt(gate_.admitted()));
-  admission.Set("rejected", Json::MakeInt(gate_.rejected()));
+  admission.Set("inflight", Json::MakeInt(gate.inflight));
+  admission.Set("queued", Json::MakeInt(gate.queued));
+  admission.Set("admitted", Json::MakeInt(gate.admitted));
+  admission.Set("rejected", Json::MakeInt(gate.rejected));
   admission.Set("queue_wait_total_seconds",
-                Json::MakeDouble(gate_.queue_wait_total_seconds()));
+                Json::MakeDouble(gate.queue_wait_total_seconds));
   admission.Set("queue_wait_max_seconds",
-                Json::MakeDouble(gate_.queue_wait_max_seconds()));
+                Json::MakeDouble(gate.queue_wait_max_seconds));
   admission.Set("max_inflight", Json::MakeInt(options_.max_inflight));
   admission.Set("max_queue", Json::MakeInt(options_.max_queue));
-  resp.Set("admission", std::move(admission));
+  resp->Set("admission", std::move(admission));
   Json blocking = Json::MakeObject();
   blocking.Set("column_pairs_pruned", Json::MakeInt(blocked_pairs_.load()));
   blocking.Set("column_pairs_admitted", Json::MakeInt(admitted_pairs_.load()));
   blocking.Set("components_solved", Json::MakeInt(components_solved_.load()));
-  resp.Set("blocking", std::move(blocking));
+  resp->Set("blocking", std::move(blocking));
   DurabilityStats dur = catalog_.durability();
   Json durability = Json::MakeObject();
   durability.Set("enabled", Json::MakeBool(dur.enabled));
@@ -1015,11 +914,11 @@ Json ServeEngine::HandleStats(const Json& req) {
   durability.Set("journal_commits", Json::MakeInt(dur.journal_commits));
   durability.Set("journal_errors", Json::MakeInt(dur.journal_errors));
   durability.Set("snapshots_written", Json::MakeInt(dur.snapshots_written));
-  resp.Set("durability", std::move(durability));
-  return resp;
+  resp->Set("durability", std::move(durability));
+  return Status::Ok();
 }
 
-Json ServeEngine::HandleShutdown(const Json& req) {
+Status ServeEngine::HandleShutdown(const Json&, Json* resp) {
   shutdown_.store(true, std::memory_order_release);
   // Flush-on-shutdown: the final commit barrier happens while the response
   // is still pending, so an acked shutdown implies durable state.
@@ -1030,10 +929,9 @@ Json ServeEngine::HandleShutdown(const Json& req) {
     callback = shutdown_callback_;
   }
   if (callback) callback();
-  Json resp = OkResponse(req);
-  resp.Set("shutting_down", Json::MakeBool(true));
-  resp.Set("state_flushed", Json::MakeBool(flushed.ok()));
-  return resp;
+  resp->Set("shutting_down", Json::MakeBool(true));
+  resp->Set("state_flushed", Json::MakeBool(flushed.ok()));
+  return Status::Ok();
 }
 
 }  // namespace autobi

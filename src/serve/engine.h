@@ -47,33 +47,33 @@ const char* QosTierName(QosTier tier);
 // standard, but overflow behaviour — the tested contract — is exact).
 class AdmissionGate {
  public:
+  // One consistent snapshot of the gate, for the `stats` verb: overload
+  // shedding is invisible without the rejection and queue-wait figures.
+  struct Stats {
+    int inflight = 0;
+    int queued = 0;
+    // Requests granted a slot (immediately or after queueing).
+    int64_t admitted = 0;
+    int64_t rejected = 0;
+    // Time requests spent waiting in the queue before admission.
+    double queue_wait_total_seconds = 0.0;
+    double queue_wait_max_seconds = 0.0;
+  };
+
   AdmissionGate(int max_inflight, int max_queue);
 
   // Blocks while queue capacity is available, rejects when it is not.
   Status Enter();
   void Exit();
 
-  int inflight() const;
-  int queued() const;
-  int64_t rejected() const;
-  // Requests granted a slot (immediately or after queueing).
-  int64_t admitted() const;
-  // Time requests spent waiting in the queue before admission, for the
-  // `stats` verb: overload shedding is invisible without it.
-  double queue_wait_total_seconds() const;
-  double queue_wait_max_seconds() const;
+  Stats GetStats() const;
 
  private:
   const int max_inflight_;
   const int max_queue_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  int inflight_ = 0;
-  int queued_ = 0;
-  int64_t rejected_ = 0;
-  int64_t admitted_ = 0;
-  double queue_wait_total_seconds_ = 0.0;
-  double queue_wait_max_seconds_ = 0.0;
+  Stats stats_;  // Guarded by mu_.
 };
 
 struct ServeOptions {
@@ -122,7 +122,10 @@ class ServeEngine {
   // engine.
   explicit ServeEngine(const LocalModel* model, ServeOptions options = {});
 
-  // Dispatches one parsed request object. Never throws.
+  // Dispatches one parsed request object to its verb handler. The one
+  // place a failed request becomes an error envelope: a handler's non-OK
+  // Status, or any exception it throws, is answered with "ok": false and
+  // counted in the `stats` errors. Never throws.
   Json Handle(const Json& request);
 
   // Wire-level entry: parses `line` (fault point `serve.request` can corrupt
@@ -163,21 +166,29 @@ class ServeEngine {
   void SetPredictHoldHookForTest(std::function<void()> hook);
 
  private:
+  // A session's tables, each with its TableContentHash (computed once, by
+  // upload_table or update_table). Copy-on-write: uploads and updates
+  // replace the whole set, so a Predict runs on its set outside the lock.
+  struct TableSet {
+    std::vector<Table> tables;
+    std::vector<uint64_t> hashes;  // hashes[i] = TableContentHash(tables[i]).
+  };
+
+  // One Predict's outcome: the table set it ran on, its model (for
+  // get_model's exports) and its name-resolved joins (for diff and
+  // publish_model). Immutable once recorded.
+  struct Prediction {
+    std::shared_ptr<const TableSet> tables;
+    BiModel model;
+    std::vector<NamedJoin> joins;
+  };
+
   struct Session {
     std::string tenant;
-    // Copy-on-write snapshot: uploads replace the vector, Predict runs on
-    // its snapshot outside the session lock.
-    std::shared_ptr<const std::vector<Table>> tables =
-        std::make_shared<const std::vector<Table>>();
-    // Results of the latest and previous Predict (name-resolved, for
-    // get_model/diff). Empty until the first Predict.
-    std::vector<NamedJoin> last_joins;
-    std::vector<NamedJoin> prev_joins;
-    bool has_predicted = false;
-    bool has_previous = false;
-    // The model + table snapshot backing the latest Predict, for exports.
-    BiModel last_model;
-    std::shared_ptr<const std::vector<Table>> last_tables;
+    std::shared_ptr<const TableSet> tables = std::make_shared<TableSet>();
+    // The latest and the previous Predict; null until there is one.
+    std::shared_ptr<const Prediction> last;
+    std::shared_ptr<const Prediction> previous;
     // Cross-request state of the delta path (core/incremental.h), created
     // lazily by the first {"incremental": true} predict. A predict takes it
     // out under the session lock (PredictIncremental must not share state
@@ -187,25 +198,32 @@ class ServeEngine {
     std::shared_ptr<IncrementalState> incremental;
   };
 
-  Json HandlePing(const Json& req);
-  Json HandleCreateSession(const Json& req);
-  Json HandleCloseSession(const Json& req);
-  Json HandleUploadTable(const Json& req);
-  Json HandleUpdateTable(const Json& req);
-  Json HandlePredict(const Json& req);
-  Json HandleGetModel(const Json& req);
-  Json HandleDiff(const Json& req);
-  Json HandlePublishModel(const Json& req);
-  Json HandleListModels(const Json& req);
-  Json HandlePinModel(const Json& req);
-  Json HandleDiffModels(const Json& req);
-  Json HandleGetCatalogModel(const Json& req);
-  Json HandleStats(const Json& req);
-  Json HandleShutdown(const Json& req);
+  // One handler per verb. Each fills `resp`, which arrives holding the
+  // echoed id and "ok": true, or returns the error Handle answers with.
+  Status HandlePing(const Json& req, Json* resp);
+  Status HandleCreateSession(const Json& req, Json* resp);
+  Status HandleCloseSession(const Json& req, Json* resp);
+  Status HandleUploadTable(const Json& req, Json* resp);
+  Status HandleUpdateTable(const Json& req, Json* resp);
+  Status HandlePredict(const Json& req, Json* resp);
+  Status HandleGetModel(const Json& req, Json* resp);
+  Status HandleDiff(const Json& req, Json* resp);
+  Status HandlePublishModel(const Json& req, Json* resp);
+  Status HandleListModels(const Json& req, Json* resp);
+  Status HandlePinModel(const Json& req, Json* resp);
+  Status HandleDiffModels(const Json& req, Json* resp);
+  Status HandleGetCatalogModel(const Json& req, Json* resp);
+  Status HandleStats(const Json& req, Json* resp);
+  Status HandleShutdown(const Json& req, Json* resp);
 
-  // Copies the session's current state under the session-table lock.
-  // kInvalidInput for unknown session ids.
-  StatusOr<Session> SnapshotSession(const std::string& session_id) const;
+  // Resolves the request's verb in the verb table and runs its handler.
+  Status Dispatch(const Json& request, Json* resp);
+
+  // kInvalidInput "unknown session '<id>'" when there is no such session.
+  // The caller holds mu_.
+  StatusOr<Session*> FindSession(const std::string& session_id);
+  // A copy of the session (its tenant and four pointers), taken under mu_.
+  StatusOr<Session> SnapshotSession(const std::string& session_id);
 
   const LocalModel* model_;
   ServeOptions options_;

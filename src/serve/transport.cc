@@ -8,7 +8,6 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
-#include <iostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -53,7 +52,8 @@ class LineReader {
   }
 
   // Reads once from `fd`, after dropping the lines already handed out.
-  // Returns read(2)'s result.
+  // Returns read(2)'s result. At EOF (0) the bytes after the last '\n', if
+  // any, are terminated, so Next serves them as the last line.
   ssize_t Read(int fd) {
     buffer_.erase(0, start_);
     scanned_ -= start_;
@@ -62,15 +62,16 @@ class LineReader {
     buffer_.resize(old_size + kReadChunkBytes);
     ssize_t n = ::read(fd, buffer_.data() + old_size, kReadChunkBytes);
     buffer_.resize(old_size + (n > 0 ? size_t(n) : 0));
+    if (n == 0 && !Pending().empty()) buffer_.push_back('\n');
     return n;
   }
 
+ private:
   // Bytes received after the last complete line.
   std::string_view Pending() const {
     return std::string_view(buffer_).substr(start_);
   }
 
- private:
   const size_t max_line_bytes_;
   std::string buffer_;
   size_t start_ = 0;    // First byte not yet handed out.
@@ -87,6 +88,73 @@ std::string OverCapResponse(size_t max_line_bytes) {
       .Write();
 }
 
+// Writes all of `bytes`; false once the reader is gone. On a socket,
+// MSG_NOSIGNAL turns a peer that hung up into EPIPE instead of a SIGPIPE,
+// whose default action would kill the daemon and every other session with
+// it; stdout is not a socket (ENOTSOCK) and gets write(2).
+bool WriteAll(int fd, std::string_view bytes) {
+  size_t off = 0;
+  while (off < bytes.size()) {
+    ssize_t w = ::send(fd, bytes.data() + off, bytes.size() - off,
+                       MSG_NOSIGNAL);
+    if (w < 0 && errno == ENOTSOCK) {
+      w = ::write(fd, bytes.data() + off, bytes.size() - off);
+    }
+    if (w < 0 && errno == EINTR) continue;
+    if (w <= 0) return false;
+    off += size_t(w);
+  }
+  return true;
+}
+
+// The one read loop of both transports: reads request lines from `in_fd`
+// and writes one response line per request to `out_fd`. A '\r' before the
+// '\n' is dropped, blank lines are skipped, and at EOF a last line without
+// '\n' is served. Returns at EOF, on a read or write error, after
+// answering an over-cap line with one RESOURCE_EXHAUSTED line, or on
+// engine shutdown. `wake_fd` (-1 for none) is the read end of the socket
+// transport's self-pipe: the engine's shutdown callback writes one byte
+// there (never drained, so the pipe stays level-triggered readable), waking
+// every blocked poller at once — shutdown accepted on one connection
+// unblocks all others immediately, with no polling interval.
+void ServeLines(ServeEngine* engine, int in_fd, int out_fd, int wake_fd) {
+  const size_t max_line_bytes = MaxRequestLineBytes(engine->options());
+  LineReader reader(max_line_bytes);
+  bool eof = false;
+  while (!engine->shutdown_requested()) {
+    std::string_view line;
+    LineReader::Result result = reader.Next(&line);
+    if (result == LineReader::Result::kOverCap) {
+      WriteAll(out_fd, OverCapResponse(max_line_bytes) + "\n");
+      return;
+    }
+    if (result == LineReader::Result::kLine) {
+      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+      if (line.empty()) continue;
+      if (!WriteAll(out_fd, engine->HandleLine(line) + "\n")) return;
+      continue;
+    }
+    if (eof) return;
+    struct pollfd pfds[2];
+    pfds[0].fd = in_fd;
+    pfds[0].events = POLLIN;
+    pfds[1].fd = wake_fd;  // poll(2) ignores a negative fd.
+    pfds[1].events = POLLIN;
+    int ready = ::poll(pfds, 2, -1);
+    if (engine->shutdown_requested()) return;
+    if (ready < 0) {
+      if (errno == EINTR) continue;
+      return;
+    }
+    if (pfds[1].revents != 0) return;  // Shutdown wakeup.
+    if (pfds[0].revents == 0) continue;
+    ssize_t n = reader.Read(in_fd);
+    if (n < 0 && (errno == EINTR || errno == EAGAIN)) continue;
+    // EOF or a read error: serve the lines already buffered, then stop.
+    eof = n <= 0;
+  }
+}
+
 }  // namespace
 
 size_t MaxRequestLineBytes(const ServeOptions& options) {
@@ -96,96 +164,9 @@ size_t MaxRequestLineBytes(const ServeOptions& options) {
 }
 
 Status RunStdioServer(ServeEngine* engine) {
-  const size_t max_line_bytes = MaxRequestLineBytes(engine->options());
-  LineReader reader(max_line_bytes);
-  // A reader that went away fails the stream (autobi_serve ignores
-  // SIGPIPE): nobody is left to answer, so stop serving.
-  auto respond = [](const std::string& response) {
-    return static_cast<bool>(std::cout << response << "\n" << std::flush);
-  };
-  while (!engine->shutdown_requested()) {
-    std::string_view line;
-    LineReader::Result result = reader.Next(&line);
-    if (result == LineReader::Result::kOverCap) {
-      respond(OverCapResponse(max_line_bytes));
-      break;
-    }
-    if (result == LineReader::Result::kLine) {
-      if (!line.empty() && !respond(engine->HandleLine(line))) break;
-      continue;
-    }
-    ssize_t n = reader.Read(STDIN_FILENO);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      // Like std::getline, serve a last line that has no '\n'.
-      std::string_view rest = reader.Pending();
-      if (!rest.empty()) respond(engine->HandleLine(rest));
-      break;
-    }
-  }
+  ServeLines(engine, STDIN_FILENO, STDOUT_FILENO, /*wake_fd=*/-1);
   return Status::Ok();
 }
-
-namespace {
-
-// Writes all of `bytes`; false once the peer is gone.
-bool SendAll(int fd, const std::string& bytes) {
-  size_t off = 0;
-  while (off < bytes.size()) {
-    // A client that hung up turns this write into EPIPE: MSG_NOSIGNAL
-    // keeps that from raising SIGPIPE, whose default action would kill
-    // the daemon and every other session with it.
-    ssize_t w = ::send(fd, bytes.data() + off, bytes.size() - off,
-                       MSG_NOSIGNAL);
-    if (w <= 0) return false;
-    off += size_t(w);
-  }
-  return true;
-}
-
-// Reads lines from `fd`, dispatching each through the engine. Returns on
-// EOF, error, an over-cap line (answered with one RESOURCE_EXHAUSTED
-// line), or engine shutdown. `wake_fd` is the read end of the transport's
-// self-pipe: the engine's shutdown callback writes one byte there (which is
-// never drained, so the pipe stays level-triggered readable), waking every
-// blocked poller at once — shutdown accepted on one connection unblocks all
-// others immediately, with no polling interval.
-void ServeConnection(ServeEngine* engine, int fd, int wake_fd) {
-  const size_t max_line_bytes = MaxRequestLineBytes(engine->options());
-  LineReader reader(max_line_bytes);
-  while (!engine->shutdown_requested()) {
-    std::string_view line;
-    LineReader::Result result = reader.Next(&line);
-    if (result == LineReader::Result::kOverCap) {
-      SendAll(fd, OverCapResponse(max_line_bytes) + "\n");
-      break;
-    }
-    if (result == LineReader::Result::kLine) {
-      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-      if (!line.empty() && !SendAll(fd, engine->HandleLine(line) + "\n")) {
-        break;
-      }
-      continue;
-    }
-    struct pollfd pfds[2];
-    pfds[0].fd = fd;
-    pfds[0].events = POLLIN;
-    pfds[1].fd = wake_fd;
-    pfds[1].events = POLLIN;
-    int ready = ::poll(pfds, 2, -1);
-    if (engine->shutdown_requested()) break;
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (pfds[1].revents != 0) break;  // Shutdown wakeup.
-    if ((pfds[0].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-    if (reader.Read(fd) <= 0) break;  // EOF or error.
-  }
-  ::close(fd);
-}
-
-}  // namespace
 
 Status RunUnixSocketServer(ServeEngine* engine, const std::string& path) {
   if (path.size() >= sizeof(sockaddr_un{}.sun_path)) {
@@ -252,7 +233,10 @@ Status RunUnixSocketServer(ServeEngine* engine, const std::string& path) {
     if ((pfds[0].revents & POLLIN) == 0) continue;
     int conn_fd = ::accept(listen_fd, nullptr, nullptr);
     if (conn_fd < 0) continue;
-    connections.emplace_back(ServeConnection, engine, conn_fd, wake[0]);
+    connections.emplace_back([engine, conn_fd, wake_fd = wake[0]] {
+      ServeLines(engine, conn_fd, conn_fd, wake_fd);
+      ::close(conn_fd);
+    });
   }
   for (std::thread& t : connections) t.join();
   engine->SetShutdownCallback(nullptr);

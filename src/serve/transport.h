@@ -10,11 +10,13 @@
 namespace autobi {
 
 // Newline-delimited JSON transports for ServeEngine (POSIX only, no
-// dependencies). Both run until EOF or until the engine accepts a
-// `shutdown` request. Framing: one request per input line, one response
-// per output line; blank lines are ignored. Input is read 64 KiB at a time
-// and each byte is searched for the newline once, so framing cost is
-// linear in the request size.
+// dependencies). Both run one read loop over file descriptors, until EOF
+// or until the engine accepts a `shutdown` request, so their framing is
+// the same: one request per input line, one response per output line; a
+// '\r' before the '\n' is dropped, blank lines are ignored, and a last
+// line without '\n' is served at EOF. Input is read 64 KiB at a time and
+// each byte is searched for the newline once, so framing cost is linear
+// in the request size.
 //
 // A request line longer than MaxRequestLineBytes is answered with one
 // RESOURCE_EXHAUSTED error line; the socket transport then closes that

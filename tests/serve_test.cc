@@ -17,6 +17,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -691,6 +692,70 @@ TEST(ServeEngineTest, UpdateTableRejectsMalformedDeltas) {
   ASSERT_TRUE(IsOk(predict)) << predict.Write();
 }
 
+// publish_model stamps a snapshot from the table hashes taken at upload and
+// update time. After an upload, a re-upload under the same name and an
+// update_table, the published tables_hash must still be TablesContentHash
+// of the session's tables, in the session's order.
+TEST(ServeEngineTest, PublishedTablesHashIsTablesContentHash) {
+  ServeEngine engine(&TestModel(), ServeOptions{});
+  Json created = Call(engine, R"({"verb":"create_session"})");
+  ASSERT_TRUE(IsOk(created));
+  const std::string session = created.Find("session")->AsString();
+  ASSERT_TRUE(IsOk(Call(engine, UploadLine(session, MakeTable("orders", 30)))));
+  std::vector<Table> tables;
+  for (const Table& t : StarTables()) {
+    ASSERT_TRUE(IsOk(Call(engine, UploadLine(session, t))));
+    StatusOr<Table> uploaded = ReadCsv(WriteCsv(t), t.name());
+    ASSERT_TRUE(uploaded.ok());
+    tables.push_back(std::move(uploaded).value());
+  }
+  // The re-upload kept the first upload's slot: orders, then customers.
+  std::swap(tables[0], tables[1]);
+  ASSERT_TRUE(IsOk(Call(engine, R"({"verb":"update_table","session":")" +
+                                    session +
+                                    R"(","name":"orders","columns":[)"
+                                    R"({"name":"order_id","values":[151]},)"
+                                    R"({"name":"cust_id","values":[1003]},)"
+                                    R"({"name":"quantity","values":[7]}]})")));
+  tables[0].column(0).AppendInt(151);
+  tables[0].column(1).AppendInt(1003);
+  tables[0].column(2).AppendInt(7);
+
+  ASSERT_TRUE(IsOk(Call(engine, R"({"verb":"predict","session":")" +
+                                    session + R"("})")));
+  ASSERT_TRUE(IsOk(Call(engine, R"({"verb":"publish_model","session":")" +
+                                    session + R"(","label":"v1"})")));
+  Json listed = Call(engine, R"({"verb":"list_models"})");
+  ASSERT_TRUE(IsOk(listed)) << listed.Write();
+  ASSERT_EQ(listed.Find("models")->size(), 1u);
+  EXPECT_EQ(listed.Find("models")->at(0).Find("tables_hash")->AsString(),
+            StrFormat("%016llx", static_cast<unsigned long long>(
+                                     TablesContentHash(tables))));
+}
+
+// A number after string cells in one column is a typed error, in an upload
+// and in a delta alike — not an aborted daemon.
+TEST(ServeEngineTest, NumberIntoStringColumnIsInvalidInput) {
+  ServeEngine engine(&TestModel(), ServeOptions{});
+  std::string session = SetUpStarSession(engine);
+  Json upload = Call(engine, R"({"verb":"upload_table","session":")" +
+                                 session +
+                                 R"(","name":"u","columns":[)"
+                                 R"({"name":"c","values":["x",1]}]})");
+  EXPECT_EQ(ErrorCode(upload), "INVALID_INPUT");
+  EXPECT_EQ(upload.Find("error")->Find("message")->AsString(),
+            "upload_table: column 'c' mixes numbers with string cells");
+  Json delta = Call(engine, R"({"verb":"update_table","session":")" +
+                                session +
+                                R"(","name":"customers","columns":[)"
+                                R"({"name":"cust_id","values":[1]},)"
+                                R"({"name":"cust_name","values":[2.5]}]})");
+  EXPECT_EQ(ErrorCode(delta), "INVALID_INPUT");
+  EXPECT_EQ(
+      delta.Find("error")->Find("message")->AsString(),
+      "update_table: column 'cust_name' mixes numbers with string cells");
+}
+
 TEST(ServeEngineTest, ConcurrentPredictsAreDeterministic) {
   ServeOptions options;
   options.threads = 2;
@@ -723,7 +788,7 @@ TEST(AdmissionGateTest, OverflowRejectsImmediately) {
   Status second = gate.Enter();
   EXPECT_FALSE(second.ok());
   EXPECT_EQ(second.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(gate.rejected(), 1);
+  EXPECT_EQ(gate.GetStats().rejected, 1);
   gate.Exit();
   EXPECT_TRUE(gate.Enter().ok());
   gate.Exit();
@@ -740,7 +805,7 @@ TEST(AdmissionGateTest, QueuedCallerProceedsAfterExit) {
     gate.Exit();
   });
   // The waiter parks in the queue; an Exit must wake it.
-  while (gate.queued() == 0) std::this_thread::yield();
+  while (gate.GetStats().queued == 0) std::this_thread::yield();
   EXPECT_FALSE(entered.load());
   gate.Exit();
   waiter.join();
@@ -750,23 +815,24 @@ TEST(AdmissionGateTest, QueuedCallerProceedsAfterExit) {
 TEST(AdmissionGateTest, TracksAdmittedAndQueueWaitTime) {
   AdmissionGate gate(1, 1);
   ASSERT_TRUE(gate.Enter().ok());
-  EXPECT_EQ(gate.admitted(), 1);
-  EXPECT_EQ(gate.queue_wait_total_seconds(), 0.0);
+  EXPECT_EQ(gate.GetStats().admitted, 1);
+  EXPECT_EQ(gate.GetStats().queue_wait_total_seconds, 0.0);
 
   std::thread waiter([&] {
     EXPECT_TRUE(gate.Enter().ok());
     gate.Exit();
   });
-  while (gate.queued() == 0) std::this_thread::yield();
+  while (gate.GetStats().queued == 0) std::this_thread::yield();
   // Make the waiter's queue time unambiguously measurable.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   gate.Exit();
   waiter.join();
 
-  EXPECT_EQ(gate.admitted(), 2);
-  EXPECT_GT(gate.queue_wait_total_seconds(), 0.0);
-  EXPECT_GE(gate.queue_wait_max_seconds(), 0.015);
-  EXPECT_LE(gate.queue_wait_max_seconds(), gate.queue_wait_total_seconds());
+  const AdmissionGate::Stats stats = gate.GetStats();
+  EXPECT_EQ(stats.admitted, 2);
+  EXPECT_GT(stats.queue_wait_total_seconds, 0.0);
+  EXPECT_GE(stats.queue_wait_max_seconds, 0.015);
+  EXPECT_LE(stats.queue_wait_max_seconds, stats.queue_wait_total_seconds);
 }
 
 TEST(ServeEngineTest, PredictOverflowReturnsResourceExhausted) {
@@ -1000,6 +1066,64 @@ TEST(ServeEngineTest, StatsAndShutdown) {
   EXPECT_TRUE(engine.shutdown_requested());
 }
 
+// Replaces the value of every object key ending in "_seconds", at any depth,
+// with 0: wall-clock times are the one part of a response that varies.
+Json ZeroSeconds(const Json& value) {
+  if (value.is_array()) {
+    Json out = Json::MakeArray();
+    for (size_t i = 0; i < value.size(); ++i) {
+      out.Append(ZeroSeconds(value.at(i)));
+    }
+    return out;
+  }
+  if (!value.is_object()) return value;
+  Json out = Json::MakeObject();
+  for (const auto& [key, member] : value.members()) {
+    const bool seconds =
+        key.size() >= 8 && key.compare(key.size() - 8, 8, "_seconds") == 0;
+    out.Set(key, seconds ? Json::MakeInt(0) : ZeroSeconds(member));
+  }
+  return out;
+}
+
+// The wire format, pinned. tests/golden/serve_wire_transcript.txt is a
+// script covering every verb's success response and every error path: each
+// "> " line is a request line, the "< " line after it the response it must
+// get. On a mismatch the transcript this engine produced is written to the
+// test temp dir, to diff against the golden file.
+TEST(ServeEngineTest, WireTranscriptIsStable) {
+  ServeOptions options;
+  options.threads = 2;
+  options.max_sessions = 3;
+  options.max_tables_per_session = 3;
+  ServeEngine engine(&TestModel(), options);
+
+  std::ifstream golden(AUTOBI_TESTS_DIR "/golden/serve_wire_transcript.txt");
+  ASSERT_TRUE(golden) << "cannot open the golden transcript";
+  std::vector<std::string> expected, actual;
+  for (std::string line; std::getline(golden, line);) {
+    expected.push_back(line);
+    if (line.rfind("< ", 0) == 0) continue;
+    actual.push_back(line);
+    if (line.rfind("> ", 0) != 0) continue;
+    StatusOr<Json> response =
+        ParseJson(engine.HandleLine(std::string_view(line).substr(2)));
+    ASSERT_TRUE(response.ok()) << "response not JSON for: " << line;
+    actual.push_back("< " + ZeroSeconds(*response).Write());
+  }
+  EXPECT_EQ(expected.size(), actual.size());
+  for (size_t i = 0; i < std::min(expected.size(), actual.size()); ++i) {
+    EXPECT_EQ(expected[i], actual[i]) << "golden line " << i + 1;
+  }
+  if (HasFailure()) {
+    const std::string path =
+        ::testing::TempDir() + "serve_wire_transcript.actual";
+    std::ofstream out(path);
+    for (const std::string& line : actual) out << line << "\n";
+    ADD_FAILURE() << "this engine's transcript: " << path;
+  }
+}
+
 // The tentpole end-to-end property: a daemon restarted from a populated
 // state dir serves the published model byte-identically, and the stats verb
 // reports what recovery found.
@@ -1226,6 +1350,24 @@ TEST(ServeTransportTest, FramesBatchedAndChunkedRequestsInOrder) {
                                      TableContentHash(*table))));
   EXPECT_EQ(uploaded->Find("rows")->AsInt(), int64_t(table->num_rows()));
   EXPECT_EQ(ResponseId(ReadLine(fd)), 5);
+  ::close(fd);
+}
+
+// A client that half-closes after a last line without '\n' still gets
+// that line answered, and a CRLF blank line is skipped like a blank one:
+// two pings, two responses, then EOF.
+TEST(ServeTransportTest, ServesUnterminatedLastLineAtEof) {
+  ServeEngine engine(&TestModel(), ServeOptions{});
+  SocketServer server(&engine, "eof");
+  int fd = server.Connect();
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(WriteAll(fd, "{\"verb\":\"ping\",\"id\":1}\r\n\r\n"
+                          "{\"verb\":\"ping\",\"id\":2}"));
+  ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+  EXPECT_EQ(ResponseId(ReadLine(fd)), 1);
+  EXPECT_EQ(ResponseId(ReadLine(fd)), 2);
+  char ch;
+  EXPECT_EQ(::read(fd, &ch, 1), 0) << "connection not closed after EOF";
   ::close(fd);
 }
 
