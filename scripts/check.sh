@@ -2,9 +2,10 @@
 # Data-race check for the parallel pipeline: build with ThreadSanitizer and
 # run the concurrency-sensitive suites (pool semantics + cross-thread-count
 # determinism, plus the core pipeline tests that exercise every parallel
-# stage, plus the stateful pipeline's full and partial rescans, plus the
-# 1-vs-8-thread solver determinism sweep for the wave-parallel k-MCA-CC
-# branch-and-bound). Any TSan report fails the run (halt_on_error).
+# stage, plus the stateful pipeline's full and partial rescans, plus
+# concurrent predicts through one serve engine, plus the 1-vs-8-thread
+# solver determinism sweep for the wave-parallel k-MCA-CC branch-and-bound).
+# Any TSan report fails the run (halt_on_error).
 #
 # Usage: scripts/check.sh [build-dir]     (default: build-tsan)
 set -euo pipefail
@@ -96,7 +97,7 @@ PY
 
 cmake -B "$BUILD_DIR" -S . -DAUTOBI_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j --target autobi_parallel_tests autobi_core_tests \
-  autobi_incremental_tests autobi_fuzz_tests autobi_serve
+  autobi_incremental_tests autobi_fuzz_tests autobi_serve_tests autobi_serve
 if nm -C "$BUILD_DIR/src/serve/autobi_serve" \
     | grep -E 'Legacy|BruteForce|ViaStringMap|ReadCsvOracle'; then
   echo "check.sh: LINT FAIL — oracle symbols in autobi_serve (above);" \
@@ -114,6 +115,11 @@ export AUTOBI_THREADS="${AUTOBI_THREADS:-4}"
 # PredictIncremental at 1/2/8 threads: state reuse, composite key-set
 # seeding and partial rescans race real pool workers here.
 "$BUILD_DIR/tests/autobi_incremental_tests"
+# Concurrent predicts through one engine: two callers take indices from the
+# regions of one shared pool, and their helpers outlive closed regions.
+SERVE_FILTER='ServeEngineTest.ConcurrentPredictsAreDeterministic'
+SERVE_FILTER+=':ServeEngineTest.PredictIsByteIdenticalAcrossThreadCountsAndCacheState'
+"$BUILD_DIR/tests/autobi_serve_tests" --gtest_filter="$SERVE_FILTER"
 
 # Solver determinism under TSan: the wave-parallel branch-and-bound must be
 # byte-identical (results and stats) at 1, 2, and 8 threads, with the
@@ -128,8 +134,8 @@ AUTOBI_THREADS=1 "$BUILD_DIR/tests/autobi_fuzz_tests" \
 AUTOBI_THREADS=8 "$BUILD_DIR/tests/autobi_fuzz_tests" \
   --gtest_filter="$SOLVER_FILTER"
 
-echo "check.sh: ThreadSanitizer clean (pipeline, incremental, solver" \
-     "determinism, partitioned solve)."
+echo "check.sh: ThreadSanitizer clean (pipeline, incremental, concurrent" \
+     "predicts, solver determinism, partitioned solve)."
 
 # --- Kernel-oracle equivalence under ASan/UBSan (always on since PR 7):
 # the hash-first profiling/UCC/IND kernels (table/key_view.h + radix-sorted
@@ -141,11 +147,20 @@ ASAN_BUILD_DIR="${AUTOBI_ASAN_BUILD_DIR:-build-asan}"
 cmake -B "$ASAN_BUILD_DIR" -S . -DAUTOBI_SANITIZE=address,undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 cmake --build "$ASAN_BUILD_DIR" -j --target autobi_profile_ml_tests \
-  autobi_faultfuzz autobi_base_tests autobi_service_tests autobi_serve_tests
+  autobi_faultfuzz autobi_base_tests autobi_service_tests autobi_serve_tests \
+  autobi_parallel_tests
 UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
   "$ASAN_BUILD_DIR/tests/autobi_profile_ml_tests" \
   --gtest_filter='KernelOracle*:TpchDdl*'
 echo "check.sh: kernel-oracle equivalence clean (ASan/UBSan)."
+
+# --- Pool semantics under ASan/UBSan (always on): each ParallelFor region
+# lives in shared state that helper tasks may reach after the caller has
+# returned, so its lifetime is checked here, together with the
+# cross-thread-count determinism suites.
+UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
+  "$ASAN_BUILD_DIR/tests/autobi_parallel_tests"
+echo "check.sh: pool semantics clean (ASan/UBSan)."
 
 # --- Ingest path under ASan/UBSan (always on): the CSV reader does pointer
 # arithmetic over untrusted bytes, so its unit tests, the differential test

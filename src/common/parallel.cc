@@ -1,18 +1,62 @@
 #include "common/parallel.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <exception>
 #include <limits>
+#include <memory>
 
 namespace autobi {
 
 namespace {
 
 // Set once, permanently, by every pool worker thread; ParallelFor consults
-// it to fall back to the serial loop on nested calls (a worker blocking on
-// further pool tasks could deadlock a saturated pool).
+// it to run nested calls as the plain serial loop: the outer region already
+// keeps the workers busy, so a nested region's helpers would only queue
+// behind it.
 thread_local bool t_in_worker = false;
+
+// One ParallelFor region, shared by its caller and its helper tasks through
+// a shared_ptr. The caller's `fn` may be called only while the region is
+// open: a helper enters (running + 1) under `mu` only before the caller
+// closes it, and the caller returns only after closing it with no helper
+// inside.
+struct Region {
+  Region(size_t n, const std::function<void(size_t)>* fn) : n(n), fn(fn) {}
+
+  // Takes indices in ascending order until none are left. Every index below
+  // a failing one was taken before it and runs to completion, so the lowest
+  // recorded failure is the lowest failing index overall; indices above a
+  // recorded failure are skipped, since the region's results are discarded.
+  void Run() {
+    for (;;) {
+      const size_t i = next.fetch_add(1);
+      if (i >= n || i > failed.load()) return;
+      try {
+        (*fn)(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mu);
+        if (i < failed.load()) {
+          failed.store(i);
+          error = std::current_exception();
+        }
+        return;
+      }
+    }
+  }
+
+  const size_t n;
+  const std::function<void(size_t)>* const fn;
+  std::atomic<size_t> next{0};
+  // Lowest failing index so far (written under `mu`, with `error`).
+  std::atomic<size_t> failed{std::numeric_limits<size_t>::max()};
+  std::exception_ptr error;
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t running = 0;   // Helpers inside Run(); under `mu`.
+  bool closed = false;  // Set by the caller once it has no index left.
+};
 
 }  // namespace
 
@@ -91,8 +135,7 @@ void ThreadPool::WorkerLoop() {
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      // Drain the queue even when stopping: queued tasks hold references
-      // into live ParallelFor frames and must signal completion.
+      // Drain the queue even when stopping: every submitted task runs.
       if (queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop_front();
@@ -110,63 +153,41 @@ void ParallelFor(size_t n, const std::function<void(size_t)>& fn,
     return;
   }
 
-  size_t chunks = std::min(static_cast<size_t>(effective), n);
+  const size_t helpers = std::min(static_cast<size_t>(effective), n) - 1;
   ThreadPool& pool = ThreadPool::Global();
-  pool.EnsureWorkers(static_cast<int>(chunks) - 1);
+  pool.EnsureWorkers(static_cast<int>(helpers));
 
-  struct ChunkState {
-    std::exception_ptr error;
-    size_t error_index = std::numeric_limits<size_t>::max();
-  };
-  std::vector<ChunkState> states(chunks);
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t pending = chunks - 1;
-
-  // Deterministic block partition: chunk c owns [n*c/chunks, n*(c+1)/chunks).
-  // A chunk stops at its first throwing iteration, so the minimum recorded
-  // error_index across chunks is the smallest failing index overall.
-  auto run_chunk = [&](size_t c) {
-    size_t begin = n * c / chunks;
-    size_t end = n * (c + 1) / chunks;
-    size_t i = begin;
-    try {
-      for (; i < end; ++i) fn(i);
-    } catch (...) {
-      states[c].error = std::current_exception();
-      states[c].error_index = i;
-    }
-  };
-
-  for (size_t c = 1; c < chunks; ++c) {
-    pool.Submit([&, c] {
-      run_chunk(c);
-      // Notify while holding the lock: mu/cv live on the caller's stack, and
-      // the caller may destroy them the instant it can observe pending == 0.
-      // Signalling under the lock guarantees this worker is done touching
-      // them before the caller's wait() can re-acquire mu and return.
-      std::lock_guard<std::mutex> lock(mu);
-      --pending;
-      cv.notify_one();
+  auto region = std::make_shared<Region>(n, &fn);
+  for (size_t h = 0; h < helpers; ++h) {
+    pool.Submit([region] {
+      {
+        std::lock_guard<std::mutex> lock(region->mu);
+        // Closed: the caller took every index and may have returned, so
+        // its `fn` is gone; only the region itself is still alive.
+        if (region->closed) return;
+        ++region->running;
+      }
+      region->Run();
+      std::lock_guard<std::mutex> lock(region->mu);
+      if (--region->running == 0) region->cv.notify_one();
     });
   }
-  // The caller runs chunk 0 itself: progress never depends on pool capacity,
-  // and a serial caller's cache-warm first block stays on its own core.
-  run_chunk(0);
+  // The caller takes indices too, so the region never waits on pool
+  // capacity: with every helper queued behind other requests' work, the
+  // caller runs it alone.
+  region->Run();
+  std::exception_ptr error;
   {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return pending == 0; });
+    std::unique_lock<std::mutex> lock(region->mu);
+    region->closed = true;
+    region->cv.wait(lock, [&] { return region->running == 0; });
+    // Taken out of the region, so the exception is freed on this thread: a
+    // late helper may drop the region's last reference on a pool thread,
+    // and the exception's reference count lives in the C++ runtime, whose
+    // atomics ThreadSanitizer cannot see.
+    error = std::move(region->error);
   }
-
-  std::exception_ptr first_error;
-  size_t first_index = std::numeric_limits<size_t>::max();
-  for (const ChunkState& s : states) {
-    if (s.error && s.error_index < first_index) {
-      first_index = s.error_index;
-      first_error = s.error;
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace autobi

@@ -369,14 +369,11 @@ StatusOr<AutoBiResult> PredictWith(const LocalModel& model,
         cache != nullptr && (ctx == nullptr || !ctx->StopRequested());
     // Every cell is hashed once, here: the snapshots key the solve memo
     // below, and the table cache and the schema diff inside the pipeline.
-    // Ahead of a memo lookup the pass is serial, so a hit never waits on
-    // pool workers busy with other requests' stages.
     Timer hash_timer;
     const int threads = options.candidates.threads != 0
                             ? options.candidates.threads
                             : options.threads;
-    std::vector<TableSnapshot> snapshots = SnapshotTables(
-        tables, memo_usable && state == nullptr ? 1 : threads);
+    std::vector<TableSnapshot> snapshots = SnapshotTables(tables, threads);
     uint64_t solve_key = 0;
     if (memo_usable) {
       std::vector<uint64_t> table_hashes;

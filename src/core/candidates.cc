@@ -226,9 +226,13 @@ CandidateSet GenerateCandidates(const std::vector<Table>& tables,
   std::atomic<bool> ucc_stopped{false};
   std::vector<char> fresh(n, 0);
   std::vector<char> merged(n, 0);
+  const std::vector<size_t> order = LargestFirst(n, [&](size_t i) {
+    return tables[i].num_rows() * tables[i].num_columns();
+  });
   ParallelFor(
       n,
-      [&](size_t i) {
+      [&](size_t k) {
+        const size_t i = order[k];
         const int prev_index = changes[i].prev_index;
         if (!admitted[i]) {
           out.profiles[i] = MetadataOnlyProfile(tables[i]);

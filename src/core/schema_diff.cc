@@ -57,9 +57,16 @@ TableSnapshot SnapshotTable(const Table& table) {
 
 std::vector<TableSnapshot> SnapshotTables(const std::vector<Table>& tables,
                                           int threads) {
-  return ParallelMap(
-      tables.size(), [&](size_t i) { return SnapshotTable(tables[i]); },
+  const std::vector<size_t> order =
+      LargestFirst(tables.size(), [&](size_t i) {
+        return tables[i].num_rows() * tables[i].num_columns();
+      });
+  std::vector<TableSnapshot> snapshots(tables.size());
+  ParallelFor(
+      tables.size(),
+      [&](size_t k) { snapshots[order[k]] = SnapshotTable(tables[order[k]]); },
       threads);
+  return snapshots;
 }
 
 std::vector<TableChange> DiffSchema(const std::vector<TableSnapshot>& prev,

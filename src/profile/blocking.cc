@@ -185,8 +185,8 @@ std::map<std::pair<int, int>, PairBlocking> BuildBlockingPlan(
   std::sort(postings.begin(), postings.end(), PostingLess);
 
   // --- Probe: each dependent table's columns against the index, one pool
-  // item per dependent table (slot-per-table output keeps the plan
-  // thread-count invariant).
+  // item per dependent table, largest first (slot-per-table output keeps
+  // the plan thread-count invariant).
   struct Hit {
     int tj;
     int a;
@@ -198,14 +198,19 @@ std::map<std::pair<int, int>, PairBlocking> BuildBlockingPlan(
       return tj == o.tj && a == o.a && b == o.b;
     }
   };
-  std::vector<std::vector<Hit>> hits_by_table = ParallelMap(
+  const std::vector<size_t> order = LargestFirst(size_t(n), [&](size_t i) {
+    return profiles[i].row_count * profiles[i].columns.size();
+  });
+  std::vector<std::vector<Hit>> hits_by_table(order.size());
+  ParallelFor(
       size_t(n),
-      [&](size_t ti) {
-        std::vector<Hit> hits;
+      [&](size_t k) {
+        const size_t ti = order[k];
+        std::vector<Hit>& hits = hits_by_table[ti];
         // Table-boundary stop poll: a tripped run stops issuing probes;
         // the same stop gates every downstream pair scan, so the caller's
         // degradation marking already covers the skipped work.
-        if (ctx != nullptr && ctx->StopRequested()) return hits;
+        if (ctx != nullptr && ctx->StopRequested()) return;
         const TableProfile& p = profiles[ti];
         for (int a = 0; a < int(p.columns.size()); ++a) {
           ColumnProbeSet probes =
@@ -249,7 +254,6 @@ std::map<std::pair<int, int>, PairBlocking> BuildBlockingPlan(
           }
         }
         std::sort(hits.begin(), hits.end());
-        return hits;
       },
       threads);
 

@@ -643,7 +643,8 @@ Status ServeEngine::HandlePredict(const Json& req, Json* resp) {
   if (result.ok()) {
     prediction = std::make_shared<Prediction>();
     prediction->tables = tables;
-    prediction->joins = NameJoins(tables->tables, result->model);
+    prediction->joins = std::make_shared<const std::vector<NamedJoin>>(
+        NameJoins(tables->tables, result->model));
     prediction->model = std::move(result->model);
   }
 
@@ -656,7 +657,9 @@ Status ServeEngine::HandlePredict(const Json& req, Json* resp) {
       Session& session = it->second;
       if (inc_state != nullptr) session.incremental = std::move(inc_state);
       if (prediction != nullptr) {
-        session.previous = std::move(session.last);
+        if (session.last != nullptr) {
+          session.previous_joins = session.last->joins;
+        }
         session.last = prediction;
       }
     }
@@ -667,7 +670,7 @@ Status ServeEngine::HandlePredict(const Json& req, Json* resp) {
   resp->Set("tier", Json::MakeString(QosTierName(tier)));
   resp->Set("mode", Json::MakeString(mode_name));
   resp->Set("num_tables", Json::MakeInt(int64_t(tables->tables.size())));
-  resp->Set("joins", JoinsToJson(prediction->joins));
+  resp->Set("joins", JoinsToJson(*prediction->joins));
   Json timing = Json::MakeObject();
   timing.Set("ucc_seconds", Json::MakeDouble(result->timing.ucc));
   timing.Set("ind_seconds", Json::MakeDouble(result->timing.ind));
@@ -789,9 +792,10 @@ Status ServeEngine::HandleDiff(const Json& req, Json* resp) {
   // "added".
   static const std::vector<NamedJoin> kNoJoins;
   const ModelDiff diff = DiffJoinSets(
-      session.previous != nullptr ? session.previous->joins : kNoJoins,
-      session.last->joins);
-  resp->Set("against_previous", Json::MakeBool(session.previous != nullptr));
+      session.previous_joins != nullptr ? *session.previous_joins : kNoJoins,
+      *session.last->joins);
+  resp->Set("against_previous",
+            Json::MakeBool(session.previous_joins != nullptr));
   resp->Set("added", JoinsToJson(diff.added));
   resp->Set("removed", JoinsToJson(diff.removed));
   return Status::Ok();
@@ -815,7 +819,7 @@ Status ServeEngine::HandlePublishModel(const Json& req, Json* resp) {
       catalog_.Publish(
           tenant, std::move(label),
           TablesContentHashFromHashes(session.last->tables->hashes),
-          session.last->joins));
+          *session.last->joins));
   resp->Set("tenant", Json::MakeString(tenant));
   resp->Set("version", Json::MakeInt(version));
   return Status::Ok();

@@ -174,21 +174,25 @@ class ServeEngine {
     std::vector<uint64_t> hashes;  // hashes[i] = TableContentHash(tables[i]).
   };
 
+  using JoinList = std::shared_ptr<const std::vector<NamedJoin>>;
+
   // One Predict's outcome: the table set it ran on, its model (for
   // get_model's exports) and its name-resolved joins (for diff and
   // publish_model). Immutable once recorded.
   struct Prediction {
     std::shared_ptr<const TableSet> tables;
     BiModel model;
-    std::vector<NamedJoin> joins;
+    JoinList joins;
   };
 
   struct Session {
     std::string tenant;
     std::shared_ptr<const TableSet> tables = std::make_shared<TableSet>();
-    // The latest and the previous Predict; null until there is one.
+    // The latest Predict, and the joins of the one before it (all diff
+    // reads, so an older table set is freed once a newer Predict lands);
+    // null until there is one.
     std::shared_ptr<const Prediction> last;
-    std::shared_ptr<const Prediction> previous;
+    JoinList previous_joins;
     // Cross-request state of the delta path (core/incremental.h), created
     // lazily by the first {"incremental": true} predict. A predict takes it
     // out under the session lock (PredictIncremental must not share state

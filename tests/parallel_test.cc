@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <future>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace autobi {
@@ -72,8 +75,9 @@ TEST(ParallelForTest, NestedCallsRunSeriallyWithoutDeadlock) {
 }
 
 TEST(ParallelForTest, PropagatesExceptionOfLowestFailingIndex) {
-  // Every index >= 5 throws; each chunk stops at its first failure, so the
-  // lowest failing index overall (5) must be the one rethrown.
+  // Every index >= 5 throws. Indices are taken in ascending order and every
+  // index below a failing one runs to completion, so the lowest failing
+  // index overall (5) must be the one rethrown.
   try {
     ParallelFor(
         100,
@@ -98,11 +102,89 @@ TEST(ParallelForTest, PoolUsableAfterException) {
   EXPECT_EQ(calls.load(), 64);
 }
 
+TEST(ParallelForTest, CallerFinishesRegionWhenPoolIsBusy) {
+  // Park every worker of the shared pool, as another request's long stage
+  // would. The region's helper then sits queued, and the caller must take
+  // every index itself instead of waiting for it.
+  ThreadPool& pool = ThreadPool::Global();
+  pool.EnsureWorkers(1);
+  const int workers = pool.size();
+  std::promise<void> release;
+  std::shared_future<void> latch = release.get_future().share();
+  std::atomic<int> parked{0};
+  for (int w = 0; w < workers; ++w) {
+    pool.Submit([&parked, latch] {
+      parked.fetch_add(1);
+      latch.wait();
+    });
+  }
+  while (parked.load() < workers) std::this_thread::yield();
+
+  std::atomic<int> calls{0};
+  std::future<void> region = std::async(std::launch::async, [&] {
+    ParallelFor(64, [&](size_t) { calls.fetch_add(1); }, 2);
+  });
+  const bool finished =
+      region.wait_for(std::chrono::seconds(3)) == std::future_status::ready;
+  // Released either way, so a caller that does wait on its helper fails
+  // this test instead of hanging it.
+  release.set_value();
+  region.get();
+  EXPECT_TRUE(finished) << "ParallelFor waited for a queued helper";
+  EXPECT_EQ(calls.load(), 64);
+}
+
+TEST(ParallelForTest, ConcurrentCallersShareThePool) {
+  // Three callers each run 2000 short regions on the shared pool, so
+  // helpers routinely start after their caller has closed the region. Every
+  // 100th round throws from indices 7, 9, 11 and 13 of a 16-item region.
+  constexpr int kCallers = 3;
+  constexpr int kRounds = 2000;
+  std::vector<std::future<int>> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.push_back(std::async(std::launch::async, [c] {
+      int bad = 0;
+      for (int round = 0; round < kRounds; ++round) {
+        if (round % 100 == 99) {
+          try {
+            ParallelFor(
+                16,
+                [](size_t i) {
+                  if (i >= 7 && i % 2 == 1) {
+                    throw std::runtime_error(std::to_string(i));
+                  }
+                },
+                3);
+            ++bad;
+          } catch (const std::runtime_error& e) {
+            bad += std::string(e.what()) != "7";
+          }
+          continue;
+        }
+        std::vector<int> out(5, -1);
+        ParallelFor(
+            5, [&](size_t i) { out[i] = c * kRounds + round + int(i); }, 3);
+        for (size_t i = 0; i < out.size(); ++i) {
+          bad += out[i] != c * kRounds + round + int(i);
+        }
+      }
+      return bad;
+    }));
+  }
+  for (std::future<int>& caller : callers) EXPECT_EQ(caller.get(), 0);
+}
+
 TEST(ParallelMapTest, ResultsInIndexOrder) {
   std::vector<int> out = ParallelMap(
       50, [](size_t i) { return int(i) * 3; }, 8);
   ASSERT_EQ(out.size(), 50u);
   for (size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], int(i) * 3);
+}
+
+TEST(LargestFirstTest, DescendingSizeTiesInIndexOrder) {
+  const std::vector<size_t> sizes = {3, 9, 3, 0, 9, 5};
+  EXPECT_EQ(LargestFirst(sizes.size(), [&](size_t i) { return sizes[i]; }),
+            (std::vector<size_t>{1, 4, 5, 0, 2, 3}));
 }
 
 TEST(ThreadPoolTest, FixedSizeAndGrowth) {
