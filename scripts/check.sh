@@ -3,7 +3,8 @@
 # run the concurrency-sensitive suites (pool semantics + cross-thread-count
 # determinism, plus the core pipeline tests that exercise every parallel
 # stage, plus the stateful pipeline's full and partial rescans, plus
-# concurrent predicts through one serve engine, plus the 1-vs-8-thread
+# concurrent predicts through one serve engine and the socket transport's
+# connection reaping, plus the 1-vs-8-thread
 # solver determinism sweep for the wave-parallel k-MCA-CC branch-and-bound).
 # Any TSan report fails the run (halt_on_error).
 #
@@ -116,9 +117,12 @@ export AUTOBI_THREADS="${AUTOBI_THREADS:-4}"
 # seeding and partial rescans race real pool workers here.
 "$BUILD_DIR/tests/autobi_incremental_tests"
 # Concurrent predicts through one engine: two callers take indices from the
-# regions of one shared pool, and their helpers outlive closed regions.
+# regions of one shared pool, and their helpers outlive closed regions. The
+# socket transport's accept loop joins connection threads by the done flag
+# each sets as its last act.
 SERVE_FILTER='ServeEngineTest.ConcurrentPredictsAreDeterministic'
 SERVE_FILTER+=':ServeEngineTest.PredictIsByteIdenticalAcrossThreadCountsAndCacheState'
+SERVE_FILTER+=':ServeTransportTest.FinishedConnectionThreadsAreReaped'
 "$BUILD_DIR/tests/autobi_serve_tests" --gtest_filter="$SERVE_FILTER"
 
 # Solver determinism under TSan: the wave-parallel branch-and-bound must be
@@ -135,7 +139,7 @@ AUTOBI_THREADS=8 "$BUILD_DIR/tests/autobi_fuzz_tests" \
   --gtest_filter="$SOLVER_FILTER"
 
 echo "check.sh: ThreadSanitizer clean (pipeline, incremental, concurrent" \
-     "predicts, solver determinism, partitioned solve)."
+     "predicts, connection reaping, solver determinism, partitioned solve)."
 
 # --- Kernel-oracle equivalence under ASan/UBSan (always on since PR 7):
 # the hash-first profiling/UCC/IND kernels (table/key_view.h + radix-sorted
@@ -178,7 +182,9 @@ echo "check.sh: ingest path clean (ASan/UBSan)."
 # PR 8): every case replays a random 1-8 step mutation sequence through
 # AutoBi::PredictIncremental with a persistent IncrementalState and
 # cross-checks a cold Predict after each step — any incremental/cold
-# divergence, crash, leak, or UB fails the run.
+# divergence, crash, leak, or UB fails the run. The incremental predicts
+# get snapshots kept the way the daemon keeps them, append records
+# included, so the record path of the schema diff is what is cross-checked.
 UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
   "$ASAN_BUILD_DIR/src/fuzz/autobi_faultfuzz" --seed 1 --cases 500 \
   --scenario schema

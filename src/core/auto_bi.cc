@@ -262,7 +262,7 @@ Status ValidateTables(const std::vector<Table>& tables) {
 // describing the previous healthy run.
 AutoBiResult RunPipeline(const LocalModel& model, const AutoBiOptions& options,
                          const std::vector<Table>& tables,
-                         std::vector<TableSnapshot> snapshots,
+                         const std::vector<TableSnapshot>& snapshots,
                          const RunContext* ctx, IncrementalState* state) {
   AutoBiResult result;
   result.timing.threads = ResolveThreads(options.threads);
@@ -319,7 +319,7 @@ AutoBiResult RunPipeline(const LocalModel& model, const AutoBiOptions& options,
   if (state != nullptr && !result.degradation.Any()) {
     state->valid = true;
     state->options_fp = fp;
-    state->snapshots = std::move(snapshots);
+    state->snapshots = snapshots;
     state->profiles = std::move(candidates.profiles);
     state->uccs = std::move(candidates.uccs);
     state->candidates = std::move(candidates.candidates);
@@ -333,15 +333,21 @@ AutoBiResult RunPipeline(const LocalModel& model, const AutoBiOptions& options,
   return result;
 }
 
-// Predict and PredictIncremental: validation, the entry screen, one hash
-// pass, the solve memo, then RunPipeline.
+// Predict and PredictIncremental: validation, the entry screen, the
+// caller's snapshots or one hash pass, the solve memo, then RunPipeline.
 StatusOr<AutoBiResult> PredictWith(const LocalModel& model,
                                    const AutoBiOptions& options,
                                    const std::vector<Table>& tables,
+                                   const std::vector<TableSnapshot>* snapshots,
                                    const RunContext* ctx,
                                    IncrementalState* state) {
   Status valid = ValidateTables(tables);
   if (!valid.ok()) return valid;
+  if (snapshots != nullptr && snapshots->size() != tables.size()) {
+    return Status::InvalidInput(
+        StrFormat("%zu snapshots for %zu tables", snapshots->size(),
+                  tables.size()));
+  }
   // Entry screen: no cached work may stand in for recomputation when the
   // context already tripped (the run owes degraded partial-model semantics
   // from the very first stage) or a table is over the value-probe budget
@@ -367,18 +373,22 @@ StatusOr<AutoBiResult> PredictWith(const LocalModel& model,
     PredictCache* cache = options.cache;
     const bool memo_usable =
         cache != nullptr && (ctx == nullptr || !ctx->StopRequested());
-    // Every cell is hashed once, here: the snapshots key the solve memo
-    // below, and the table cache and the schema diff inside the pipeline.
+    // The snapshots key the solve memo below, and the table cache and the
+    // schema diff inside the pipeline. Without the caller's, every cell is
+    // hashed once, here.
     Timer hash_timer;
-    const int threads = options.candidates.threads != 0
-                            ? options.candidates.threads
-                            : options.threads;
-    std::vector<TableSnapshot> snapshots = SnapshotTables(tables, threads);
+    std::vector<TableSnapshot> hashed;
+    if (snapshots == nullptr) {
+      hashed = SnapshotTables(tables, options.candidates.threads != 0
+                                          ? options.candidates.threads
+                                          : options.threads);
+      snapshots = &hashed;
+    }
     uint64_t solve_key = 0;
     if (memo_usable) {
       std::vector<uint64_t> table_hashes;
-      table_hashes.reserve(snapshots.size());
-      for (const TableSnapshot& snap : snapshots) {
+      table_hashes.reserve(snapshots->size());
+      for (const TableSnapshot& snap : *snapshots) {
         table_hashes.push_back(snap.table_hash);
       }
       solve_key = MixU64(TablesContentHashFromHashes(table_hashes),
@@ -397,7 +407,7 @@ StatusOr<AutoBiResult> PredictWith(const LocalModel& model,
     }
     const double hash_seconds = hash_timer.Seconds();
     AutoBiResult result =
-        RunPipeline(model, options, tables, std::move(snapshots), ctx, state);
+        RunPipeline(model, options, tables, *snapshots, ctx, state);
     result.timing.ucc += hash_seconds;
     if (memo_usable && !result.degradation.Any()) {
       // A healthy stateful run just committed this very entry.
@@ -415,15 +425,17 @@ StatusOr<AutoBiResult> PredictWith(const LocalModel& model,
 
 }  // namespace
 
-StatusOr<AutoBiResult> AutoBi::Predict(const std::vector<Table>& tables,
-                                       const RunContext* ctx) const {
-  return PredictWith(*model_, options_, tables, ctx, nullptr);
+StatusOr<AutoBiResult> AutoBi::Predict(
+    const std::vector<Table>& tables, const RunContext* ctx,
+    const std::vector<TableSnapshot>* snapshots) const {
+  return PredictWith(*model_, options_, tables, snapshots, ctx, nullptr);
 }
 
 StatusOr<AutoBiResult> AutoBi::PredictIncremental(
     const std::vector<Table>& tables, const RunContext* ctx,
-    IncrementalState* state) const {
-  return PredictWith(*model_, options_, tables, ctx, state);
+    IncrementalState* state,
+    const std::vector<TableSnapshot>* snapshots) const {
+  return PredictWith(*model_, options_, tables, snapshots, ctx, state);
 }
 
 AutoBiResult AutoBi::Predict(const std::vector<Table>& tables) const {

@@ -9,6 +9,7 @@
 #include "core/candidates.h"
 #include "core/graph_builder.h"
 #include "core/local_model.h"
+#include "core/schema_diff.h"
 #include "graph/kmca_cc.h"
 
 namespace autobi {
@@ -152,8 +153,16 @@ class AutoBi {
   // injected parallel-task faults) surface as kInternal rather than
   // propagating exceptions. A null or untripped context produces output
   // bit-identical to the legacy overload at any thread count.
-  StatusOr<AutoBiResult> Predict(const std::vector<Table>& tables,
-                                 const RunContext* ctx) const;
+  //
+  // `snapshots`, when given, must hold SnapshotTable(tables[i]) in slot i
+  // (core/schema_diff.h), optionally with an append record; the predict
+  // then reads no cell to key its caches and diff. A caller that keeps
+  // tables across predicts (the serving engine) hashes each once, when it
+  // arrives. Null: every table is hashed here, once per call. The result is
+  // the same either way.
+  StatusOr<AutoBiResult> Predict(
+      const std::vector<Table>& tables, const RunContext* ctx,
+      const std::vector<TableSnapshot>* snapshots = nullptr) const;
 
   // Legacy trusted-caller form (tests, benchmarks, baselines, synthetic
   // corpora): no context, CHECK-fails on Status errors.
@@ -175,10 +184,13 @@ class AutoBi {
   // Predict does, without reading the PredictCache; a context stopped at
   // entry or a table over the value-probe budget invalidates the state and
   // runs a plain Predict. Degraded runs never update the state. `state`
-  // must not be shared across concurrent calls.
-  StatusOr<AutoBiResult> PredictIncremental(const std::vector<Table>& tables,
-                                            const RunContext* ctx,
-                                            IncrementalState* state) const;
+  // must not be shared across concurrent calls. `snapshots` as in Predict;
+  // an append record in them lets the diff prove an append without
+  // rehashing the table's old rows.
+  StatusOr<AutoBiResult> PredictIncremental(
+      const std::vector<Table>& tables, const RunContext* ctx,
+      IncrementalState* state,
+      const std::vector<TableSnapshot>* snapshots = nullptr) const;
 
   const AutoBiOptions& options() const { return options_; }
 

@@ -339,14 +339,31 @@ CandidateSet GenerateCandidates(const std::vector<Table>& tables,
         pairs.emplace_back(j, i);
       }
     }
+    // Each table's probe sets, built once for every rescanned pair it is
+    // the dependent side of. One changed table pairs with every other, so
+    // either every table is a dependent or no pair is rescanned.
+    std::vector<std::vector<ColumnProbeSet>> probes(n);
+    if (ind_options.blocking.enabled && !pairs.empty()) {
+      const std::vector<size_t> by_size = LargestFirst(n, [&](size_t i) {
+        return out.profiles[i].row_count * out.profiles[i].columns.size();
+      });
+      ParallelFor(
+          n,
+          [&](size_t k) {
+            probes[by_size[k]] = BuildTableProbes(out.profiles[by_size[k]],
+                                                  ind_options.blocking);
+          },
+          ind_options.threads);
+    }
     std::vector<IndPairScan> scans = ParallelMap(
         pairs.size(),
         [&](size_t k) {
           // Item-boundary stop poll, as in DiscoverInds.
           if (ctx != nullptr && ctx->StopRequested()) return IndPairScan{};
+          const int ti = pairs[k].first;
           return ScanTablePair(tables, out.profiles, out.uccs, ind_options,
-                               &composite_cache, pairs[k].first,
-                               pairs[k].second);
+                               &composite_cache, ti, pairs[k].second,
+                               /*blocking=*/nullptr, &probes[size_t(ti)]);
         },
         ind_options.threads);
     for (IndPairScan& scan : scans) {

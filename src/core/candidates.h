@@ -74,13 +74,14 @@ CandidateSet GenerateCandidates(const std::vector<Table>& tables,
 struct PipelineRun;  // core/incremental.h
 
 // Stages 1-2 as every predict runs them (the overload above is this with a
-// stateless run). `snapshots[i]` must equal SnapshotTable(tables[i]); its
-// hashes key the table cache (run->cache) and the schema diff. With
-// run->prev set, what the diff proves unchanged is reused, including the
-// scored candidates of pairs of unchanged tables (scores land in
-// run->scores). Other pairs are rescanned: by DiscoverInds' global blocking
-// plan when no pair is reusable, else pair by pair with pair-local
-// admission. The candidate set is byte-identical to a stateless run's
+// stateless run). `snapshots[i]` must equal SnapshotTable(tables[i]), plus
+// any append record; its hashes key the table cache (run->cache) and the
+// schema diff. With run->prev set, what the diff proves unchanged is
+// reused, including the scored candidates of pairs of unchanged tables
+// (scores land in run->scores). Other pairs are rescanned: by DiscoverInds'
+// global blocking plan when no pair is reusable, else pair by pair with
+// pair-local admission from each dependent table's probe sets, built once
+// per table. The candidate set is byte-identical to a stateless run's
 // either way.
 CandidateSet GenerateCandidates(const std::vector<Table>& tables,
                                 const std::vector<TableSnapshot>& snapshots,

@@ -9,10 +9,16 @@ namespace {
 
 // True when every column of `table` extends the matched snapshot's column by
 // appended rows only: the snapshot's (name + cells) hash must reappear as
-// the prefix content hash of the new column over the old row count.
-bool IsAppendOnlyExtension(const TableSnapshot& prev, const Table& table) {
+// the prefix content hash of the new column over the old row count. `next`
+// is the snapshot of `table`; its append record, when taken at prev's row
+// count, holds those prefix hashes already.
+bool IsAppendOnlyExtension(const TableSnapshot& prev, const TableSnapshot& next,
+                           const Table& table) {
   if (table.num_columns() != prev.num_columns) return false;
   if (table.num_rows() < prev.num_rows) return false;
+  if (next.appended.has_value() && next.appended->num_rows == prev.num_rows) {
+    return next.appended->column_hashes == prev.column_hashes;
+  }
   for (size_t c = 0; c < table.num_columns(); ++c) {
     if (ColumnContentHashPrefix(table.column(c), prev.num_rows) !=
         prev.column_hashes[c]) {
@@ -52,6 +58,23 @@ TableSnapshot SnapshotTable(const Table& table) {
   }
   snap.table_hash =
       TableContentHashFromColumnHashes(table.name(), snap.column_hashes);
+  return snap;
+}
+
+std::vector<ValueType> ColumnTypes(const Table& table) {
+  std::vector<ValueType> types;
+  types.reserve(table.num_columns());
+  for (const Column& column : table.columns()) types.push_back(column.type());
+  return types;
+}
+
+TableSnapshot SnapshotAppendedTable(const Table& table, TableSnapshot before,
+                                    const std::vector<ValueType>& types_before) {
+  TableSnapshot snap = SnapshotTable(table);
+  if (ColumnTypes(table) == types_before) {
+    snap.appended =
+        AppendRecord{before.num_rows, std::move(before.column_hashes)};
+  }
   return snap;
 }
 
@@ -101,7 +124,7 @@ std::vector<TableChange> DiffSchema(const std::vector<TableSnapshot>& prev,
           if (SameCells(prev[p], next[i])) {
             return TableChangeKind::kRenamed;  // Same cells, new column names.
           }
-          return IsAppendOnlyExtension(prev[p], tables[i])
+          return IsAppendOnlyExtension(prev[p], next[i], tables[i])
                      ? TableChangeKind::kAppended
                      : TableChangeKind::kReplaced;
         });

@@ -2,6 +2,7 @@
 #define AUTOBI_CORE_SCHEMA_DIFF_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,10 +27,18 @@ namespace autobi {
 //
 // Previous tables matched by nothing are reported as dropped.
 
-// Hash summary of one table. Every predict computes one per table, once:
-// the hashes key the schema diff, the PredictCache table shard and the
-// solve memo, and a healthy stateful run keeps them in its
-// IncrementalState.
+// What a table held before rows were appended to it: its row count and
+// per-column ColumnContentHash then.
+struct AppendRecord {
+  size_t num_rows = 0;
+  std::vector<uint64_t> column_hashes;
+};
+
+// Hash summary of one table, taken once per table content: the serving
+// engine takes it when a table is uploaded or updated, and a predict given
+// no snapshots takes one per table. The hashes key the schema diff, the
+// PredictCache table shard and the solve memo, and a healthy stateful run
+// keeps them in its IncrementalState.
 struct TableSnapshot {
   std::string name;
   size_t num_rows = 0;
@@ -41,9 +50,26 @@ struct TableSnapshot {
   std::vector<uint64_t> column_hashes;
   // Per-column ColumnCellsHash (cells only) — the rename detector.
   std::vector<uint64_t> cells_hashes;
+  // Set by SnapshotAppendedTable: the table before its latest append, when
+  // that append changed no column's type. DiffSchema's append test reads it
+  // instead of rehashing the old rows.
+  std::optional<AppendRecord> appended;
 };
 
 TableSnapshot SnapshotTable(const Table& table);
+
+// The column types of `table`, in column order.
+std::vector<ValueType> ColumnTypes(const Table& table);
+
+// SnapshotTable of `table` after rows were appended to it in place (old
+// cells untouched), given `before`, its snapshot from before the append,
+// and `types_before`, its ColumnTypes then. When no column changed its
+// type, `before`'s row count and column hashes are exactly the new columns'
+// prefix hashes over that many rows, and become the append record. An
+// append can give an all-null column a type, and the type is hashed, so
+// such an append keeps no record.
+TableSnapshot SnapshotAppendedTable(const Table& table, TableSnapshot before,
+                                    const std::vector<ValueType>& types_before);
 
 // SnapshotTable over every table, fanned out over `threads` (ResolveThreads
 // semantics); slot i holds the snapshot of tables[i].
@@ -67,12 +93,16 @@ struct TableChange {
 
 // Diffs `tables` against `prev`, one classification per new table (previous
 // tables matched by nothing were dropped); `next` must be the snapshots of
-// `tables` (next[i] == SnapshotTable(tables[i]) — precomputed by the caller
-// so the hashes also key the caches and the state update). Matching is
-// greedy in new-table order, each previous table consumed at most once,
-// preferring (1) exact table-hash match, (2) same-name match (classified
-// appended/renamed-columns/replaced by the cell hashes), (3) same-shape
-// cells match (whole-table rename).
+// `tables` (next[i] == SnapshotTable(tables[i]), plus any append record —
+// precomputed by the caller so the hashes also key the caches and the state
+// update). Matching is greedy in new-table order, each previous table
+// consumed at most once, preferring (1) exact table-hash match, (2)
+// same-name match (classified appended/renamed-columns/replaced by the cell
+// hashes), (3) same-shape cells match (whole-table rename). The append test
+// compares next[i]'s append record with the previous snapshot when the
+// record's row count is the previous table's, and rehashes the new columns'
+// prefixes otherwise; the record holds exactly those prefix hashes, so the
+// verdict is the rehash's either way.
 std::vector<TableChange> DiffSchema(const std::vector<TableSnapshot>& prev,
                                     const std::vector<TableSnapshot>& next,
                                     const std::vector<Table>& tables);

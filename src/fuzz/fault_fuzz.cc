@@ -19,8 +19,10 @@
 #include "core/bi_model.h"
 #include "core/incremental.h"
 #include "core/model_export.h"
+#include "core/schema_diff.h"
 #include "core/trainer.h"
 #include "fuzz/faultpoints.h"
+#include "profile/sketch.h"
 #include "serve/engine.h"
 #include "serve/json.h"
 #include "synth/bi_generator.h"
@@ -436,19 +438,33 @@ void AppendTypedCell(Column& col, Rng& rng) {
   }
 }
 
+// What one MutateTables step did, so the caller can keep per-table
+// snapshots the way the serving engine does.
+struct MutationStep {
+  enum class Kind { kNone, kChanged, kAppended, kAdded, kDropped };
+  Kind kind = Kind::kNone;
+  size_t table = 0;  // The table changed, appended to or dropped.
+  std::vector<ValueType> types_before;  // kAppended: ColumnTypes before.
+};
+
 // Applies one random, always-well-formed mutation: tables stay rectangular
 // and typed, so the pipeline contract (not the loader) is what is probed.
-void MutateTables(std::vector<Table>* tables, Rng& rng) {
+MutationStep MutateTables(std::vector<Table>* tables, Rng& rng) {
+  using Kind = MutationStep::Kind;
+  MutationStep step;
   switch (rng.NextBelow(7)) {
     case 0: {  // Append rows to one table.
-      Table& t = (*tables)[rng.NextBelow(tables->size())];
+      step.table = rng.NextBelow(tables->size());
+      Table& t = (*tables)[step.table];
       if (t.num_columns() == 0) break;
+      step.types_before = ColumnTypes(t);
       long rows = 1 + long(rng.NextBelow(10));
       for (long r = 0; r < rows; ++r) {
         for (size_t c = 0; c < t.num_columns(); ++c) {
           AppendTypedCell(t.column(c), rng);
         }
       }
+      step.kind = Kind::kAppended;
       break;
     }
     case 1: {  // Add a small fresh table.
@@ -461,27 +477,35 @@ void MutateTables(std::vector<Table>* tables, Rng& rng) {
         label.AppendString(StrFormat("v%ld", r));
       }
       tables->push_back(std::move(t));
+      step.kind = Kind::kAdded;
       break;
     }
     case 2:  // Drop a table (always keep at least two).
       if (tables->size() > 2) {
-        tables->erase(tables->begin() + long(rng.NextBelow(tables->size())));
+        step.table = rng.NextBelow(tables->size());
+        tables->erase(tables->begin() + long(step.table));
+        step.kind = Kind::kDropped;
       }
       break;
     case 3: {  // Rename a column.
-      Table& t = (*tables)[rng.NextBelow(tables->size())];
+      step.table = rng.NextBelow(tables->size());
+      Table& t = (*tables)[step.table];
       if (t.num_columns() == 0) break;
       Column& c = t.column(rng.NextBelow(t.num_columns()));
       c.set_name(c.name() + "_r");
+      step.kind = Kind::kChanged;
       break;
     }
     case 4: {  // Rename a table (cells unchanged: the rename detector path).
-      Table& t = (*tables)[rng.NextBelow(tables->size())];
+      step.table = rng.NextBelow(tables->size());
+      Table& t = (*tables)[step.table];
       t.set_name(t.name() + "_r");
+      step.kind = Kind::kChanged;
       break;
     }
     case 5: {  // Replace some cells in one column (same length and type).
-      Table& t = (*tables)[rng.NextBelow(tables->size())];
+      step.table = rng.NextBelow(tables->size());
+      Table& t = (*tables)[step.table];
       if (t.num_columns() == 0 || t.num_rows() == 0) break;
       Column& old = t.column(rng.NextBelow(t.num_columns()));
       Column fresh(old.name(), old.type());
@@ -499,10 +523,46 @@ void MutateTables(std::vector<Table>* tables, Rng& rng) {
         }
       }
       old = std::move(fresh);
+      step.kind = Kind::kChanged;
       break;
     }
     default:  // No-op step (the pure warm-start path).
       break;
+  }
+  return step;
+}
+
+// Brings `snapshots` (one per table, before `step`) up to date the way the
+// serving engine does: a fresh SnapshotTable of each table the step
+// touched, SnapshotAppendedTable for an append. Fails the case if an append
+// record is not exactly the prefix rehash it stands in for.
+void UpdateSnapshots(const std::vector<Table>& tables, const MutationStep& step,
+                     std::vector<TableSnapshot>* snapshots, Scratch& s) {
+  using Kind = MutationStep::Kind;
+  switch (step.kind) {
+    case Kind::kNone:
+      return;
+    case Kind::kAdded:
+      snapshots->push_back(SnapshotTable(tables.back()));
+      return;
+    case Kind::kDropped:
+      snapshots->erase(snapshots->begin() + long(step.table));
+      return;
+    case Kind::kChanged:
+      (*snapshots)[step.table] = SnapshotTable(tables[step.table]);
+      return;
+    case Kind::kAppended:
+      break;
+  }
+  const Table& table = tables[step.table];
+  TableSnapshot& snap = (*snapshots)[step.table];
+  snap = SnapshotAppendedTable(table, std::move(snap), step.types_before);
+  if (!snap.appended.has_value()) return;
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    if (ColumnContentHashPrefix(table.column(c), snap.appended->num_rows) !=
+        snap.appended->column_hashes[c]) {
+      s.Fail("append record differs from the prefix rehash");
+    }
   }
 }
 
@@ -529,9 +589,12 @@ void RunSchemaEvolutionCase(Rng& rng, Scratch& s) {
   if (rng.NextBool(0.2)) opt.mode = AutoBiMode::kSchemaOnly;
   AutoBi autobi(&SharedTinyModel(), opt);
   IncrementalState state;
+  // Kept per table the way the serving engine keeps them, and handed to
+  // every incremental predict; the cold cross-check hashes for itself.
+  std::vector<TableSnapshot> snapshots = SnapshotTables(tables, 1);
 
   StatusOr<AutoBiResult> seeded =
-      autobi.PredictIncremental(tables, nullptr, &state);
+      autobi.PredictIncremental(tables, nullptr, &state, &snapshots);
   if (!seeded.ok()) {
     s.Fail(StrFormat("seed PredictIncremental failed: %s",
                      seeded.status().ToString().c_str()));
@@ -540,7 +603,30 @@ void RunSchemaEvolutionCase(Rng& rng, Scratch& s) {
 
   int steps = 1 + int(rng.NextBelow(8));
   for (int step = 0; step < steps; ++step) {
-    MutateTables(&tables, rng);
+    // Sometimes two mutations land between predicts, as two update_table
+    // calls do: an append record then describes a table the state never
+    // saw.
+    const int mutations = rng.NextBool(0.3) ? 2 : 1;
+    for (int m = 0; m < mutations; ++m) {
+      UpdateSnapshots(tables, MutateTables(&tables, rng), &snapshots, s);
+    }
+    if (state.valid) {
+      // The diff must classify every table as it does by rehashing.
+      std::vector<TableSnapshot> rehashed = snapshots;
+      for (TableSnapshot& snap : rehashed) snap.appended.reset();
+      const std::vector<TableChange> by_record =
+          DiffSchema(state.snapshots, snapshots, tables);
+      const std::vector<TableChange> by_rehash =
+          DiffSchema(state.snapshots, rehashed, tables);
+      for (size_t i = 0; i < tables.size(); ++i) {
+        if (by_record[i].kind != by_rehash[i].kind ||
+            by_record[i].prev_index != by_rehash[i].prev_index) {
+          s.Fail(StrFormat("append record changed the diff of table %zu at "
+                           "step %d",
+                           i, step));
+        }
+      }
+    }
 
     // Run control: usually none; sometimes deterministic budgets or an
     // up-front cancellation. Wall-clock deadlines are excluded — they are
@@ -565,7 +651,7 @@ void RunSchemaEvolutionCase(Rng& rng, Scratch& s) {
       FaultPoints::Global().Configure(spec);
     }
     StatusOr<AutoBiResult> incr =
-        autobi.PredictIncremental(tables, ctx_ptr, &state);
+        autobi.PredictIncremental(tables, ctx_ptr, &state, &snapshots);
     if (faults_armed) {
       s.report->injected_faults += FaultPoints::Global().fires();
       FaultPoints::Global().Disable();

@@ -130,12 +130,28 @@ bool AdmitColumnPair(const ColumnProbeSet& probes,
   return AdmitFromHits(probes, bottom_hits, heavy_hits, weight_hits, options);
 }
 
+std::vector<ColumnProbeSet> BuildTableProbes(const TableProfile& profile,
+                                             const BlockingOptions& options) {
+  std::vector<ColumnProbeSet> out;
+  out.reserve(profile.columns.size());
+  for (const ColumnProfile& column : profile.columns) {
+    out.push_back(BuildColumnProbes(column, options));
+  }
+  return out;
+}
+
 PairBlocking ComputePairBlocking(const TableProfile& dep,
                                  const TableProfile& ref,
                                  const BlockingOptions& options) {
+  return ComputePairBlocking(BuildTableProbes(dep, options), ref, options);
+}
+
+PairBlocking ComputePairBlocking(const std::vector<ColumnProbeSet>& dep_probes,
+                                 const TableProfile& ref,
+                                 const BlockingOptions& options) {
   PairBlocking out;
-  for (int a = 0; a < int(dep.columns.size()); ++a) {
-    ColumnProbeSet probes = BuildColumnProbes(dep.columns[size_t(a)], options);
+  for (int a = 0; a < int(dep_probes.size()); ++a) {
+    const ColumnProbeSet& probes = dep_probes[size_t(a)];
     if (probes.bottom.empty()) continue;
     for (int b = 0; b < int(ref.columns.size()); ++b) {
       if (AdmitColumnPair(probes, ref.columns[size_t(b)].distinct_hashes,

@@ -60,9 +60,10 @@ namespace autobi {
 // stateful one with nothing reusable) evaluates it through the global index
 // (BuildBlockingPlan); a partial rescan, which scans only the pairs
 // touching changed tables, recomputes it per pair (ScanTablePair without a
-// plan entry -> ComputePairBlocking). Both produce identical admissions by
-// construction, which is what keeps delta re-prediction byte-identical to a
-// cold run with blocking on.
+// plan entry -> ComputePairBlocking over the dependent table's probe sets,
+// built once per table). Both produce identical admissions by construction,
+// which is what keeps delta re-prediction byte-identical to a cold run with
+// blocking on.
 struct BlockingOptions {
   // Master switch. false = the exhaustive all-pairs oracle.
   bool enabled = true;
@@ -129,6 +130,12 @@ struct ColumnProbeSet {
 ColumnProbeSet BuildColumnProbes(const ColumnProfile& profile,
                                  const BlockingOptions& options);
 
+// BuildColumnProbes of every column of a table, slot c for
+// profile.columns[c]. A partial rescan builds them once per dependent table
+// and probes every rescanned pair that table is the dependent side of.
+std::vector<ColumnProbeSet> BuildTableProbes(const TableProfile& profile,
+                                             const BlockingOptions& options);
+
 // The pair-local admission predicate: probes `ref_hashes` (a sorted
 // distinct-hash vector) with every probe of `probes` and applies the
 // fraction tests above. BuildBlockingPlan evaluates the same arithmetic
@@ -150,6 +157,13 @@ struct PairBlocking {
 // (ti, tj) entry of BuildBlockingPlan over the same profiles, and cheaper
 // than a whole plan when only a few pairs are rescanned.
 PairBlocking ComputePairBlocking(const TableProfile& dep,
+                                 const TableProfile& ref,
+                                 const BlockingOptions& options);
+
+// The same admission from the dependent table's prebuilt probe sets
+// (dep_probes == BuildTableProbes(dep, options)): the profile form builds
+// those sets and calls this one.
+PairBlocking ComputePairBlocking(const std::vector<ColumnProbeSet>& dep_probes,
                                  const TableProfile& ref,
                                  const BlockingOptions& options);
 

@@ -27,7 +27,8 @@ IndPairScan ScanTablePair(const std::vector<Table>& tables,
                           const std::vector<TableProfile>& profiles,
                           const std::vector<std::vector<Ucc>>& uccs,
                           const IndOptions& options, CompositeKeyCache* cache,
-                          int ti, int tj, const PairBlocking* blocking) {
+                          int ti, int tj, const PairBlocking* blocking,
+                          const std::vector<ColumnProbeSet>* dep_probes) {
   IndPairScan out;
   std::vector<Ind>& result = out.inds;
   IndStats& stats = out.stats;
@@ -44,7 +45,9 @@ IndPairScan ScanTablePair(const std::vector<Table>& tables,
   // the oracle's.
   PairBlocking local;
   if (options.blocking.enabled && blocking == nullptr) {
-    local = ComputePairBlocking(pi, pj, options.blocking);
+    local = dep_probes != nullptr
+                ? ComputePairBlocking(*dep_probes, pj, options.blocking)
+                : ComputePairBlocking(pi, pj, options.blocking);
     blocking = &local;
     stats.blocking.column_pairs_total = na * nb;
     stats.blocking.column_pairs_admitted = local.admitted.size();

@@ -173,13 +173,16 @@ struct IndPairScan {
 // entry. Callers without a plan (a partial rescan) leave it null: with
 // options.blocking.enabled the admission is then recomputed pair-locally
 // via ComputePairBlocking — the predicate is a pure function of the two
-// profiles, so the result is identical either way.
-IndPairScan ScanTablePair(const std::vector<Table>& tables,
-                          const std::vector<TableProfile>& profiles,
-                          const std::vector<std::vector<Ucc>>& uccs,
-                          const IndOptions& options, CompositeKeyCache* cache,
-                          int ti, int tj,
-                          const PairBlocking* blocking = nullptr);
+// profiles, so the result is identical either way. `dep_probes`, if
+// non-null, is BuildTableProbes of table ti, which a caller scanning many
+// pairs builds once per dependent table; null builds it for this pair.
+IndPairScan ScanTablePair(
+    const std::vector<Table>& tables,
+    const std::vector<TableProfile>& profiles,
+    const std::vector<std::vector<Ucc>>& uccs, const IndOptions& options,
+    CompositeKeyCache* cache, int ti, int tj,
+    const PairBlocking* blocking = nullptr,
+    const std::vector<ColumnProbeSet>* dep_probes = nullptr);
 
 // Discovers all approximate INDs between distinct tables of `tables`.
 // `profiles` must come from ProfileTables(tables); `uccs[i]` are the UCCs of

@@ -476,7 +476,8 @@ Status ServeEngine::HandleUploadTable(const Json& req, Json* resp) {
              : TableFromColumnsJson(name, *columns);
   if (!parsed.ok()) return parsed.status().WithContext("upload_table");
   Table table = std::move(parsed).value();
-  const uint64_t content_hash = TableContentHash(table);
+  TableSnapshot snapshot = SnapshotTable(table);
+  const uint64_t content_hash = snapshot.table_hash;
   resp->Set("table", Json::MakeString(table.name()));
   resp->Set("rows", Json::MakeInt(int64_t(table.num_rows())));
   resp->Set("columns", Json::MakeInt(int64_t(table.num_columns())));
@@ -494,7 +495,7 @@ Status ServeEngine::HandleUploadTable(const Json& req, Json* resp) {
   const bool replaced = slot < next->tables.size();
   if (replaced) {
     next->tables[slot] = std::move(table);
-    next->hashes[slot] = content_hash;
+    next->snapshots[slot] = std::move(snapshot);
   } else {
     if (int(next->tables.size()) >= options_.max_tables_per_session) {
       return Status::ResourceExhausted(
@@ -502,7 +503,7 @@ Status ServeEngine::HandleUploadTable(const Json& req, Json* resp) {
                     options_.max_tables_per_session));
     }
     next->tables.push_back(std::move(table));
-    next->hashes.push_back(content_hash);
+    next->snapshots.push_back(std::move(snapshot));
   }
   resp->Set("replaced", Json::MakeBool(replaced));
   resp->Set("content_hash", HexHash(content_hash));
@@ -540,14 +541,18 @@ Status ServeEngine::HandleUpdateTable(const Json& req, Json* resp) {
   }
   Table& target = next->tables[slot];
   const size_t rows_before = target.num_rows();
+  const std::vector<ValueType> types_before = ColumnTypes(target);
   AUTOBI_RETURN_IF_ERROR(
       AppendDeltaColumns(&target, *columns).WithContext("update_table"));
-  next->hashes[slot] = TableContentHash(target);
+  // One hash pass over the grown table; the old snapshot's hashes become
+  // the append record that spares the next delta predict a rehash.
+  next->snapshots[slot] = SnapshotAppendedTable(
+      target, std::move(next->snapshots[slot]), types_before);
   resp->Set("table", Json::MakeString(name));
   resp->Set("rows_appended",
             Json::MakeInt(int64_t(target.num_rows() - rows_before)));
   resp->Set("rows", Json::MakeInt(int64_t(target.num_rows())));
-  resp->Set("content_hash", HexHash(next->hashes[slot]));
+  resp->Set("content_hash", HexHash(next->snapshots[slot].table_hash));
   session->tables = std::move(next);
   return Status::Ok();
 }
@@ -637,8 +642,9 @@ Status ServeEngine::HandlePredict(const Json& req, Json* resp) {
   ++predicts_;
   StatusOr<AutoBiResult> result =
       incremental
-          ? predictor.PredictIncremental(tables->tables, &ctx, inc_state.get())
-          : predictor.Predict(tables->tables, &ctx);
+          ? predictor.PredictIncremental(tables->tables, &ctx, inc_state.get(),
+                                         &tables->snapshots)
+          : predictor.Predict(tables->tables, &ctx, &tables->snapshots);
   std::shared_ptr<Prediction> prediction;
   if (result.ok()) {
     prediction = std::make_shared<Prediction>();
@@ -814,12 +820,15 @@ Status ServeEngine::HandlePublishModel(const Json& req, Json* resp) {
                           req.GetString("tenant", session.tenant));
   // The upload-time table hashes make this TablesContentHash of the
   // predicted tables without reading a cell.
+  std::vector<uint64_t> table_hashes;
+  for (const TableSnapshot& snap : session.last->tables->snapshots) {
+    table_hashes.push_back(snap.table_hash);
+  }
   AUTOBI_ASSIGN_OR_RETURN(
       const int64_t version,
-      catalog_.Publish(
-          tenant, std::move(label),
-          TablesContentHashFromHashes(session.last->tables->hashes),
-          *session.last->joins));
+      catalog_.Publish(tenant, std::move(label),
+                       TablesContentHashFromHashes(table_hashes),
+                       *session.last->joins));
   resp->Set("tenant", Json::MakeString(tenant));
   resp->Set("version", Json::MakeInt(version));
   return Status::Ok();
@@ -927,12 +936,13 @@ Status ServeEngine::HandleShutdown(const Json&, Json* resp) {
   // Flush-on-shutdown: the final commit barrier happens while the response
   // is still pending, so an acked shutdown implies durable state.
   Status flushed = FlushState();
-  std::function<void()> callback;
   {
+    // Called under the lock, so a transport that unregisters its callback
+    // (SetShutdownCallback(nullptr)) waits for a call in flight and may then
+    // close the descriptor the callback writes to.
     std::lock_guard<std::mutex> lock(hook_mu_);
-    callback = shutdown_callback_;
+    if (shutdown_callback_) shutdown_callback_();
   }
-  if (callback) callback();
   resp->Set("shutting_down", Json::MakeBool(true));
   resp->Set("state_flushed", Json::MakeBool(flushed.ok()));
   return Status::Ok();

@@ -157,7 +157,9 @@ class ServeEngine {
   // Invoked (if set) when a `shutdown` request is accepted, after
   // shutdown_requested() starts returning true. Transports register a
   // self-pipe wakeup here so blocked pollers exit immediately instead of
-  // timing out.
+  // timing out. Replacing the callback waits for a call of the old one in
+  // flight, so once SetShutdownCallback(nullptr) returns it runs no more.
+  // The callback must not call back into the engine.
   void SetShutdownCallback(std::function<void()> callback);
 
   // Test hook: runs while a Predict request holds its admission slot (after
@@ -166,12 +168,15 @@ class ServeEngine {
   void SetPredictHoldHookForTest(std::function<void()> hook);
 
  private:
-  // A session's tables, each with its TableContentHash (computed once, by
-  // upload_table or update_table). Copy-on-write: uploads and updates
-  // replace the whole set, so a Predict runs on its set outside the lock.
+  // A session's tables, each with its TableSnapshot (core/schema_diff.h),
+  // taken once, by upload_table or update_table; every predict and publish
+  // reads the hashes from there. Copy-on-write: uploads and updates replace
+  // the whole set, so a Predict runs on its set outside the lock.
   struct TableSet {
     std::vector<Table> tables;
-    std::vector<uint64_t> hashes;  // hashes[i] = TableContentHash(tables[i]).
+    // snapshots[i] = SnapshotTable(tables[i]), with the append record of the
+    // latest update_table when it changed no column type.
+    std::vector<TableSnapshot> snapshots;
   };
 
   using JoinList = std::shared_ptr<const std::vector<NamedJoin>>;

@@ -5,12 +5,14 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
+#include <list>
 #include <string>
+#include <system_error>
 #include <thread>
-#include <vector>
 
 #include "common/strings.h"
 
@@ -217,7 +219,14 @@ Status RunUnixSocketServer(ServeEngine* engine, const std::string& path) {
     (void)ignored;
   });
 
-  std::vector<std::thread> connections;
+  // One thread per connection. A thread that has returned keeps its stack
+  // mapped until it is joined, so finished ones are joined on every accept
+  // and a long-lived daemon holds only its live connections' stacks.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};  // Set by the thread as its last act.
+  };
+  std::list<Connection> connections;
   while (!engine->shutdown_requested()) {
     struct pollfd pfds[2];
     pfds[0].fd = listen_fd;
@@ -233,12 +242,30 @@ Status RunUnixSocketServer(ServeEngine* engine, const std::string& path) {
     if ((pfds[0].revents & POLLIN) == 0) continue;
     int conn_fd = ::accept(listen_fd, nullptr, nullptr);
     if (conn_fd < 0) continue;
-    connections.emplace_back([engine, conn_fd, wake_fd = wake[0]] {
-      ServeLines(engine, conn_fd, conn_fd, wake_fd);
+    for (auto it = connections.begin(); it != connections.end();) {
+      if (!it->done.load(std::memory_order_acquire)) {
+        ++it;
+        continue;
+      }
+      it->thread.join();
+      it = connections.erase(it);
+    }
+    Connection& conn = connections.emplace_back();
+    try {
+      conn.thread = std::thread([engine, conn_fd, wake_fd = wake[0],
+                                 done = &conn.done] {
+        ServeLines(engine, conn_fd, conn_fd, wake_fd);
+        ::close(conn_fd);
+        done->store(true, std::memory_order_release);
+      });
+    } catch (const std::system_error&) {
+      // No thread to serve it (thread or memory exhaustion): hang up, and
+      // keep accepting.
       ::close(conn_fd);
-    });
+      connections.pop_back();
+    }
   }
-  for (std::thread& t : connections) t.join();
+  for (Connection& conn : connections) conn.thread.join();
   engine->SetShutdownCallback(nullptr);
   ::close(wake[0]);
   ::close(wake[1]);

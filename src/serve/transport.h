@@ -32,8 +32,10 @@ size_t MaxRequestLineBytes(const ServeOptions& options);
 Status RunStdioServer(ServeEngine* engine);
 
 // Binds (and, on exit, unlinks) a unix-domain socket at `path` and serves
-// each accepted connection on its own thread. Concurrency across
-// connections is bounded by the engine's admission gate, not the transport.
+// each accepted connection on its own thread; threads whose connection has
+// ended are joined at the next accept, and a connection no thread can be
+// started for is closed. Concurrency across connections is bounded by the
+// engine's admission gate, not the transport.
 // Shutdown is immediate: an accepted `shutdown` request wakes the accept
 // loop and every idle connection through a self-pipe (no polling interval),
 // and the engine flushes its durable state before the shutdown response is

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -194,6 +196,53 @@ TEST(BlockingDifferentialTest, PlanPruningBoundsHoldAsLakesGrow) {
   // A plan that admitted every column pair would prune nothing, and the
   // all-pairs count grows at ~2.0, past the exponent bound.
   EXPECT_GE(GrowthExponent(sizes, total), 1.5);
+}
+
+// Every ordered table pair's admission from the dependent table's prebuilt
+// probe sets (what a partial rescan computes) equals the profile form, and
+// both equal the pair's entry of the global plan (none = nothing admitted).
+void ExpectProbeSetFormMatchesProfileForm(const std::vector<Table>& tables,
+                                          const char* what) {
+  const std::vector<TableProfile> profiles = ProfileTables(tables);
+  const BlockingOptions options;
+  const std::map<std::pair<int, int>, PairBlocking> plan =
+      BuildBlockingPlan(profiles, options);
+  size_t admitted = 0;
+  for (size_t ti = 0; ti < profiles.size(); ++ti) {
+    const std::vector<ColumnProbeSet> probes =
+        BuildTableProbes(profiles[ti], options);
+    for (size_t tj = 0; tj < profiles.size(); ++tj) {
+      if (ti == tj) continue;
+      const PairBlocking from_probes =
+          ComputePairBlocking(probes, profiles[tj], options);
+      const PairBlocking from_profiles =
+          ComputePairBlocking(profiles[ti], profiles[tj], options);
+      EXPECT_EQ(from_probes.admitted, from_profiles.admitted)
+          << what << " " << ti << " -> " << tj;
+      auto it = plan.find({int(ti), int(tj)});
+      const PairBlocking from_plan =
+          it != plan.end() ? it->second : PairBlocking{};
+      EXPECT_EQ(from_probes.admitted, from_plan.admitted)
+          << what << " " << ti << " -> " << tj;
+      admitted += from_probes.admitted.size();
+    }
+  }
+  EXPECT_GT(admitted, 0u) << what;
+}
+
+TEST(BlockingDifferentialTest, ProbeSetPairBlockingMatchesProfileForm) {
+  Rng tpch_rng(424242);
+  StatusOr<BiCase> tpch = GenerateTpchFromDdl(0.05, tpch_rng);
+  ASSERT_TRUE(tpch.ok()) << tpch.status().ToString();
+  ExpectProbeSetFormMatchesProfileForm(tpch->tables, "TPC-H(ddl)");
+
+  LakeGenOptions gen;
+  gen.num_tables = 80;
+  gen.shared_dim_name_prob = 0.6;
+  gen.shared_key_range_prob = 0.2;
+  Rng lake_rng(0x9a5e);
+  ExpectProbeSetFormMatchesProfileForm(GenerateLake(gen, lake_rng).tables,
+                                       "lake");
 }
 
 }  // namespace

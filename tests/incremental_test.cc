@@ -127,6 +127,9 @@ struct Mutation {
   size_t delta_merged;
   size_t rescored;
   size_t reused;
+  // The table the mutation appends rows to (keeping every column type), or
+  // -1: a caller keeping snapshots records the append on that table's.
+  int appended = -1;
 };
 
 std::vector<Mutation> Mutations() {
@@ -142,7 +145,7 @@ std::vector<Mutation> Mutations() {
                       orders.column(3).AppendInt(1 + i % 9);
                     }
                   },
-                  0, 1, 3, 3});
+                  0, 1, 3, 3, 3});
   muts.push_back({"add-table",
                   [](std::vector<Table>* t) {
                     Table shippers("shippers");
@@ -179,6 +182,20 @@ std::vector<Mutation> Mutations() {
 
 class IncrementalDifferentialTest : public ::testing::TestWithParam<int> {};
 
+void ExpectSameCounters(const IncrementalStats& a, const IncrementalStats& b) {
+  EXPECT_EQ(a.used, b.used);
+  EXPECT_EQ(a.tables_reprofiled, b.tables_reprofiled);
+  EXPECT_EQ(a.tables_delta_merged, b.tables_delta_merged);
+  EXPECT_EQ(a.pairs_rescored, b.pairs_rescored);
+  EXPECT_EQ(a.pairs_reused, b.pairs_reused);
+  EXPECT_EQ(a.warm_start_used, b.warm_start_used);
+}
+
+// Each mutation runs through both entry forms: self-hashed (no snapshots)
+// and with caller snapshots kept the way the serving engine keeps them — a
+// fresh SnapshotTable per table, plus the append record on the appended
+// table. The two must agree with each other, counters included, and with a
+// cold Predict.
 TEST_P(IncrementalDifferentialTest, EveryMutationKindMatchesColdPredict) {
   const int threads = GetParam();
   AutoBiOptions options;
@@ -186,44 +203,69 @@ TEST_P(IncrementalDifferentialTest, EveryMutationKindMatchesColdPredict) {
   AutoBi predictor(&TestModel(), options);
 
   for (const Mutation& mut : Mutations()) {
-    SCOPED_TRACE(StrFormat("mutation=%s threads=%d", mut.name, threads));
-    IncrementalState state;
+    StatusOr<AutoBiResult> self_hashed = Status::Internal("not run");
+    for (const bool caller_snapshots : {false, true}) {
+      SCOPED_TRACE(StrFormat("mutation=%s threads=%d caller_snapshots=%d",
+                             mut.name, threads, int(caller_snapshots)));
+      IncrementalState state;
+      std::vector<Table> tables = BaseTables();
+      std::vector<TableSnapshot> snapshots = SnapshotTables(tables, threads);
+      auto predict = [&] {
+        return predictor.PredictIncremental(
+            tables, nullptr, &state, caller_snapshots ? &snapshots : nullptr);
+      };
 
-    // Seed: first incremental call is a cold rebuild through the engine.
-    std::vector<Table> tables = BaseTables();
-    StatusOr<AutoBiResult> seed =
-        predictor.PredictIncremental(tables, nullptr, &state);
-    ASSERT_TRUE(seed.ok()) << seed.status().ToString();
-    EXPECT_FALSE(seed->incremental.used);
-    EXPECT_EQ(seed->incremental.tables_reprofiled, 4u);
-    EXPECT_EQ(seed->incremental.pairs_rescored, 6u);
-    ASSERT_TRUE(state.valid);
+      // Seed: first incremental call is a cold rebuild through the engine.
+      StatusOr<AutoBiResult> seed = predict();
+      ASSERT_TRUE(seed.ok()) << seed.status().ToString();
+      EXPECT_FALSE(seed->incremental.used);
+      EXPECT_EQ(seed->incremental.tables_reprofiled, 4u);
+      EXPECT_EQ(seed->incremental.pairs_rescored, 6u);
+      ASSERT_TRUE(state.valid);
 
-    // Differential step: incremental on the mutated tables vs cold.
-    mut.apply(&tables);
-    StatusOr<AutoBiResult> incr =
-        predictor.PredictIncremental(tables, nullptr, &state);
-    ASSERT_TRUE(incr.ok()) << incr.status().ToString();
-    StatusOr<AutoBiResult> cold = predictor.Predict(tables, nullptr);
-    ASSERT_TRUE(cold.ok());
-    ExpectBitIdentical(*incr, *cold, tables);
+      // Differential step: incremental on the mutated tables vs cold.
+      std::vector<TableSnapshot> before = std::move(snapshots);
+      std::vector<ValueType> types_before;
+      if (mut.appended >= 0) {
+        types_before = ColumnTypes(tables[size_t(mut.appended)]);
+      }
+      mut.apply(&tables);
+      snapshots = SnapshotTables(tables, threads);
+      if (mut.appended >= 0) {
+        const size_t t = size_t(mut.appended);
+        snapshots[t] =
+            SnapshotAppendedTable(tables[t], before[t], types_before);
+        ASSERT_TRUE(snapshots[t].appended.has_value());
+      }
+      StatusOr<AutoBiResult> incr = predict();
+      ASSERT_TRUE(incr.ok()) << incr.status().ToString();
+      StatusOr<AutoBiResult> cold = predictor.Predict(tables, nullptr);
+      ASSERT_TRUE(cold.ok());
+      ExpectBitIdentical(*incr, *cold, tables);
 
-    EXPECT_TRUE(incr->incremental.used);
-    EXPECT_EQ(incr->incremental.tables_reprofiled, mut.reprofiled);
-    EXPECT_EQ(incr->incremental.tables_delta_merged, mut.delta_merged);
-    EXPECT_EQ(incr->incremental.pairs_rescored, mut.rescored);
-    EXPECT_EQ(incr->incremental.pairs_reused, mut.reused);
+      EXPECT_TRUE(incr->incremental.used);
+      EXPECT_EQ(incr->incremental.tables_reprofiled, mut.reprofiled);
+      EXPECT_EQ(incr->incremental.tables_delta_merged, mut.delta_merged);
+      EXPECT_EQ(incr->incremental.pairs_rescored, mut.rescored);
+      EXPECT_EQ(incr->incremental.pairs_reused, mut.reused);
+      if (caller_snapshots) {
+        ASSERT_TRUE(self_hashed.ok());
+        ExpectBitIdentical(*incr, *self_hashed, tables);
+        ExpectSameCounters(incr->incremental, self_hashed->incremental);
+      } else {
+        self_hashed = incr;
+      }
 
-    // The committed state is a sound baseline: an immediate no-op re-run
-    // reuses everything, warm-starts the solve, and still matches cold.
-    StatusOr<AutoBiResult> again =
-        predictor.PredictIncremental(tables, nullptr, &state);
-    ASSERT_TRUE(again.ok());
-    EXPECT_TRUE(again->incremental.used);
-    EXPECT_EQ(again->incremental.tables_reprofiled, 0u);
-    EXPECT_EQ(again->incremental.pairs_rescored, 0u);
-    EXPECT_TRUE(again->incremental.warm_start_used);
-    ExpectBitIdentical(*again, *cold, tables);
+      // The committed state is a sound baseline: an immediate no-op re-run
+      // reuses everything, warm-starts the solve, and still matches cold.
+      StatusOr<AutoBiResult> again = predict();
+      ASSERT_TRUE(again.ok());
+      EXPECT_TRUE(again->incremental.used);
+      EXPECT_EQ(again->incremental.tables_reprofiled, 0u);
+      EXPECT_EQ(again->incremental.pairs_rescored, 0u);
+      EXPECT_TRUE(again->incremental.warm_start_used);
+      ExpectBitIdentical(*again, *cold, tables);
+    }
   }
 }
 
@@ -454,11 +496,19 @@ TEST(IncrementalTest, FallbackConditionsInvalidateStateAndUsePlainPredict) {
 
 TEST(IncrementalTest, MalformedTablesAreInvalidInput) {
   std::vector<Table> tables = BaseTables();
-  tables[0].column(0).AppendInt(7);  // Ragged.
   AutoBi predictor(&TestModel(), AutoBiOptions{});
   IncrementalState state;
+  // One snapshot short of the tables.
+  std::vector<TableSnapshot> snapshots = SnapshotTables(tables, 1);
+  snapshots.pop_back();
   StatusOr<AutoBiResult> result =
-      predictor.PredictIncremental(tables, nullptr, &state);
+      predictor.PredictIncremental(tables, nullptr, &state, &snapshots);
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidInput);
+  EXPECT_EQ(predictor.Predict(tables, nullptr, &snapshots).status().code(),
+            StatusCode::kInvalidInput);
+
+  tables[0].column(0).AppendInt(7);  // Ragged.
+  result = predictor.PredictIncremental(tables, nullptr, &state);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidInput);
 }

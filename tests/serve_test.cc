@@ -650,6 +650,141 @@ TEST(ServeEngineTest, UpdateTableAppendsAndIncrementalPredictMatchesFresh) {
   EXPECT_EQ(inc->Find("tables_reprofiled")->AsInt(), 1);
 }
 
+// `table`'s rows from `from` on, as the "columns" array of upload_table
+// (from == 0) or update_table.
+Json ColumnsJson(const Table& table, size_t from) {
+  Json cols = Json::MakeArray();
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    const Column& column = table.column(c);
+    Json values = Json::MakeArray();
+    for (size_t r = from; r < column.size(); ++r) {
+      if (column.IsNull(r)) {
+        values.Append(Json());
+      } else if (column.type() == ValueType::kInt) {
+        values.Append(Json::MakeInt(column.Int(r)));
+      } else {
+        values.Append(Json::MakeString(column.Str(r)));
+      }
+    }
+    Json col = Json::MakeObject();
+    col.Set("name", Json::MakeString(column.name()));
+    col.Set("values", std::move(values));
+    cols.Append(std::move(col));
+  }
+  return cols;
+}
+
+std::string ColumnsLine(const char* verb, const std::string& session,
+                        const Table& table, size_t from) {
+  Json req = Json::MakeObject();
+  req.Set("verb", Json::MakeString(verb));
+  req.Set("session", Json::MakeString(session));
+  req.Set("name", Json::MakeString(table.name()));
+  req.Set("columns", ColumnsJson(table, from));
+  return req.Write();
+}
+
+// Drives the delta path as a client does: uploads `tables`, runs an
+// incremental predict, then grows tables with update_table, one request
+// per entry of `grown` (the whole table after its append; the request
+// carries the rows past the session's). Each update's content_hash must be
+// TableContentHash of the grown table. A second incremental predict then
+// must give the joins and get_model export of a fresh engine's plain
+// predict over the final tables. Returns that predict's "incremental"
+// counters.
+Json DeltaPredictAfterUpdates(std::vector<Table> tables,
+                              const std::vector<Table>& grown) {
+  ServeOptions options;
+  options.threads = 2;
+  ServeEngine engine(&TestModel(), options);
+  const std::string session =
+      Call(engine, R"({"verb":"create_session"})").Find("session")->AsString();
+  for (const Table& t : tables) {
+    EXPECT_TRUE(IsOk(Call(engine, ColumnsLine("upload_table", session, t, 0))));
+  }
+  const std::string predict_line = R"({"verb":"predict","session":")" +
+                                   session + R"(","incremental":true})";
+  Json first = Call(engine, predict_line);
+  EXPECT_TRUE(IsOk(first)) << first.Write();
+
+  for (const Table& t : grown) {
+    size_t slot = 0;
+    while (tables[slot].name() != t.name()) ++slot;
+    Json updated = Call(engine, ColumnsLine("update_table", session, t,
+                                            tables[slot].num_rows()));
+    EXPECT_TRUE(IsOk(updated)) << updated.Write();
+    EXPECT_EQ(updated.Find("content_hash")->AsString(),
+              StrFormat("%016llx", static_cast<unsigned long long>(
+                                       TableContentHash(t))));
+    tables[slot] = t;
+  }
+  Json second = Call(engine, predict_line);
+  EXPECT_TRUE(IsOk(second)) << second.Write();
+
+  ServeEngine fresh_engine(&TestModel(), options);
+  const std::string fresh = Call(fresh_engine, R"({"verb":"create_session"})")
+                                .Find("session")
+                                ->AsString();
+  for (const Table& t : tables) {
+    EXPECT_TRUE(
+        IsOk(Call(fresh_engine, ColumnsLine("upload_table", fresh, t, 0))));
+  }
+  Json reference = Call(fresh_engine, R"({"verb":"predict","session":")" +
+                                          fresh + R"("})");
+  EXPECT_TRUE(IsOk(reference)) << reference.Write();
+  EXPECT_EQ(second.Find("joins")->Write(), reference.Find("joins")->Write());
+  const std::string get_model = R"({"verb":"get_model","format":"json",)";
+  Json inc_model =
+      Call(engine, get_model + R"("session":")" + session + R"("})");
+  Json ref_model =
+      Call(fresh_engine, get_model + R"("session":")" + fresh + R"("})");
+  EXPECT_TRUE(IsOk(inc_model) && IsOk(ref_model));
+  EXPECT_EQ(inc_model.Find("model")->Write(), ref_model.Find("model")->Write());
+  return *second.Find("incremental");
+}
+
+// One update_table records the orders table's old hashes in its snapshot;
+// the delta predict proves the append from that record.
+TEST(ServeEngineTest, UpdateTableContentHashIsTableContentHash) {
+  Json inc = DeltaPredictAfterUpdates(StarTables(), {OrdersTable(155)});
+  EXPECT_EQ(inc.Find("tables_reprofiled")->AsInt(), 0);
+  EXPECT_EQ(inc.Find("tables_delta_merged")->AsInt(), 1);
+}
+
+// Two updates between delta predicts: the second snapshot's record
+// describes 160 rows, the state 150, so the diff rehashes the 150-row
+// prefix and still finds an append.
+TEST(ServeEngineTest, TwoUpdatesBetweenDeltaPredictsStillMergeTheAppend) {
+  Json inc = DeltaPredictAfterUpdates(StarTables(),
+                                      {OrdersTable(160), OrdersTable(170)});
+  EXPECT_EQ(inc.Find("tables_reprofiled")->AsInt(), 0);
+  EXPECT_EQ(inc.Find("tables_delta_merged")->AsInt(), 1);
+}
+
+// Ints appended to an all-null column give it a type, and the type is
+// hashed: the update keeps no append record, and the diff, which then
+// rehashes the old rows, finds the table replaced rather than appended.
+TEST(ServeEngineTest, AppendThatTypesAnAllNullColumnIsReprofiled) {
+  auto orders = [](int rows, int typed_from) {
+    Table t = OrdersTable(rows);
+    Column& note = t.AddColumn("note");
+    for (int i = 0; i < rows; ++i) {
+      if (i < typed_from) {
+        note.AppendNull();
+      } else {
+        note.AppendInt(i % 4);
+      }
+    }
+    return t;
+  };
+  std::vector<Table> base = StarTables();
+  base[1] = orders(150, 150);
+  ASSERT_EQ(base[1].column(3).type(), ValueType::kNull);
+  Json inc = DeltaPredictAfterUpdates(base, {orders(160, 150)});
+  EXPECT_EQ(inc.Find("tables_reprofiled")->AsInt(), 1);
+  EXPECT_EQ(inc.Find("tables_delta_merged")->AsInt(), 0);
+}
+
 TEST(ServeEngineTest, UpdateTableRejectsMalformedDeltas) {
   ServeEngine engine(&TestModel(), ServeOptions{});
   std::string session = SetUpStarSession(engine);
@@ -1369,6 +1504,39 @@ TEST(ServeTransportTest, ServesUnterminatedLastLineAtEof) {
   char ch;
   EXPECT_EQ(::read(fd, &ch, 1), 0) << "connection not closed after EOF";
   ::close(fd);
+}
+
+// One line per mapping of this process: a thread stack (and its guard
+// page) that stays mapped shows up here.
+size_t MappingLines() {
+  std::ifstream maps("/proc/self/maps");
+  size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+// Connections one after another, each served by a thread that returns
+// when its client hangs up. An unjoined thread keeps its stack mapped, two
+// mapping lines per connection; joined at the next accept, the finished
+// threads leave at most a few behind.
+TEST(ServeTransportTest, FinishedConnectionThreadsAreReaped) {
+  ServeEngine engine(&TestModel(), ServeOptions{});
+  SocketServer server(&engine, "reap");
+  auto ping = [&server] {
+    int fd = server.Connect();
+    ASSERT_GE(fd, 0);
+    EXPECT_EQ(ResponseId(RoundTrip(fd, R"({"verb":"ping","id":7})")), 7);
+    ::close(fd);
+  };
+  // A first batch lets one-time mappings settle: a sanitizer runtime's
+  // allocator grows by some 70 lines over it, then holds.
+  for (int i = 0; i < 64; ++i) ping();
+  const size_t before = MappingLines();
+  for (int i = 0; i < 64; ++i) ping();
+  const size_t after = MappingLines();
+  EXPECT_LT(after, before + 32)
+      << "mappings grew from " << before << " to " << after
+      << " over 64 sequential connections";
 }
 
 // A request line longer than the cap gets one RESOURCE_EXHAUSTED line
