@@ -341,7 +341,9 @@ CandidateSet GenerateCandidates(const std::vector<Table>& tables,
     }
     // Each table's probe sets, built once for every rescanned pair it is
     // the dependent side of. One changed table pairs with every other, so
-    // either every table is a dependent or no pair is rescanned.
+    // either every table is a dependent or no pair is rescanned. A table
+    // skipped after a stop keeps no sets; the pair loop below polls the
+    // same (sticky) stop before any scan reads them.
     std::vector<std::vector<ColumnProbeSet>> probes(n);
     if (ind_options.blocking.enabled && !pairs.empty()) {
       const std::vector<size_t> by_size = LargestFirst(n, [&](size_t i) {
@@ -350,6 +352,7 @@ CandidateSet GenerateCandidates(const std::vector<Table>& tables,
       ParallelFor(
           n,
           [&](size_t k) {
+            if (ctx != nullptr && ctx->StopRequested()) return;
             probes[by_size[k]] = BuildTableProbes(out.profiles[by_size[k]],
                                                   ind_options.blocking);
           },

@@ -140,12 +140,6 @@ std::vector<ColumnProbeSet> BuildTableProbes(const TableProfile& profile,
   return out;
 }
 
-PairBlocking ComputePairBlocking(const TableProfile& dep,
-                                 const TableProfile& ref,
-                                 const BlockingOptions& options) {
-  return ComputePairBlocking(BuildTableProbes(dep, options), ref, options);
-}
-
 PairBlocking ComputePairBlocking(const std::vector<ColumnProbeSet>& dep_probes,
                                  const TableProfile& ref,
                                  const BlockingOptions& options) {

@@ -153,16 +153,10 @@ struct PairBlocking {
 };
 
 // Pair-local admission: evaluates the blocking predicate for every column
-// pair of (dep -> ref) directly from the two profiles. Identical to the
-// (ti, tj) entry of BuildBlockingPlan over the same profiles, and cheaper
-// than a whole plan when only a few pairs are rescanned.
-PairBlocking ComputePairBlocking(const TableProfile& dep,
-                                 const TableProfile& ref,
-                                 const BlockingOptions& options);
-
-// The same admission from the dependent table's prebuilt probe sets
-// (dep_probes == BuildTableProbes(dep, options)): the profile form builds
-// those sets and calls this one.
+// pair of (dep -> ref) from the dependent table's probe sets (dep_probes ==
+// BuildTableProbes(dep, options)) and the referenced profile. Identical to
+// the (ti, tj) entry of BuildBlockingPlan over the same profiles, and
+// cheaper than a whole plan when only a few pairs are rescanned.
 PairBlocking ComputePairBlocking(const std::vector<ColumnProbeSet>& dep_probes,
                                  const TableProfile& ref,
                                  const BlockingOptions& options);

@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "common/check.h"
 #include "common/parallel.h"
 #include "profile/sketch.h"
 #include "table/key_view.h"
@@ -38,16 +39,15 @@ IndPairScan ScanTablePair(const std::vector<Table>& tables,
   const size_t na = pi.columns.size();
   const size_t nb = pj.columns.size();
   // Blocking admission for this pair: the caller's precomputed plan entry
-  // (full rescan), or recomputed pair-locally from the two profiles
-  // (partial rescan) — identical by construction. The exhaustive loop
-  // structure below is kept and non-admitted column pairs are skipped in
-  // place, so the iteration order of everything that still runs is exactly
-  // the oracle's.
+  // (full rescan), or recomputed pair-locally from the dependent table's
+  // probe sets (partial rescan) — identical by construction. The exhaustive
+  // loop structure below is kept and non-admitted column pairs are skipped
+  // in place, so the iteration order of everything that still runs is
+  // exactly the oracle's.
   PairBlocking local;
   if (options.blocking.enabled && blocking == nullptr) {
-    local = dep_probes != nullptr
-                ? ComputePairBlocking(*dep_probes, pj, options.blocking)
-                : ComputePairBlocking(pi, pj, options.blocking);
+    AUTOBI_CHECK(dep_probes != nullptr && dep_probes->size() == na);
+    local = ComputePairBlocking(*dep_probes, pj, options.blocking);
     blocking = &local;
     stats.blocking.column_pairs_total = na * nb;
     stats.blocking.column_pairs_admitted = local.admitted.size();

@@ -170,12 +170,11 @@ struct IndPairScan {
 // order reproduces a full scan byte-for-byte.
 //
 // `blocking` is the pair's admission from a precomputed BuildBlockingPlan
-// entry. Callers without a plan (a partial rescan) leave it null: with
-// options.blocking.enabled the admission is then recomputed pair-locally
-// via ComputePairBlocking — the predicate is a pure function of the two
-// profiles, so the result is identical either way. `dep_probes`, if
-// non-null, is BuildTableProbes of table ti, which a caller scanning many
-// pairs builds once per dependent table; null builds it for this pair.
+// entry. Callers without a plan (a partial rescan) leave it null and, with
+// options.blocking.enabled, must pass `dep_probes`: BuildTableProbes of
+// table ti, built once per dependent table. The admission is then
+// recomputed pair-locally via ComputePairBlocking — the predicate is a pure
+// function of the two profiles, so the result is identical either way.
 IndPairScan ScanTablePair(
     const std::vector<Table>& tables,
     const std::vector<TableProfile>& profiles,

@@ -9,9 +9,9 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
+#include <exception>
 #include <list>
 #include <string>
-#include <system_error>
 #include <thread>
 
 #include "common/strings.h"
@@ -250,19 +250,22 @@ Status RunUnixSocketServer(ServeEngine* engine, const std::string& path) {
       it->thread.join();
       it = connections.erase(it);
     }
-    Connection& conn = connections.emplace_back();
     try {
+      // The node is built apart and spliced in only once its thread runs,
+      // so a throw leaves `connections` holding joinable threads only.
+      std::list<Connection> fresh(1);
+      Connection& conn = fresh.front();
       conn.thread = std::thread([engine, conn_fd, wake_fd = wake[0],
                                  done = &conn.done] {
         ServeLines(engine, conn_fd, conn_fd, wake_fd);
         ::close(conn_fd);
         done->store(true, std::memory_order_release);
       });
-    } catch (const std::system_error&) {
-      // No thread to serve it (thread or memory exhaustion): hang up, and
-      // keep accepting.
+      connections.splice(connections.end(), fresh);
+    } catch (const std::exception&) {
+      // No thread to serve it (thread creation failed, or no memory for
+      // the node or the thread's state): hang up, and keep accepting.
       ::close(conn_fd);
-      connections.pop_back();
     }
   }
   for (Connection& conn : connections) conn.thread.join();

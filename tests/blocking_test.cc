@@ -198,11 +198,11 @@ TEST(BlockingDifferentialTest, PlanPruningBoundsHoldAsLakesGrow) {
   EXPECT_GE(GrowthExponent(sizes, total), 1.5);
 }
 
-// Every ordered table pair's admission from the dependent table's prebuilt
-// probe sets (what a partial rescan computes) equals the profile form, and
-// both equal the pair's entry of the global plan (none = nothing admitted).
-void ExpectProbeSetFormMatchesProfileForm(const std::vector<Table>& tables,
-                                          const char* what) {
+// Every ordered table pair's pair-local admission from the dependent
+// table's prebuilt probe sets (what a partial rescan computes) equals the
+// pair's entry of the global plan (none = nothing admitted).
+void ExpectPairBlockingMatchesPlan(const std::vector<Table>& tables,
+                                   const char* what) {
   const std::vector<TableProfile> profiles = ProfileTables(tables);
   const BlockingOptions options;
   const std::map<std::pair<int, int>, PairBlocking> plan =
@@ -215,10 +215,6 @@ void ExpectProbeSetFormMatchesProfileForm(const std::vector<Table>& tables,
       if (ti == tj) continue;
       const PairBlocking from_probes =
           ComputePairBlocking(probes, profiles[tj], options);
-      const PairBlocking from_profiles =
-          ComputePairBlocking(profiles[ti], profiles[tj], options);
-      EXPECT_EQ(from_probes.admitted, from_profiles.admitted)
-          << what << " " << ti << " -> " << tj;
       auto it = plan.find({int(ti), int(tj)});
       const PairBlocking from_plan =
           it != plan.end() ? it->second : PairBlocking{};
@@ -230,19 +226,18 @@ void ExpectProbeSetFormMatchesProfileForm(const std::vector<Table>& tables,
   EXPECT_GT(admitted, 0u) << what;
 }
 
-TEST(BlockingDifferentialTest, ProbeSetPairBlockingMatchesProfileForm) {
+TEST(BlockingDifferentialTest, ProbeSetPairBlockingMatchesPlan) {
   Rng tpch_rng(424242);
   StatusOr<BiCase> tpch = GenerateTpchFromDdl(0.05, tpch_rng);
   ASSERT_TRUE(tpch.ok()) << tpch.status().ToString();
-  ExpectProbeSetFormMatchesProfileForm(tpch->tables, "TPC-H(ddl)");
+  ExpectPairBlockingMatchesPlan(tpch->tables, "TPC-H(ddl)");
 
   LakeGenOptions gen;
   gen.num_tables = 80;
   gen.shared_dim_name_prob = 0.6;
   gen.shared_key_range_prob = 0.2;
   Rng lake_rng(0x9a5e);
-  ExpectProbeSetFormMatchesProfileForm(GenerateLake(gen, lake_rng).tables,
-                                       "lake");
+  ExpectPairBlockingMatchesPlan(GenerateLake(gen, lake_rng).tables, "lake");
 }
 
 }  // namespace
