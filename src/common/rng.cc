@@ -3,26 +3,23 @@
 #include <cassert>
 #include <cmath>
 
+#include "common/hash.h"
+
 namespace autobi {
 
 namespace {
-
-// SplitMix64, used to expand the user seed into the xoshiro state.
-uint64_t SplitMix64(uint64_t& x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
 
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
+  // The SplitMix64 generator expands the seed into the xoshiro state.
   uint64_t x = seed;
-  for (auto& s : s_) s = SplitMix64(x);
+  for (auto& s : s_) {
+    s = SplitMix64(x);
+    x += kSplitMixGamma;
+  }
   // Avoid the (astronomically unlikely) all-zero state.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <iterator>
 #include <map>
 #include <memory>
 #include <utility>
@@ -317,82 +316,36 @@ CandidateSet GenerateCandidates(const std::vector<Table>& tables,
   };
   run->stats.pairs_reused = num_unchanged * (num_unchanged - 1) / 2;
   run->stats.pairs_rescored = n * (n - 1) / 2 - run->stats.pairs_reused;
+  // DiscoverInds scans exactly the ordered pairs `reused` rejects: those with
+  // at least one changed table.
+  std::vector<char> rescan(n);
+  for (size_t i = 0; i < n; ++i) {
+    rescan[i] = !is(i, TableChangeKind::kUnchanged);
+  }
+  std::vector<Ind> inds =
+      DiscoverInds(tables, out.profiles, out.uccs, ind_options,
+                   &out.ind_stats, &composite_cache, ctx, &rescan);
 
+  // The reused pairs' candidates, relabeled into this call's table order
+  // (1:1 candidates re-oriented to the lower endpoint, the canonical form
+  // AddIndCandidates gives them), with their scores.
   CandidateMap dedup;
   std::map<std::pair<ColumnRef, ColumnRef>, double> carried;
-  std::vector<Ind> inds;
-  if (run->stats.pairs_reused == 0) {
-    // Full rescan: the global blocking plan admits only the table pairs
-    // that share probed values.
-    inds = DiscoverInds(tables, out.profiles, out.uccs, ind_options,
-                        &out.ind_stats, &composite_cache, ctx);
-  } else {
-    // Partial rescan: both directions of each pair touching a changed
-    // table, (i, j) before (j, i) as in DiscoverInds' ti-major order.
-    // Pair-local admission is the plan's predicate evaluated for one pair,
-    // and costs far less than a global plan when few tables changed.
-    std::vector<std::pair<int, int>> pairs;
-    for (int i = 0; i < int(n); ++i) {
-      for (int j = i + 1; j < int(n); ++j) {
-        if (reused(i, j)) continue;
-        pairs.emplace_back(i, j);
-        pairs.emplace_back(j, i);
-      }
+  for (size_t k = 0; prev != nullptr && k < prev->candidates.size(); ++k) {
+    JoinCandidate cand = prev->candidates[k];
+    cand.src.table = prev_to_new[size_t(cand.src.table)];
+    cand.dst.table = prev_to_new[size_t(cand.dst.table)];
+    if (cand.src.table < 0 || cand.dst.table < 0 ||
+        !reused(cand.src.table, cand.dst.table)) {
+      continue;
     }
-    // Each table's probe sets, built once for every rescanned pair it is
-    // the dependent side of. One changed table pairs with every other, so
-    // either every table is a dependent or no pair is rescanned. A table
-    // skipped after a stop keeps no sets; the pair loop below polls the
-    // same (sticky) stop before any scan reads them.
-    std::vector<std::vector<ColumnProbeSet>> probes(n);
-    if (ind_options.blocking.enabled && !pairs.empty()) {
-      const std::vector<size_t> by_size = LargestFirst(n, [&](size_t i) {
-        return out.profiles[i].row_count * out.profiles[i].columns.size();
-      });
-      ParallelFor(
-          n,
-          [&](size_t k) {
-            if (ctx != nullptr && ctx->StopRequested()) return;
-            probes[by_size[k]] = BuildTableProbes(out.profiles[by_size[k]],
-                                                  ind_options.blocking);
-          },
-          ind_options.threads);
+    if (cand.one_to_one && cand.dst < cand.src) {
+      std::swap(cand.src, cand.dst);
+      std::swap(cand.left_containment, cand.right_containment);
     }
-    std::vector<IndPairScan> scans = ParallelMap(
-        pairs.size(),
-        [&](size_t k) {
-          // Item-boundary stop poll, as in DiscoverInds.
-          if (ctx != nullptr && ctx->StopRequested()) return IndPairScan{};
-          const int ti = pairs[k].first;
-          return ScanTablePair(tables, out.profiles, out.uccs, ind_options,
-                               &composite_cache, ti, pairs[k].second,
-                               /*blocking=*/nullptr, &probes[size_t(ti)]);
-        },
-        ind_options.threads);
-    for (IndPairScan& scan : scans) {
-      out.ind_stats.Add(scan.stats);
-      inds.insert(inds.end(), std::make_move_iterator(scan.inds.begin()),
-                  std::make_move_iterator(scan.inds.end()));
-    }
-    // The reused pairs' candidates, relabeled into this call's table order
-    // (1:1 candidates re-oriented to the lower endpoint, the canonical form
-    // AddIndCandidates gives them), with their scores.
-    for (size_t k = 0; k < prev->candidates.size(); ++k) {
-      JoinCandidate cand = prev->candidates[k];
-      cand.src.table = prev_to_new[size_t(cand.src.table)];
-      cand.dst.table = prev_to_new[size_t(cand.dst.table)];
-      if (cand.src.table < 0 || cand.dst.table < 0 ||
-          !reused(cand.src.table, cand.dst.table)) {
-        continue;
-      }
-      if (cand.one_to_one && cand.dst < cand.src) {
-        std::swap(cand.src, cand.dst);
-        std::swap(cand.left_containment, cand.right_containment);
-      }
-      auto key = std::make_pair(cand.src, cand.dst);
-      carried.emplace(key, prev->probabilities[k]);
-      dedup.emplace(std::move(key), std::move(cand));
-    }
+    auto key = std::make_pair(cand.src, cand.dst);
+    carried.emplace(key, prev->probabilities[k]);
+    dedup.emplace(std::move(key), std::move(cand));
   }
   if (ctx != nullptr && ctx->StopRequested()) {
     // Conservative: the stop may have tripped after the last pair finished,

@@ -78,11 +78,11 @@ struct PipelineRun;  // core/incremental.h
 // any append record; its hashes key the table cache (run->cache) and the
 // schema diff. With run->prev set, what the diff proves unchanged is
 // reused, including the scored candidates of pairs of unchanged tables
-// (scores land in run->scores). Other pairs are rescanned: by DiscoverInds'
-// global blocking plan when no pair is reusable, else pair by pair with
-// pair-local admission from each dependent table's probe sets, built once
-// per table. The candidate set is byte-identical to a stateless run's
-// either way.
+// (scores land in run->scores). Every other pair is rescanned by one
+// DiscoverInds call whose `rescan` flags the tables that are not unchanged;
+// its blocking plan picks the global index or pair-local admission (see
+// BuildBlockingPlan). The candidate set is byte-identical to a stateless
+// run's either way.
 CandidateSet GenerateCandidates(const std::vector<Table>& tables,
                                 const std::vector<TableSnapshot>& snapshots,
                                 const CandidateGenOptions& options,

@@ -11,6 +11,25 @@ namespace autobi {
 
 namespace {
 
+// Probe material of one dependent column. Exact mode (<= probe_all_below
+// distinct values) carries every distinct hash plus its occurrence count,
+// so admission compares the exact row-weighted containment. Sampled mode
+// carries the two probe classes separately (a hash heavy AND sampled is
+// probed in both). A column with no distinct values builds an empty set
+// and is never admitted (it can satisfy no containment threshold > 0).
+struct ColumnProbeSet {
+  bool exact = false;
+  // Exact: all distinct hashes (ascending). Sampled: the uniform
+  // bottom-under-remix sample, sorted ascending.
+  std::vector<uint64_t> bottom;
+  // Exact only: occurrence counts aligned with `bottom`.
+  std::vector<int64_t> weights;
+  // Exact only: the containment denominator (non-null row count).
+  int64_t total_weight = 0;
+  // Sampled only: top-by-count probes, sorted ascending.
+  std::vector<uint64_t> heavy;
+};
+
 // One inverted-index posting: a distinct hash of column `column` of table
 // `table`. Sorted by (hash, table, column) so probing is a binary search
 // followed by a run walk in deterministic order.
@@ -25,7 +44,7 @@ bool PostingLess(const Posting& a, const Posting& b) {
          std::tie(b.hash, b.table, b.column);
 }
 
-// The admission decision from aggregated hit counts. Both evaluation paths
+// The admission decision from aggregated hit counts. Both evaluation modes
 // (pair-local binary searches, global-index probing) funnel their IDENTICAL
 // integer hit counts through this one function, so the double arithmetic —
 // and therefore the admission — is bit-identical between them.
@@ -47,8 +66,6 @@ bool AdmitFromHits(const ColumnProbeSet& p, int64_t bottom_hits,
   }
   return false;
 }
-
-}  // namespace
 
 ColumnProbeSet BuildColumnProbes(const ColumnProfile& profile,
                                  const BlockingOptions& options) {
@@ -108,9 +125,13 @@ ColumnProbeSet BuildColumnProbes(const ColumnProfile& profile,
   return out;
 }
 
-bool AdmitColumnPair(const ColumnProbeSet& probes,
-                     const std::vector<uint64_t>& ref_hashes,
-                     const BlockingOptions& options) {
+// The pair-local admission predicate: probes `ref_hashes` (a sorted
+// distinct-hash vector) with every probe of `probes`. Kept out of line:
+// inlined into ComputePairBlocking's column loop (GCC 12, -O3) it made the
+// blocking of a one-table star or tpch delta 10-20% slower.
+[[gnu::noinline]] bool AdmitColumnPair(const ColumnProbeSet& probes,
+                                       const std::vector<uint64_t>& ref_hashes,
+                                       const BlockingOptions& options) {
   if (probes.bottom.empty() || ref_hashes.empty()) return false;
   int64_t bottom_hits = 0;
   int64_t heavy_hits = 0;
@@ -130,16 +151,8 @@ bool AdmitColumnPair(const ColumnProbeSet& probes,
   return AdmitFromHits(probes, bottom_hits, heavy_hits, weight_hits, options);
 }
 
-std::vector<ColumnProbeSet> BuildTableProbes(const TableProfile& profile,
-                                             const BlockingOptions& options) {
-  std::vector<ColumnProbeSet> out;
-  out.reserve(profile.columns.size());
-  for (const ColumnProfile& column : profile.columns) {
-    out.push_back(BuildColumnProbes(column, options));
-  }
-  return out;
-}
-
+// Pair-local admission of every column pair of (dep -> ref), from the
+// dependent table's probe sets, in (a, b)-lexicographic order.
 PairBlocking ComputePairBlocking(const std::vector<ColumnProbeSet>& dep_probes,
                                  const TableProfile& ref,
                                  const BlockingOptions& options) {
@@ -157,24 +170,16 @@ PairBlocking ComputePairBlocking(const std::vector<ColumnProbeSet>& dep_probes,
   return out;
 }
 
-std::map<std::pair<int, int>, PairBlocking> BuildBlockingPlan(
-    const std::vector<TableProfile>& profiles, const BlockingOptions& options,
-    BlockingStats* stats, int threads, const RunContext* ctx) {
-  const int n = int(profiles.size());
-  BlockingStats local;
-  local.table_pairs_total = n > 0 ? size_t(n) * size_t(n - 1) : 0;
-  {
-    size_t col_sum = 0;
-    size_t col_sq = 0;
-    for (const TableProfile& p : profiles) {
-      col_sum += p.columns.size();
-      col_sq += p.columns.size() * p.columns.size();
-    }
-    // Ordered cross-table column pairs: (sum cols)^2 - sum cols^2.
-    local.column_pairs_total = col_sum * col_sum - col_sq;
-  }
+using Plan = std::map<std::pair<int, int>, PairBlocking>;
+using TableProbes = std::vector<std::vector<ColumnProbeSet>>;
 
-  // --- Build: every distinct hash of every column becomes one posting.
+// Every ordered pair: one global inverted index over every distinct hash of
+// every profiled column, probed by each dependent table's columns.
+Plan ProbeIndex(const std::vector<TableProfile>& profiles,
+                const TableProbes& probes, const std::vector<size_t>& order,
+                const BlockingOptions& options, int threads,
+                const RunContext* ctx) {
+  const int n = int(profiles.size());
   std::vector<Posting> postings;
   {
     size_t total = 0;
@@ -186,17 +191,15 @@ std::map<std::pair<int, int>, PairBlocking> BuildBlockingPlan(
   for (int ti = 0; ti < n; ++ti) {
     const TableProfile& p = profiles[size_t(ti)];
     for (int c = 0; c < int(p.columns.size()); ++c) {
-      const std::vector<uint64_t>& hashes =
-          p.columns[size_t(c)].distinct_hashes;
-      if (hashes.empty()) continue;
-      for (uint64_t h : hashes) postings.push_back({h, ti, c});
+      for (uint64_t h : p.columns[size_t(c)].distinct_hashes) {
+        postings.push_back({h, ti, c});
+      }
     }
   }
   std::sort(postings.begin(), postings.end(), PostingLess);
 
-  // --- Probe: each dependent table's columns against the index, one pool
-  // item per dependent table, largest first (slot-per-table output keeps
-  // the plan thread-count invariant).
+  // One pool item per dependent table, largest first (slot-per-table output
+  // keeps the plan thread-count invariant).
   struct Hit {
     int tj;
     int a;
@@ -204,28 +207,17 @@ std::map<std::pair<int, int>, PairBlocking> BuildBlockingPlan(
     bool operator<(const Hit& o) const {
       return std::tie(tj, a, b) < std::tie(o.tj, o.a, o.b);
     }
-    bool operator==(const Hit& o) const {
-      return tj == o.tj && a == o.a && b == o.b;
-    }
   };
-  const std::vector<size_t> order = LargestFirst(size_t(n), [&](size_t i) {
-    return profiles[i].row_count * profiles[i].columns.size();
-  });
-  std::vector<std::vector<Hit>> hits_by_table(order.size());
+  std::vector<std::vector<Hit>> hits_by_table(profiles.size());
   ParallelFor(
       size_t(n),
       [&](size_t k) {
         const size_t ti = order[k];
-        std::vector<Hit>& hits = hits_by_table[ti];
-        // Table-boundary stop poll: a tripped run stops issuing probes;
-        // the same stop gates every downstream pair scan, so the caller's
-        // degradation marking already covers the skipped work.
         if (ctx != nullptr && ctx->StopRequested()) return;
-        const TableProfile& p = profiles[ti];
-        for (int a = 0; a < int(p.columns.size()); ++a) {
-          ColumnProbeSet probes =
-              BuildColumnProbes(p.columns[size_t(a)], options);
-          if (probes.bottom.empty()) continue;
+        std::vector<Hit>& hits = hits_by_table[ti];
+        for (int a = 0; a < int(probes[ti].size()); ++a) {
+          const ColumnProbeSet& p = probes[ti][size_t(a)];
+          if (p.bottom.empty()) continue;
           // Per-(referenced column) hit accumulators for this dependent
           // column — the same integers AdmitColumnPair would count pair by
           // pair, gathered through the index instead.
@@ -250,15 +242,12 @@ std::map<std::pair<int, int>, PairBlocking> BuildBlockingPlan(
               }
             }
           };
-          for (size_t i = 0; i < probes.bottom.size(); ++i) {
-            walk(probes.bottom[i], /*is_bottom=*/true,
-                 probes.exact ? probes.weights[i] : 0);
+          for (size_t i = 0; i < p.bottom.size(); ++i) {
+            walk(p.bottom[i], /*is_bottom=*/true, p.exact ? p.weights[i] : 0);
           }
-          for (uint64_t h : probes.heavy) {
-            walk(h, /*is_bottom=*/false, 0);
-          }
+          for (uint64_t h : p.heavy) walk(h, /*is_bottom=*/false, 0);
           for (const auto& [key, c] : counts) {
-            if (AdmitFromHits(probes, c.bottom, c.heavy, c.weight, options)) {
+            if (AdmitFromHits(p, c.bottom, c.heavy, c.weight, options)) {
               hits.push_back({key.first, a, key.second});
             }
           }
@@ -267,16 +256,109 @@ std::map<std::pair<int, int>, PairBlocking> BuildBlockingPlan(
       },
       threads);
 
-  std::map<std::pair<int, int>, PairBlocking> plan;
+  // Hits are sorted (tj, a, b) per dependent table, so each pair's admitted
+  // list is already (a, b)-lexicographic.
+  Plan plan;
   for (int ti = 0; ti < n; ++ti) {
     for (const Hit& h : hits_by_table[size_t(ti)]) {
       plan[{ti, h.tj}].admitted.emplace_back(h.a, h.b);
-      ++local.column_pairs_admitted;
     }
   }
-  // Hits were sorted (tj, a, b) per dependent table, so each pair's
-  // admitted list is already (a, b)-lexicographic — the exhaustive unary
-  // loop order restricted to admitted pairs.
+  return plan;
+}
+
+// Only the in-scope pairs, each admitted pair-locally.
+Plan ProbePairs(const std::vector<TableProfile>& profiles,
+                const TableProbes& probes,
+                const std::vector<std::pair<int, int>>& pairs,
+                const BlockingOptions& options, int threads,
+                const RunContext* ctx) {
+  std::vector<PairBlocking> per_pair = ParallelMap(
+      pairs.size(),
+      [&](size_t k) {
+        if (ctx != nullptr && ctx->StopRequested()) return PairBlocking{};
+        return ComputePairBlocking(probes[size_t(pairs[k].first)],
+                                   profiles[size_t(pairs[k].second)], options);
+      },
+      threads);
+  Plan plan;
+  for (size_t k = 0; k < pairs.size(); ++k) {
+    if (!per_pair[k].admitted.empty()) {
+      plan.emplace_hint(plan.end(), pairs[k], std::move(per_pair[k]));
+    }
+  }
+  return plan;
+}
+
+}  // namespace
+
+std::map<std::pair<int, int>, PairBlocking> BuildBlockingPlan(
+    const std::vector<TableProfile>& profiles, const BlockingOptions& options,
+    BlockingStats* stats, int threads, const RunContext* ctx,
+    const std::vector<char>* rescan) {
+  const int n = int(profiles.size());
+  auto in_scope = [&](int t) {
+    return rescan == nullptr || (*rescan)[size_t(t)] != 0;
+  };
+  // In scope: every ordered cross-table pair except those of two unflagged
+  // ("kept") tables. k tables with column counts c_i form k(k - 1) ordered
+  // table pairs and (sum c_i)^2 - sum c_i^2 ordered column pairs.
+  BlockingStats local;
+  size_t kept = 0;
+  size_t col_sum = 0, col_sq = 0, kept_sum = 0, kept_sq = 0;
+  for (int t = 0; t < n; ++t) {
+    const size_t c = profiles[size_t(t)].columns.size();
+    col_sum += c;
+    col_sq += c * c;
+    if (!in_scope(t)) {
+      ++kept;
+      kept_sum += c;
+      kept_sq += c * c;
+    }
+  }
+  auto table_pairs = [](size_t k) { return k < 2 ? 0 : k * (k - 1); };
+  local.table_pairs_total = table_pairs(size_t(n)) - table_pairs(kept);
+  local.column_pairs_total =
+      (col_sum * col_sum - col_sq) - (kept_sum * kept_sum - kept_sq);
+
+  Plan plan;
+  if (local.table_pairs_total > 0) {
+    // Every table is the dependent side of some in-scope pair, so each
+    // builds its probe sets once, largest first. A table skipped after a
+    // stop keeps none and admits nothing.
+    const std::vector<size_t> order = LargestFirst(size_t(n), [&](size_t i) {
+      return profiles[i].row_count * profiles[i].columns.size();
+    });
+    TableProbes probes(profiles.size());
+    ParallelFor(
+        size_t(n),
+        [&](size_t k) {
+          if (ctx != nullptr && ctx->StopRequested()) return;
+          const TableProfile& p = profiles[order[k]];
+          std::vector<ColumnProbeSet>& out = probes[order[k]];
+          out.reserve(p.columns.size());
+          for (const ColumnProfile& c : p.columns) {
+            out.push_back(BuildColumnProbes(c, options));
+          }
+        },
+        threads);
+    if (kept < 2) {
+      plan = ProbeIndex(profiles, probes, order, options, threads, ctx);
+    } else {
+      std::vector<std::pair<int, int>> pairs;
+      for (int ti = 0; ti < n; ++ti) {
+        for (int tj = 0; tj < n; ++tj) {
+          if (ti != tj && (in_scope(ti) || in_scope(tj))) {
+            pairs.emplace_back(ti, tj);
+          }
+        }
+      }
+      plan = ProbePairs(profiles, probes, pairs, options, threads, ctx);
+    }
+  }
+  for (const auto& [key, admission] : plan) {
+    local.column_pairs_admitted += admission.admitted.size();
+  }
   local.column_pairs_pruned =
       local.column_pairs_total - local.column_pairs_admitted;
   local.table_pairs_active = plan.size();

@@ -56,14 +56,14 @@ namespace autobi {
 // overlap) cannot be supported by any blocking scheme.
 //
 // Determinism contract: the predicate is a pure pair-local function of the
-// two column profiles. A full rescan (every stateless predict, and a
-// stateful one with nothing reusable) evaluates it through the global index
-// (BuildBlockingPlan); a partial rescan, which scans only the pairs
-// touching changed tables, recomputes it per pair (ScanTablePair without a
-// plan entry -> ComputePairBlocking over the dependent table's probe sets,
-// built once per table). Both produce identical admissions by construction,
-// which is what keeps delta re-prediction byte-identical to a cold run with
-// blocking on.
+// two column profiles, so which ordered pairs a plan covers never changes
+// the admissions of a pair it does cover. BuildBlockingPlan evaluates it
+// through a global index when every ordered pair is in scope (every
+// stateless predict, and a stateful one with at most one unchanged table),
+// and pair by pair from per-table probe sets when a rescan leaves pairs out
+// (a delta predict). Both modes produce identical admissions by
+// construction, which is what keeps delta re-prediction byte-identical to a
+// cold run with blocking on.
 struct BlockingOptions {
   // Master switch. false = the exhaustive all-pairs oracle.
   bool enabled = true;
@@ -108,42 +108,6 @@ struct BlockingStats {
   }
 };
 
-// Probe material of one dependent column. Exact mode (<= probe_all_below
-// distinct values) carries every distinct hash plus its occurrence count,
-// so admission compares the exact row-weighted containment. Sampled mode
-// carries the two probe classes separately (a hash heavy AND sampled is
-// probed in both). A column with no distinct values builds an empty set
-// and is never admitted (it can satisfy no containment threshold > 0).
-struct ColumnProbeSet {
-  bool exact = false;
-  // Exact: all distinct hashes (ascending). Sampled: the uniform
-  // bottom-under-remix sample, sorted ascending.
-  std::vector<uint64_t> bottom;
-  // Exact only: occurrence counts aligned with `bottom`.
-  std::vector<int64_t> weights;
-  // Exact only: the containment denominator (non-null row count).
-  int64_t total_weight = 0;
-  // Sampled only: top-by-count probes, sorted ascending.
-  std::vector<uint64_t> heavy;
-};
-
-ColumnProbeSet BuildColumnProbes(const ColumnProfile& profile,
-                                 const BlockingOptions& options);
-
-// BuildColumnProbes of every column of a table, slot c for
-// profile.columns[c]. A partial rescan builds them once per dependent table
-// and probes every rescanned pair that table is the dependent side of.
-std::vector<ColumnProbeSet> BuildTableProbes(const TableProfile& profile,
-                                             const BlockingOptions& options);
-
-// The pair-local admission predicate: probes `ref_hashes` (a sorted
-// distinct-hash vector) with every probe of `probes` and applies the
-// fraction tests above. BuildBlockingPlan evaluates the same arithmetic
-// through the global index.
-bool AdmitColumnPair(const ColumnProbeSet& probes,
-                     const std::vector<uint64_t>& ref_hashes,
-                     const BlockingOptions& options);
-
 // Admission of one ordered table pair (dependent ti -> referenced tj):
 // the admitted (dependent column, referenced column) pairs, sorted
 // lexicographically — the exact iteration order of the exhaustive unary
@@ -152,32 +116,31 @@ struct PairBlocking {
   std::vector<std::pair<int, int>> admitted;
 };
 
-// Pair-local admission: evaluates the blocking predicate for every column
-// pair of (dep -> ref) from the dependent table's probe sets (dep_probes ==
-// BuildTableProbes(dep, options)) and the referenced profile. Identical to
-// the (ti, tj) entry of BuildBlockingPlan over the same profiles, and
-// cheaper than a whole plan when only a few pairs are rescanned.
-PairBlocking ComputePairBlocking(const std::vector<ColumnProbeSet>& dep_probes,
-                                 const TableProfile& ref,
-                                 const BlockingOptions& options);
-
-// The full-rescan plan: builds the global inverted index over every distinct
-// hash of every profiled column, probes it with every column's probe set,
-// and returns the admissions of every ACTIVE ordered table pair, keyed
+// The admissions of every ACTIVE ordered table pair in scope, keyed
 // (ti, tj) — std::map order is exactly DiscoverInds' serial ti-major pair
 // order restricted to active pairs. Ordered pairs absent from the map have
-// zero admitted column pairs and are skipped entirely.
+// zero admitted column pairs (or are out of scope) and are skipped entirely.
 //
-// Per-table probing fans out over `threads` (ResolveThreads semantics);
-// the plan is bit-identical at any thread count. If `ctx` is non-null,
-// probing polls RunContext::StopRequested at dependent-table boundaries;
-// tables skipped after a trip contribute no admissions (the caller's
-// stage-degradation marking covers this, as the same stop gates the scans
-// downstream). `stats`, if non-null, receives the plan counters.
+// `rescan`, if non-null, holds one flag per table: an ordered pair is in
+// scope iff at least one of its tables is flagged (null = every pair). When
+// every ordered pair is in scope (at most one table unflagged) the plan
+// indexes every distinct hash of every profiled column once and probes the
+// index with every column's probe set; otherwise it evaluates the predicate
+// for the in-scope pairs only, from probe sets built once per table, which
+// costs far less when few tables changed. `stats`, if non-null, receives
+// the counters of the in-scope pairs.
+//
+// Probe-set builds and probing fan out over `threads` (ResolveThreads
+// semantics); the plan is bit-identical at any thread count. If `ctx` is
+// non-null, the fan-outs poll RunContext::StopRequested at table and pair
+// boundaries; work skipped after a trip contributes no admissions (the
+// caller's stage-degradation marking covers this, as the same stop gates
+// the scans downstream).
 std::map<std::pair<int, int>, PairBlocking> BuildBlockingPlan(
     const std::vector<TableProfile>& profiles, const BlockingOptions& options,
     BlockingStats* stats = nullptr, int threads = 0,
-    const RunContext* ctx = nullptr);
+    const RunContext* ctx = nullptr,
+    const std::vector<char>* rescan = nullptr);
 
 }  // namespace autobi
 

@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "common/check.h"
 #include "common/parallel.h"
 #include "profile/sketch.h"
 #include "table/key_view.h"
@@ -28,8 +27,7 @@ IndPairScan ScanTablePair(const std::vector<Table>& tables,
                           const std::vector<TableProfile>& profiles,
                           const std::vector<std::vector<Ucc>>& uccs,
                           const IndOptions& options, CompositeKeyCache* cache,
-                          int ti, int tj, const PairBlocking* blocking,
-                          const std::vector<ColumnProbeSet>* dep_probes) {
+                          int ti, int tj, const PairBlocking* blocking) {
   IndPairScan out;
   std::vector<Ind>& result = out.inds;
   IndStats& stats = out.stats;
@@ -38,25 +36,11 @@ IndPairScan ScanTablePair(const std::vector<Table>& tables,
   const TableProfile& pj = profiles[tj];
   const size_t na = pi.columns.size();
   const size_t nb = pj.columns.size();
-  // Blocking admission for this pair: the caller's precomputed plan entry
-  // (full rescan), or recomputed pair-locally from the dependent table's
-  // probe sets (partial rescan) — identical by construction. The exhaustive
-  // loop structure below is kept and non-admitted column pairs are skipped
-  // in place, so the iteration order of everything that still runs is
-  // exactly the oracle's.
-  PairBlocking local;
-  if (options.blocking.enabled && blocking == nullptr) {
-    AUTOBI_CHECK(dep_probes != nullptr && dep_probes->size() == na);
-    local = ComputePairBlocking(*dep_probes, pj, options.blocking);
-    blocking = &local;
-    stats.blocking.column_pairs_total = na * nb;
-    stats.blocking.column_pairs_admitted = local.admitted.size();
-    stats.blocking.column_pairs_pruned = na * nb - local.admitted.size();
-    stats.blocking.table_pairs_total = 1;
-    stats.blocking.table_pairs_active = local.admitted.empty() ? 0 : 1;
-  }
+  // The exhaustive loop structure below is kept and non-admitted column
+  // pairs are skipped in place, so the iteration order of everything that
+  // still runs is exactly the oracle's.
   std::vector<char> admit;  // (a * nb + b) -> admitted; empty = admit all.
-  if (options.blocking.enabled && blocking != nullptr) {
+  if (blocking != nullptr) {
     admit.assign(na * nb, 0);
     for (const auto& [a, b] : blocking->admitted) {
       admit[static_cast<size_t>(a) * nb + static_cast<size_t>(b)] = 1;
@@ -71,10 +55,7 @@ IndPairScan ScanTablePair(const std::vector<Table>& tables,
     const ColumnProfile& pa = pi.columns[a];
     if (pa.num_distinct < options.min_distinct) continue;
     for (int b = 0; b < static_cast<int>(nb); ++b) {
-      if (!admitted(a, b)) {
-        ++stats.unary_blocked;
-        continue;
-      }
+      if (!admitted(a, b)) continue;
       const ColumnProfile& pb = pj.columns[b];
       if (pb.non_null_count == 0) continue;
       if (pb.distinct_ratio < options.min_referenced_distinct_ratio) {
@@ -317,8 +298,8 @@ std::vector<Ind> DiscoverInds(const std::vector<Table>& tables,
                               const std::vector<TableProfile>& profiles,
                               const std::vector<std::vector<Ucc>>& uccs,
                               const IndOptions& options, IndStats* stats,
-                              CompositeKeyCache* cache,
-                              const RunContext* ctx) {
+                              CompositeKeyCache* cache, const RunContext* ctx,
+                              const std::vector<char>* rescan) {
   // Enumerate ordered pairs in the serial scan order, fan the per-pair scans
   // out, then concatenate per-pair results in that same order: the combined
   // IND list is byte-identical at any thread count. With blocking enabled
@@ -335,7 +316,7 @@ std::vector<Ind> DiscoverInds(const std::vector<Table>& tables,
   std::map<std::pair<int, int>, PairBlocking> plan;
   if (options.blocking.enabled) {
     plan = BuildBlockingPlan(profiles, options.blocking, &total.blocking,
-                             options.threads, ctx);
+                             options.threads, ctx, rescan);
     pairs.reserve(plan.size());
     pair_blocking.reserve(plan.size());
     for (const auto& [key, admission] : plan) {
@@ -343,10 +324,14 @@ std::vector<Ind> DiscoverInds(const std::vector<Table>& tables,
       pair_blocking.push_back(&admission);
     }
   } else {
-    pairs.reserve(static_cast<size_t>(n) * static_cast<size_t>(n));
+    auto flagged = [&](int t) {
+      return rescan == nullptr || (*rescan)[static_cast<size_t>(t)] != 0;
+    };
     for (int ti = 0; ti < n; ++ti) {
       for (int tj = 0; tj < n; ++tj) {
-        if (ti != tj) pairs.emplace_back(ti, tj);
+        if (ti != tj && (flagged(ti) || flagged(tj))) {
+          pairs.emplace_back(ti, tj);
+        }
       }
     }
     pair_blocking.assign(pairs.size(), nullptr);
@@ -368,12 +353,6 @@ std::vector<Ind> DiscoverInds(const std::vector<Table>& tables,
     total.Add(part.stats);
     result.insert(result.end(), std::make_move_iterator(part.inds.begin()),
                   std::make_move_iterator(part.inds.end()));
-  }
-  if (options.blocking.enabled) {
-    // Per-pair scans only see blocked column pairs inside ACTIVE table
-    // pairs; the plan-level pruned count covers never-scanned pairs too and
-    // is the authoritative number.
-    total.unary_blocked = total.blocking.column_pairs_pruned;
   }
   // Attribute exactly the sets built during this run (the cache may be
   // shared across calls).

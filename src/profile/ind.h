@@ -61,21 +61,19 @@ struct IndStats {
   size_t pairs_scanned = 0;
   // Unary screens/evaluations.
   size_t unary_range_screened = 0;  // Skipped by numeric-range disjointness.
-  size_t unary_blocked = 0;         // Skipped by inverted-index blocking.
   size_t unary_exact_checks = 0;    // Exact sorted-merge containments run.
   // Composite search.
   size_t composite_probes = 0;      // Exact composite containments run.
   size_t composite_sets_built = 0;  // Referenced tuple-hash sets constructed.
   size_t composite_budget_truncations = 0;  // Pairs that hit the probe cap.
-  // Blocking-plan counters. A full rescan sets these once per DiscoverInds
-  // run from BuildBlockingPlan; the ScanTablePair calls of a partial rescan
-  // contribute their pair-local admissions instead.
+  // The counters of DiscoverInds' blocking plan over the pairs in scope
+  // (zero with blocking off); column_pairs_pruned counts the unary column
+  // pairs blocking skipped.
   BlockingStats blocking;
 
   void Add(const IndStats& o) {
     pairs_scanned += o.pairs_scanned;
     unary_range_screened += o.unary_range_screened;
-    unary_blocked += o.unary_blocked;
     unary_exact_checks += o.unary_exact_checks;
     composite_probes += o.composite_probes;
     composite_sets_built += o.composite_sets_built;
@@ -164,24 +162,17 @@ struct IndPairScan {
 // Scans one ordered table pair (ti -> tj) for unary and composite INDs —
 // exactly the per-pair unit DiscoverInds fans out. Pure function of its
 // inputs apart from the (internally synchronized) composite-key cache, so
-// a partial rescan (GenerateCandidates with a state, core/candidates.h) can
-// re-run just the pairs touching changed tables and merge the results with
-// reused ones: concatenating per-pair results in DiscoverInds' serial pair
-// order reproduces a full scan byte-for-byte.
+// concatenating per-pair results in DiscoverInds' serial pair order
+// reproduces a full scan byte-for-byte.
 //
-// `blocking` is the pair's admission from a precomputed BuildBlockingPlan
-// entry. Callers without a plan (a partial rescan) leave it null and, with
-// options.blocking.enabled, must pass `dep_probes`: BuildTableProbes of
-// table ti, built once per dependent table. The admission is then
-// recomputed pair-locally via ComputePairBlocking — the predicate is a pure
-// function of the two profiles, so the result is identical either way.
+// `blocking` is the pair's BuildBlockingPlan entry: only its admitted column
+// pairs are checked. Null admits every column pair (the exhaustive oracle).
 IndPairScan ScanTablePair(
     const std::vector<Table>& tables,
     const std::vector<TableProfile>& profiles,
     const std::vector<std::vector<Ucc>>& uccs, const IndOptions& options,
     CompositeKeyCache* cache, int ti, int tj,
-    const PairBlocking* blocking = nullptr,
-    const std::vector<ColumnProbeSet>* dep_probes = nullptr);
+    const PairBlocking* blocking = nullptr);
 
 // Discovers all approximate INDs between distinct tables of `tables`.
 // `profiles` must come from ProfileTables(tables); `uccs[i]` are the UCCs of
@@ -197,13 +188,19 @@ IndPairScan ScanTablePair(
 // prunes the ordered-pair space: only table pairs with at least one admitted
 // column pair are scanned at all, and each scan skips non-admitted column
 // pairs. The plan's counters land in stats->blocking.
+// `rescan`, if non-null, flags the tables whose pairs must be scanned: only
+// ordered pairs with at least one flagged table are (BuildBlockingPlan's
+// scope rule; null = every pair). A delta predict flags its changed tables
+// and reuses the rest; each scanned pair yields exactly what a full run
+// yields for it.
 std::vector<Ind> DiscoverInds(const std::vector<Table>& tables,
                               const std::vector<TableProfile>& profiles,
                               const std::vector<std::vector<Ucc>>& uccs,
                               const IndOptions& options = {},
                               IndStats* stats = nullptr,
                               CompositeKeyCache* cache = nullptr,
-                              const RunContext* ctx = nullptr);
+                              const RunContext* ctx = nullptr,
+                              const std::vector<char>* rescan = nullptr);
 
 }  // namespace autobi
 

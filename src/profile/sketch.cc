@@ -8,14 +8,10 @@ namespace {
 // allocation-free: numeric cells hash their binary representation, string
 // cells their bytes, and a per-cell tag separates null/int/double/string so
 // "" and null (or 3 and "3") never alias.
-inline void MixByte(uint64_t& h, unsigned char c) {
-  h ^= c;
-  h *= 1099511628211ULL;
-}
+inline void MixByte(uint64_t& h, unsigned char c) { h = FnvStep(h, c); }
 
 inline void MixBytes(uint64_t& h, const void* data, size_t n) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) MixByte(h, p[i]);
+  h = FnvBytes(h, data, n);
 }
 
 inline void MixU64(uint64_t& h, uint64_t v) { MixBytes(h, &v, sizeof(v)); }
@@ -66,7 +62,7 @@ inline void MixColumnCells(uint64_t& h, const Column& column, size_t rows) {
 
 uint64_t ColumnContentHashFromCells(std::string_view name,
                                     uint64_t cells_hash) {
-  uint64_t h = 1469598103934665603ULL;
+  uint64_t h = kFnvOffset;
   MixBytes(h, name.data(), name.size());
   MixByte(h, 0);  // Name/content separator.
   MixU64(h, cells_hash);
@@ -87,14 +83,14 @@ uint64_t ColumnCellsHash(const Column& column) {
 }
 
 uint64_t ColumnCellsHashPrefix(const Column& column, size_t rows) {
-  uint64_t h = 1469598103934665603ULL;
+  uint64_t h = kFnvOffset;
   MixColumnCells(h, column, rows);
   return SplitMix64(h);
 }
 
 uint64_t TableContentHashFromColumnHashes(
     std::string_view name, const std::vector<uint64_t>& column_hashes) {
-  uint64_t h = 1469598103934665603ULL;
+  uint64_t h = kFnvOffset;
   MixBytes(h, name.data(), name.size());
   MixByte(h, 0);
   MixU64(h, column_hashes.size());
@@ -120,7 +116,7 @@ uint64_t TablesContentHash(const std::vector<Table>& tables) {
 
 uint64_t TablesContentHashFromHashes(
     const std::vector<uint64_t>& table_hashes) {
-  uint64_t h = 1469598103934665603ULL;
+  uint64_t h = kFnvOffset;
   MixU64(h, table_hashes.size());
   for (uint64_t th : table_hashes) MixU64(h, th);
   return SplitMix64(h);

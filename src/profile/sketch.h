@@ -6,6 +6,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/hash.h"
 #include "table/table.h"
 
 namespace autobi {
@@ -17,38 +18,25 @@ namespace autobi {
 // uint64 vectors — no per-pair string hashing, no pointer chasing.
 //
 // Stability contract: StableHash64 is FNV-1a with the classic 64-bit
-// offset/prime constants. It is a pure function of the key bytes — no seed,
-// no address-sensitivity — so hashes are identical across runs, thread
-// counts, and platforms, and two columns agree on a value's hash iff they
-// agree on its canonical key (modulo 64-bit collisions; see the exactness
-// note on Containment in column_profile.h).
+// offset/prime constants of common/hash.h, which also provides the
+// SplitMix64 mixer the content hashes below combine with. It is a pure
+// function of the key bytes — no seed, no address-sensitivity — so hashes
+// are identical across runs, thread counts, and platforms, and two columns
+// agree on a value's hash iff they agree on its canonical key (modulo
+// 64-bit collisions; see the exactness note on Containment in
+// column_profile.h).
 
 // Stable FNV-1a 64-bit hash of a byte string. This is the same hash the EMD
 // feature has always used for its hashed-key distribution (profile/emd.cc),
 // which keeps the two layers' views of a value consistent.
 inline uint64_t StableHash64(std::string_view s) {
-  uint64_t h = 1469598103934665603ULL;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
+  return FnvBytes(kFnvOffset, s.data(), s.size());
 }
 
 // Maps a 64-bit hash to [0, 1), monotonically in the hash value. Matches the
 // historical HashToUnit of profile/emd.cc: (h >> 11) * 2^-53.
 inline double HashToUnitInterval(uint64_t h) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
-// SplitMix64 finalizer: a strong, stable 64 -> 64 bit mixer. Shared by the
-// k-MCA-CC memo signatures and the content hashes below so every layer's
-// notion of "mixing" agrees.
-inline uint64_t SplitMix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
 }
 
 // Content hash of a column: a stable function of the column name, declared

@@ -7,23 +7,11 @@
 #include <cstring>
 
 #include "common/check.h"
+#include "common/hash.h"
 
 namespace autobi {
 
 namespace {
-
-// FNV-1a over a byte span (the StableHash64 constants of profile/sketch.h,
-// inlined here so autobi_table does not depend on autobi_profile).
-constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-inline uint64_t FnvMix(uint64_t h, const char* data, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 // Bounded signed decimal formatting, byte-identical to std::to_string:
 // writes into buf (at least 21 bytes) and returns the length.
@@ -60,142 +48,69 @@ inline size_t FormatDouble(double v, char* buf, size_t buf_size) {
 
 }  // namespace
 
-void ColumnKeyView::Build(const Column& col) {
-  size_t n = col.size();
+void ColumnKeyView::BuildSuffix(const Column& col, size_t from_row) {
+  const size_t total = col.size();
+  AUTOBI_CHECK_MSG(from_row <= total, "suffix view past the end of the column");
+  const size_t n = total - from_row;
+  const ValueType type = col.type();
   col_ = nullptr;
-  row_offset_ = 0;
+  row_offset_ = from_row;
   pool_.clear();
   hashes_.assign(n, 0);
-  num_non_null_ = col.num_non_null();
+  num_non_null_ = 0;
   key_bytes_ = 0;
-  has_nulls_ = num_non_null_ < n || col.type() == ValueType::kNull;
+  // A whole-column view knows its null count up front (the column tracks a
+  // whole-column total), so a dense column never allocates a mask. A suffix
+  // carries one through the pass and drops it if the suffix was dense.
+  has_nulls_ = from_row > 0 || col.num_non_null() < total ||
+               type == ValueType::kNull;
   if (has_nulls_) {
     null_.assign(n, 0);
   } else {
     null_.clear();
   }
 
-  if (col.type() == ValueType::kString) {
+  if (type == ValueType::kString) {
     // A string cell's canonical key is the cell itself: borrow the column's
     // storage instead of copying it into an arena (no pool, no offsets — one
     // hashing pass is the whole build).
     col_ = &col;
     offsets_.clear();
-    size_t bytes = 0;
     for (size_t i = 0; i < n; ++i) {
-      if (col.IsNull(i)) {
-        null_[i] = 1;
-        continue;
-      }
-      const std::string& s = col.Str(i);
-      bytes += s.size();
-      hashes_[i] = FnvMix(kFnvOffset, s.data(), s.size());
-    }
-    key_bytes_ = bytes;
-    return;
-  }
-
-  offsets_.assign(n + 1, 0);
-  switch (col.type()) {
-    case ValueType::kString:
-      break;  // Handled above.
-    case ValueType::kInt: {
-      pool_.reserve(n * 8);
-      char buf[24];
-      for (size_t i = 0; i < n; ++i) {
-        offsets_[i] = pool_.size();
-        if (col.IsNull(i)) {
-          null_[i] = 1;
-          continue;
-        }
-        size_t len = FormatInt64(col.Int(i), buf);
-        pool_.append(buf, len);
-        hashes_[i] = FnvMix(kFnvOffset, buf, len);
-      }
-      break;
-    }
-    case ValueType::kDouble: {
-      pool_.reserve(n * 8);
-      char buf[40];
-      for (size_t i = 0; i < n; ++i) {
-        offsets_[i] = pool_.size();
-        if (col.IsNull(i)) {
-          null_[i] = 1;
-          continue;
-        }
-        size_t len = FormatDouble(col.Double(i), buf, sizeof(buf));
-        pool_.append(buf, len);
-        hashes_[i] = FnvMix(kFnvOffset, buf, len);
-      }
-      break;
-    }
-    case ValueType::kNull: {
-      // Untyped column: every cell is null.
-      for (size_t i = 0; i < n; ++i) null_[i] = 1;
-      break;
-    }
-  }
-  offsets_[n] = pool_.size();
-  key_bytes_ = pool_.size();
-}
-
-void ColumnKeyView::BuildSuffix(const Column& col, size_t from_row) {
-  size_t total = col.size();
-  AUTOBI_CHECK_MSG(from_row <= total, "suffix view past the end of the column");
-  size_t n = total - from_row;
-  col_ = nullptr;
-  row_offset_ = from_row;
-  pool_.clear();
-  hashes_.assign(n, 0);
-  // Unlike Build, the suffix null count is not known up front (the column
-  // only tracks a whole-column total), so the mask is carried through the
-  // pass and dropped afterwards if the suffix turned out dense.
-  null_.assign(n, 0);
-  has_nulls_ = true;
-  num_non_null_ = 0;
-  key_bytes_ = 0;
-
-  if (col.type() == ValueType::kString) {
-    col_ = &col;
-    offsets_.clear();
-    size_t bytes = 0;
-    for (size_t i = 0; i < n; ++i) {
-      size_t r = from_row + i;
+      const size_t r = from_row + i;
       if (col.IsNull(r)) {
         null_[i] = 1;
         continue;
       }
       const std::string& s = col.Str(r);
-      bytes += s.size();
-      hashes_[i] = FnvMix(kFnvOffset, s.data(), s.size());
+      key_bytes_ += s.size();
+      hashes_[i] = FnvBytes(kFnvOffset, s.data(), s.size());
       ++num_non_null_;
     }
-    key_bytes_ = bytes;
-  } else if (col.type() == ValueType::kNull) {
-    offsets_.assign(n + 1, 0);
-    for (size_t i = 0; i < n; ++i) null_[i] = 1;
   } else {
+    // Numeric keys are formatted into one arena addressed by offsets; an
+    // untyped (kNull) column has only null cells.
     offsets_.assign(n + 1, 0);
-    pool_.reserve(n * 8);
+    if (type != ValueType::kNull) pool_.reserve(n * 8);
     char buf[40];
     for (size_t i = 0; i < n; ++i) {
-      size_t r = from_row + i;
+      const size_t r = from_row + i;
       offsets_[i] = pool_.size();
-      if (col.IsNull(r)) {
+      if (type == ValueType::kNull || col.IsNull(r)) {
         null_[i] = 1;
         continue;
       }
-      size_t len = col.type() == ValueType::kInt
-                       ? FormatInt64(col.Int(r), buf)
-                       : FormatDouble(col.Double(r), buf, sizeof(buf));
+      const size_t len = type == ValueType::kInt
+                             ? FormatInt64(col.Int(r), buf)
+                             : FormatDouble(col.Double(r), buf, sizeof(buf));
       pool_.append(buf, len);
-      hashes_[i] = FnvMix(kFnvOffset, buf, len);
+      hashes_[i] = FnvBytes(kFnvOffset, buf, len);
       ++num_non_null_;
     }
     offsets_[n] = pool_.size();
     key_bytes_ = pool_.size();
   }
-  has_nulls_ = num_non_null_ < n || col.type() == ValueType::kNull;
+  has_nulls_ = num_non_null_ < n;
   if (!has_nulls_) null_.clear();
 }
 
@@ -273,15 +188,10 @@ bool TupleHashFromViews(const std::vector<const ColumnKeyView*>& cols,
     if (view->IsNull(r)) return false;
     std::string_view key = view->key(r);
     for (char ch : key) {
-      if (ch == '|' || ch == '\\') {
-        h ^= static_cast<unsigned char>('\\');
-        h *= kFnvPrime;
-      }
-      h ^= static_cast<unsigned char>(ch);
-      h *= kFnvPrime;
+      if (ch == '|' || ch == '\\') h = FnvStep(h, '\\');
+      h = FnvStep(h, static_cast<unsigned char>(ch));
     }
-    h ^= static_cast<unsigned char>('|');
-    h *= kFnvPrime;
+    h = FnvStep(h, '|');
   }
   *out = h;
   return true;

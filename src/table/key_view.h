@@ -36,8 +36,8 @@ class ColumnKeyView {
   ColumnKeyView() = default;
   explicit ColumnKeyView(const Column& col) { Build(col); }
 
-  // (Re)builds the view from `col`.
-  void Build(const Column& col);
+  // (Re)builds the view from `col`: the suffix view from row 0.
+  void Build(const Column& col) { BuildSuffix(col, 0); }
 
   // (Re)builds the view over the row suffix [from_row, col.size()) — the
   // delta batch of an append-only update. View index i addresses column row

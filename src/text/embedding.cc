@@ -2,23 +2,10 @@
 
 #include <cmath>
 
+#include "common/hash.h"
 #include "text/tokenize.h"
 
 namespace autobi {
-
-namespace {
-
-// FNV-1a 64-bit over a byte span.
-uint64_t Fnv1a(std::string_view s, uint64_t seed) {
-  uint64_t h = 1469598103934665603ULL ^ seed;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-}  // namespace
 
 std::array<float, NgramEmbedder::kDims> NgramEmbedder::Embed(
     std::string_view text) const {
@@ -31,7 +18,8 @@ std::array<float, NgramEmbedder::kDims> NgramEmbedder::Embed(
       if (tok.size() < n) continue;
       for (size_t i = 0; i + n <= tok.size(); ++i) {
         std::string_view g(tok.data() + i, n);
-        uint64_t h = Fnv1a(g, /*seed=*/n);
+        // FNV-1a from an offset basis perturbed by the n-gram length.
+        uint64_t h = FnvBytes(kFnvOffset ^ n, g.data(), g.size());
         int idx = static_cast<int>(h % kDims);
         float sign = ((h >> 32) & 1) ? 1.0f : -1.0f;
         // Down-weight short n-grams, which are noisier.

@@ -198,46 +198,91 @@ TEST(BlockingDifferentialTest, PlanPruningBoundsHoldAsLakesGrow) {
   EXPECT_GE(GrowthExponent(sizes, total), 1.5);
 }
 
-// Every ordered table pair's pair-local admission from the dependent
-// table's prebuilt probe sets (what a partial rescan computes) equals the
-// pair's entry of the global plan (none = nothing admitted).
-void ExpectPairBlockingMatchesPlan(const std::vector<Table>& tables,
-                                   const char* what) {
-  const std::vector<TableProfile> profiles = ProfileTables(tables);
-  const BlockingOptions options;
-  const std::map<std::pair<int, int>, PairBlocking> plan =
-      BuildBlockingPlan(profiles, options);
-  size_t admitted = 0;
-  for (size_t ti = 0; ti < profiles.size(); ++ti) {
-    const std::vector<ColumnProbeSet> probes =
-        BuildTableProbes(profiles[ti], options);
-    for (size_t tj = 0; tj < profiles.size(); ++tj) {
+// A plan scoped by `rescan` (what a delta predict builds) holds exactly the
+// global plan's entries on the in-scope ordered pairs (an absent entry means
+// nothing was admitted) and none elsewhere, and its counters are the sums
+// over the in-scope pairs — the per-pair counters a partial rescan reports.
+void ExpectScopedPlanMatchesGlobal(
+    const std::vector<TableProfile>& profiles,
+    const std::map<std::pair<int, int>, PairBlocking>& global,
+    const std::vector<char>& rescan, const std::string& what) {
+  BlockingStats got;
+  const std::map<std::pair<int, int>, PairBlocking> scoped = BuildBlockingPlan(
+      profiles, BlockingOptions{}, &got, /*threads=*/0, nullptr, &rescan);
+  BlockingStats want;
+  for (int ti = 0; ti < int(profiles.size()); ++ti) {
+    for (int tj = 0; tj < int(profiles.size()); ++tj) {
       if (ti == tj) continue;
-      const PairBlocking from_probes =
-          ComputePairBlocking(probes, profiles[tj], options);
-      auto it = plan.find({int(ti), int(tj)});
-      const PairBlocking from_plan =
-          it != plan.end() ? it->second : PairBlocking{};
-      EXPECT_EQ(from_probes.admitted, from_plan.admitted)
+      auto s = scoped.find({ti, tj});
+      if (!rescan[size_t(ti)] && !rescan[size_t(tj)]) {
+        EXPECT_TRUE(s == scoped.end()) << what << " " << ti << " -> " << tj;
+        continue;
+      }
+      auto g = global.find({ti, tj});
+      const PairBlocking from_global =
+          g != global.end() ? g->second : PairBlocking{};
+      const PairBlocking from_scoped =
+          s != scoped.end() ? s->second : PairBlocking{};
+      EXPECT_EQ(from_scoped.admitted, from_global.admitted)
           << what << " " << ti << " -> " << tj;
-      admitted += from_probes.admitted.size();
+      EXPECT_TRUE(s == scoped.end() || !s->second.admitted.empty())
+          << what << " inactive entry " << ti << " -> " << tj;
+      want.column_pairs_total += profiles[size_t(ti)].columns.size() *
+                                 profiles[size_t(tj)].columns.size();
+      want.column_pairs_admitted += from_global.admitted.size();
+      want.table_pairs_total += 1;
+      want.table_pairs_active += from_global.admitted.empty() ? 0 : 1;
     }
   }
-  EXPECT_GT(admitted, 0u) << what;
+  want.column_pairs_pruned =
+      want.column_pairs_total - want.column_pairs_admitted;
+  EXPECT_EQ(got.column_pairs_total, want.column_pairs_total) << what;
+  EXPECT_EQ(got.column_pairs_admitted, want.column_pairs_admitted) << what;
+  EXPECT_EQ(got.column_pairs_pruned, want.column_pairs_pruned) << what;
+  EXPECT_EQ(got.table_pairs_total, want.table_pairs_total) << what;
+  EXPECT_EQ(got.table_pairs_active, want.table_pairs_active) << what;
 }
 
-TEST(BlockingDifferentialTest, ProbeSetPairBlockingMatchesPlan) {
+// Every single-table rescan and one multi-table rescan take the pair-local
+// mode; flagging all tables but one keeps every ordered pair in scope, so
+// that rescan takes the global index.
+void ExpectScopedPlansMatchGlobal(const std::vector<Table>& tables,
+                                  const char* what) {
+  const std::vector<TableProfile> profiles = ProfileTables(tables);
+  const size_t n = profiles.size();
+  ASSERT_GE(n, 4u) << what;
+  const std::map<std::pair<int, int>, PairBlocking> global =
+      BuildBlockingPlan(profiles, BlockingOptions{});
+  ASSERT_FALSE(global.empty()) << what;
+  for (size_t t = 0; t < n; ++t) {
+    std::vector<char> rescan(n, 0);
+    rescan[t] = 1;
+    ExpectScopedPlanMatchesGlobal(profiles, global, rescan,
+                                  std::string(what) + " rescan {" +
+                                      std::to_string(t) + "}");
+  }
+  std::vector<char> every_third(n, 0);
+  for (size_t t = 0; t < n; t += 3) every_third[t] = 1;
+  ExpectScopedPlanMatchesGlobal(profiles, global, every_third,
+                                std::string(what) + " every third table");
+  std::vector<char> all_but_one(n, 1);
+  all_but_one[n / 2] = 0;
+  ExpectScopedPlanMatchesGlobal(profiles, global, all_but_one,
+                                std::string(what) + " all but one table");
+}
+
+TEST(BlockingDifferentialTest, ScopedPlanMatchesGlobalPlan) {
   Rng tpch_rng(424242);
   StatusOr<BiCase> tpch = GenerateTpchFromDdl(0.05, tpch_rng);
   ASSERT_TRUE(tpch.ok()) << tpch.status().ToString();
-  ExpectPairBlockingMatchesPlan(tpch->tables, "TPC-H(ddl)");
+  ExpectScopedPlansMatchGlobal(tpch->tables, "TPC-H(ddl)");
 
   LakeGenOptions gen;
   gen.num_tables = 80;
   gen.shared_dim_name_prob = 0.6;
   gen.shared_key_range_prob = 0.2;
   Rng lake_rng(0x9a5e);
-  ExpectPairBlockingMatchesPlan(GenerateLake(gen, lake_rng).tables, "lake");
+  ExpectScopedPlansMatchGlobal(GenerateLake(gen, lake_rng).tables, "lake");
 }
 
 }  // namespace

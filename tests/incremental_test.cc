@@ -297,8 +297,9 @@ class IncrementalLakeTest : public ::testing::TestWithParam<int> {};
 
 // The stateful path with blocking on a lake: an empty state rebuilds
 // through the global blocking plan (the full rescan a cold Predict runs),
-// and deltas rescan only the pairs touching a changed table, each with
-// pair-local admission. Every step matches a cold Predict bit for bit.
+// and deltas scope the plan to the pairs touching a changed table, each
+// admitted pair-locally, and scan only its active pairs. Every step matches
+// a cold Predict bit for bit.
 TEST_P(IncrementalLakeTest, FullAndPartialRescansMatchColdPredict) {
   const int threads = GetParam();
   Rng rng(2024);
@@ -346,7 +347,8 @@ TEST_P(IncrementalLakeTest, FullAndPartialRescansMatchColdPredict) {
   EXPECT_EQ(appended->incremental.tables_delta_merged, 1u);
   EXPECT_EQ(appended->incremental.pairs_rescored, 59u);
   EXPECT_EQ(appended->incremental.pairs_reused, 59u * 58u / 2u);
-  EXPECT_EQ(appended->ind_stats.pairs_scanned, 2u * 59u);
+  EXPECT_EQ(appended->ind_stats.pairs_scanned,
+            appended->ind_stats.blocking.table_pairs_active);
   EXPECT_EQ(appended->ind_stats.blocking.table_pairs_total, 2u * 59u);
 
   // Appends to a third of the tables: a partial rescan of the 990 pairs

@@ -187,10 +187,9 @@ TEST(SketchTest, BlockingSkipsDisjointHighCardinalityPair) {
   IndStats s_on;
   auto on = DiscoverInds(tables, profiles, uccs, blocked, &s_on);
   EXPECT_TRUE(on.empty());
-  EXPECT_EQ(s_on.unary_blocked, 2u);
+  EXPECT_EQ(s_on.blocking.column_pairs_pruned, 2u);
   EXPECT_EQ(s_on.unary_exact_checks, 0u);
   EXPECT_EQ(s_on.blocking.table_pairs_active, 0u);
-  EXPECT_EQ(s_on.blocking.column_pairs_pruned, 2u);
   EXPECT_EQ(s_on.pairs_scanned, 0u);
 
   IndOptions exhaustive;
@@ -198,7 +197,7 @@ TEST(SketchTest, BlockingSkipsDisjointHighCardinalityPair) {
   IndStats s_off;
   auto off = DiscoverInds(tables, profiles, uccs, exhaustive, &s_off);
   EXPECT_TRUE(off.empty());
-  EXPECT_EQ(s_off.unary_blocked, 0u);
+  EXPECT_EQ(s_off.blocking.column_pairs_pruned, 0u);
   EXPECT_EQ(s_off.unary_exact_checks, 2u);
   EXPECT_EQ(s_off.pairs_scanned, 2u);
 }
@@ -475,7 +474,7 @@ TEST(SketchCorpusTest, BlockingIdenticalIndsAndCandidatesOnRealCorpus) {
               << bi_case.name << " threads=" << threads
               << " blocking=" << block;
         }
-        if (block) screened_total += stats.unary_blocked;
+        if (block) screened_total += stats.blocking.column_pairs_pruned;
       }
     }
 
