@@ -2,7 +2,8 @@
 # Data-race check for the parallel pipeline: build with ThreadSanitizer and
 # run the concurrency-sensitive suites (pool semantics + cross-thread-count
 # determinism, plus the core pipeline tests that exercise every parallel
-# stage, plus the stateful pipeline's full and partial rescans, plus
+# stage, plus the stateful pipeline's full and partial rescans, plus the
+# blocking plan's global-index walk against its pair-local mode, plus
 # concurrent predicts through one serve engine and the whole socket
 # transport, plus the 1-vs-8-thread
 # solver determinism sweep for the wave-parallel k-MCA-CC branch-and-bound).
@@ -110,7 +111,8 @@ PY
 
 cmake -B "$BUILD_DIR" -S . -DAUTOBI_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j --target autobi_parallel_tests autobi_core_tests \
-  autobi_incremental_tests autobi_fuzz_tests autobi_serve_tests autobi_serve
+  autobi_incremental_tests autobi_integration_tests autobi_fuzz_tests \
+  autobi_serve_tests autobi_serve
 if nm -C "$BUILD_DIR/src/serve/autobi_serve" \
     | grep -E 'Legacy|BruteForce|ViaStringMap|ReadCsvOracle'; then
   echo "check.sh: LINT FAIL — oracle symbols in autobi_serve (above);" \
@@ -128,6 +130,13 @@ export AUTOBI_THREADS="${AUTOBI_THREADS:-4}"
 # PredictIncremental at 1/2/8 threads: state reuse, composite key-set
 # seeding and partial rescans race real pool workers here.
 "$BUILD_DIR/tests/autobi_incremental_tests"
+# The blocking plan's global-index walk, whose workers claim referenced
+# columns from one counter and count hits in their own arrays, against the
+# pair-local mode on every ordered pair, and on lakes of 50 to 400 tables.
+# Neither test trains a model.
+BLOCKING_FILTER='BlockingDifferentialTest.ScopedPlanMatchesGlobalPlan'
+BLOCKING_FILTER+=':BlockingDifferentialTest.PlanPruningBoundsHoldAsLakesGrow'
+"$BUILD_DIR/tests/autobi_integration_tests" --gtest_filter="$BLOCKING_FILTER"
 # Concurrent predicts through one engine: two callers take indices from the
 # regions of one shared pool, and their helpers outlive closed regions. The
 # whole socket transport: the accept loop joins connection threads by the
@@ -152,8 +161,9 @@ AUTOBI_THREADS=1 "$BUILD_DIR/tests/autobi_fuzz_tests" \
 AUTOBI_THREADS=8 "$BUILD_DIR/tests/autobi_fuzz_tests" \
   --gtest_filter="$SOLVER_FILTER"
 
-echo "check.sh: ThreadSanitizer clean (pipeline, incremental, concurrent" \
-     "predicts, socket transport, solver determinism, partitioned solve)."
+echo "check.sh: ThreadSanitizer clean (pipeline, incremental, blocking plan," \
+     "concurrent predicts, socket transport, solver determinism, partitioned" \
+     "solve)."
 
 # --- Kernel-oracle equivalence under ASan/UBSan (always on since PR 7):
 # the hash-first profiling/UCC/IND kernels (table/key_view.h + radix-sorted
@@ -166,11 +176,19 @@ cmake -B "$ASAN_BUILD_DIR" -S . -DAUTOBI_SANITIZE=address,undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 cmake --build "$ASAN_BUILD_DIR" -j --target autobi_profile_ml_tests \
   autobi_faultfuzz autobi_base_tests autobi_service_tests autobi_serve_tests \
-  autobi_parallel_tests
+  autobi_parallel_tests autobi_integration_tests
 UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
   "$ASAN_BUILD_DIR/tests/autobi_profile_ml_tests" \
   --gtest_filter='KernelOracle*:TpchDdl*'
 echo "check.sh: kernel-oracle equivalence clean (ASan/UBSan)."
+
+# --- Blocking plan under ASan/UBSan (always on): the global index's bucket
+# offsets and per-worker hit counters, checked against the pair-local mode
+# on every ordered pair (the same two tests as the TSan stage).
+UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
+  "$ASAN_BUILD_DIR/tests/autobi_integration_tests" \
+  --gtest_filter="$BLOCKING_FILTER"
+echo "check.sh: blocking plan clean (ASan/UBSan)."
 
 # --- Pool semantics under ASan/UBSan (always on): each ParallelFor region
 # lives in shared state that helper tasks may reach after the caller has

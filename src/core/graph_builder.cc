@@ -1,5 +1,6 @@
 #include "core/graph_builder.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "common/parallel.h"
@@ -28,19 +29,25 @@ void ScoreUnscored(const std::vector<Table>& tables,
   ctx.tables = &tables;
   ctx.profiles = &profiles;
   ctx.frequency = &model.frequency();
+  // Fault point: a worker exception inside a parallel region, which the
+  // pool rethrows and the service boundary converts to kInternal. Whether
+  // the region fails, and at which index, is drawn once here, before the
+  // fan-out, so the decision does not depend on thread timing.
+  size_t failing = todo.size();
+  if (!todo.empty() && FaultPoints::Global().Fire("parallel.task")) {
+    const double at = FaultPoints::Global().Fraction("parallel.task");
+    failing = std::min(todo.size() - 1, size_t(at * double(todo.size())));
+  }
   // LocalModel::Score is const and stateless.
   ParallelFor(
       todo.size(),
       [&](size_t k) {
+        if (k == failing) {
+          throw std::runtime_error("injected parallel task fault");
+        }
         // Item-boundary stop poll: skipped candidates keep the sentinel and
         // are dropped during the serial edge-add pass.
         if (run_ctx != nullptr && run_ctx->StopRequested()) return;
-        // Fault point: a worker exception inside a parallel region. The pool
-        // rethrows it from the lowest-indexed failing iteration and the
-        // service boundary converts it to kInternal.
-        if (FaultPoints::Global().Fire("parallel.task")) {
-          throw std::runtime_error("injected parallel task fault");
-        }
         (*probabilities)[todo[k]] =
             model.Score(ctx, candidates[todo[k]], schema_only);
       },

@@ -214,12 +214,13 @@ void RunPipelineCase(Rng& rng, Scratch& s) {
   Rng case_rng = rng.Fork();
   BiCase bi_case = GenerateBiCase(gen, case_rng);
 
-  // Arm pipeline fault points for roughly half the cases.
+  // Arm pipeline fault points for roughly half the cases. parallel.task is
+  // drawn once per scoring region, so its probability is per predict.
   bool faults_armed = rng.NextBool();
   if (faults_armed) {
     std::string spec =
         StrFormat("candidates.exhausted=%.2f,parallel.task=%.3f@%llu",
-                  rng.NextDouble(0.0, 0.7), rng.NextDouble(0.0, 0.05),
+                  rng.NextDouble(0.0, 0.7), rng.NextDouble(0.0, 0.2),
                   (unsigned long long)rng.Next());
     FaultPoints::Global().Configure(spec);
   }
@@ -324,7 +325,7 @@ void RunLakeCase(Rng& rng, Scratch& s) {
   if (faults_armed) {
     std::string spec =
         StrFormat("candidates.exhausted=%.2f,parallel.task=%.3f@%llu",
-                  rng.NextDouble(0.0, 0.7), rng.NextDouble(0.0, 0.05),
+                  rng.NextDouble(0.0, 0.7), rng.NextDouble(0.0, 0.65),
                   (unsigned long long)rng.Next());
     FaultPoints::Global().Configure(spec);
   }
@@ -646,7 +647,7 @@ void RunSchemaEvolutionCase(Rng& rng, Scratch& s) {
     if (faults_armed) {
       std::string spec =
           StrFormat("candidates.exhausted=%.2f,parallel.task=%.3f@%llu",
-                    rng.NextDouble(0.0, 0.5), rng.NextDouble(0.0, 0.03),
+                    rng.NextDouble(0.0, 0.5), rng.NextDouble(0.0, 0.08),
                     (unsigned long long)rng.Next());
       FaultPoints::Global().Configure(spec);
     }

@@ -21,9 +21,10 @@ namespace autobi {
 //   io.short_read    ReadCsvFile returns a truncated byte prefix
 //   candidates.exhausted   injected kResourceExhausted: candidate list
 //                          truncated as if max_candidate_pairs had tripped
-//   parallel.task    a ParallelFor task throws (exercises the pool's
-//                    exception-propagation path and the kInternal catch at
-//                    the Predict service boundary)
+//   parallel.task    one task of the scoring ParallelFor throws (exercises
+//                    the pool's exception-propagation path and the
+//                    kInternal catch at the Predict service boundary);
+//                    drawn once per region, before the fan-out
 //   serve.request    ServeEngine::HandleLine corrupts the incoming request
 //                    line before parsing (truncation + stray quote),
 //                    exercising the daemon's malformed-input path
@@ -39,8 +40,10 @@ namespace autobi {
 // Spec syntax (AUTOBI_FAULT env var or Configure()):
 //   "point=prob[,point=prob...][@seed]"
 //   e.g. AUTOBI_FAULT="io.open=0.05,parallel.task=0.01@42"
-// Decisions are deterministic given the seed and the process-wide fire
-// sequence: the Nth query of point P fires iff hash(seed, P, N) < prob.
+// The Nth query of point P fires iff hash(seed, P, N) < prob, so decisions
+// follow from the seed and the order of queries. Every guard queries from
+// serial code (a parallel region draws its decision before the fan-out), so
+// a campaign's decisions do not depend on thread timing.
 class FaultPoints {
  public:
   // Process-wide registry. ConfigureFromEnv() is applied on first access.

@@ -1,6 +1,7 @@
 #include "profile/blocking.h"
 
 #include <algorithm>
+#include <atomic>
 #include <numeric>
 #include <tuple>
 
@@ -29,20 +30,6 @@ struct ColumnProbeSet {
   // Sampled only: top-by-count probes, sorted ascending.
   std::vector<uint64_t> heavy;
 };
-
-// One inverted-index posting: a distinct hash of column `column` of table
-// `table`. Sorted by (hash, table, column) so probing is a binary search
-// followed by a run walk in deterministic order.
-struct Posting {
-  uint64_t hash = 0;
-  int32_t table = 0;
-  int32_t column = 0;
-};
-
-bool PostingLess(const Posting& a, const Posting& b) {
-  return std::tie(a.hash, a.table, a.column) <
-         std::tie(b.hash, b.table, b.column);
-}
 
 // The admission decision from aggregated hit counts. Both evaluation modes
 // (pair-local binary searches, global-index probing) funnel their IDENTICAL
@@ -173,96 +160,165 @@ PairBlocking ComputePairBlocking(const std::vector<ColumnProbeSet>& dep_probes,
 using Plan = std::map<std::pair<int, int>, PairBlocking>;
 using TableProbes = std::vector<std::vector<ColumnProbeSet>>;
 
-// Every ordered pair: one global inverted index over every distinct hash of
-// every profiled column, probed by each dependent table's columns.
+// One probe of the global index: `hash` is a probe of dependent column
+// `column` (an index into the index's column list). A `weight` >= 0 marks a
+// bottom probe and is its occurrence count in exact mode (0 when sampled);
+// kHeavyProbe marks a heavy probe. Profile counts are int32, so 16 bytes
+// hold the weight losslessly.
+struct ProbeEntry {
+  uint64_t hash;
+  uint32_t column;
+  int32_t weight;
+};
+constexpr int32_t kHeavyProbe = -1;
+
+// Every ordered pair: the probes of every dependent column, indexed by hash,
+// and every referenced column's sorted distinct hashes streamed through the
+// index once. The index holds only the probes (a few per column), so its
+// cost grows with the probes, not with the data.
 Plan ProbeIndex(const std::vector<TableProfile>& profiles,
-                const TableProbes& probes, const std::vector<size_t>& order,
-                const BlockingOptions& options, int threads,
-                const RunContext* ctx) {
+                const TableProbes& probes, const BlockingOptions& options,
+                int threads, const RunContext* ctx) {
   const int n = int(profiles.size());
-  std::vector<Posting> postings;
-  {
-    size_t total = 0;
-    for (const TableProfile& p : profiles) {
-      for (const ColumnProfile& c : p.columns) total += c.distinct_hashes.size();
-    }
-    postings.reserve(total);
-  }
+  // Dependent columns with probes, table-major, so the columns of table t
+  // are the index range [first[t], first[t + 1]).
+  struct Dependent {
+    int table;
+    int column;
+    const ColumnProbeSet* probes;
+  };
+  std::vector<Dependent> deps;
+  std::vector<uint32_t> first(size_t(n) + 1, 0);
+  size_t total = 0;
   for (int ti = 0; ti < n; ++ti) {
-    const TableProfile& p = profiles[size_t(ti)];
-    for (int c = 0; c < int(p.columns.size()); ++c) {
-      for (uint64_t h : p.columns[size_t(c)].distinct_hashes) {
-        postings.push_back({h, ti, c});
+    first[size_t(ti)] = uint32_t(deps.size());
+    for (int a = 0; a < int(probes[size_t(ti)].size()); ++a) {
+      const ColumnProbeSet& p = probes[size_t(ti)][size_t(a)];
+      if (p.bottom.empty()) continue;
+      deps.push_back({ti, a, &p});
+      total += p.bottom.size() + p.heavy.size();
+    }
+  }
+  first[size_t(n)] = uint32_t(deps.size());
+  if (deps.empty()) return {};
+
+  // The entries, grouped by bucket: bucket k holds [start[k], start[k + 1]).
+  // Buckets are keyed by the SplitMix64 remix (raw FNV-1a hashes cluster),
+  // two per entry rounded up to a power of two, so most lookups of a hash
+  // nobody probes read one empty bucket. Counting the buckets, then placing
+  // each entry, costs two passes over the probes and no sort.
+  size_t buckets = 1;
+  while (buckets < 2 * total) buckets <<= 1;
+  const uint64_t mask = buckets - 1;
+  std::vector<uint32_t> start(buckets + 1, 0);
+  auto for_each_probe = [&](auto&& fn) {
+    for (uint32_t d = 0; d < deps.size(); ++d) {
+      const ColumnProbeSet& p = *deps[d].probes;
+      for (size_t i = 0; i < p.bottom.size(); ++i) {
+        fn(ProbeEntry{p.bottom[i], d, p.exact ? int32_t(p.weights[i]) : 0});
+      }
+      for (uint64_t h : p.heavy) fn(ProbeEntry{h, d, kHeavyProbe});
+    }
+  };
+  // start[k] counts bucket k, then marks its end, then (filled back to
+  // front) its beginning.
+  for_each_probe([&](const ProbeEntry& e) {
+    ++start[SplitMix64(e.hash) & mask];
+  });
+  for (size_t k = 1; k <= buckets; ++k) start[k] += start[k - 1];
+  std::vector<ProbeEntry> entries(total);
+  for_each_probe([&](const ProbeEntry& e) {
+    entries[--start[SplitMix64(e.hash) & mask]] = e;
+  });
+
+  // Referenced columns, largest distinct count first. Each worker claims
+  // columns from one counter and counts hits in its own per-dependent
+  // array; a column's admissions land in its own slot, so the plan does not
+  // depend on which worker streamed it.
+  std::vector<std::pair<int, int>> refs;
+  for (int tj = 0; tj < n; ++tj) {
+    for (int b = 0; b < int(profiles[size_t(tj)].columns.size()); ++b) {
+      if (!profiles[size_t(tj)].columns[size_t(b)].distinct_hashes.empty()) {
+        refs.emplace_back(tj, b);
       }
     }
   }
-  std::sort(postings.begin(), postings.end(), PostingLess);
-
-  // One pool item per dependent table, largest first (slot-per-table output
-  // keeps the plan thread-count invariant).
-  struct Hit {
-    int tj;
-    int a;
-    int b;
-    bool operator<(const Hit& o) const {
-      return std::tie(tj, a, b) < std::tie(o.tj, o.a, o.b);
-    }
-  };
-  std::vector<std::vector<Hit>> hits_by_table(profiles.size());
+  const std::vector<size_t> order = LargestFirst(refs.size(), [&](size_t r) {
+    return profiles[size_t(refs[r].first)]
+        .columns[size_t(refs[r].second)]
+        .distinct_hashes.size();
+  });
+  std::vector<std::vector<uint32_t>> admitted(refs.size());
+  std::atomic<size_t> next{0};
+  const size_t workers =
+      std::min(size_t(ResolveThreads(threads)), refs.size());
   ParallelFor(
-      size_t(n),
-      [&](size_t k) {
-        const size_t ti = order[k];
-        if (ctx != nullptr && ctx->StopRequested()) return;
-        std::vector<Hit>& hits = hits_by_table[ti];
-        for (int a = 0; a < int(probes[ti].size()); ++a) {
-          const ColumnProbeSet& p = probes[ti][size_t(a)];
-          if (p.bottom.empty()) continue;
-          // Per-(referenced column) hit accumulators for this dependent
-          // column — the same integers AdmitColumnPair would count pair by
-          // pair, gathered through the index instead.
-          struct Counts {
-            int64_t bottom = 0;
-            int64_t heavy = 0;
-            int64_t weight = 0;
-          };
-          std::map<std::pair<int, int>, Counts> counts;  // (tj, b) -> hits.
-          auto walk = [&](uint64_t h, bool is_bottom, int64_t weight) {
-            Posting key{h, 0, 0};
-            auto it = std::lower_bound(postings.begin(), postings.end(), key,
-                                       PostingLess);
-            for (; it != postings.end() && it->hash == h; ++it) {
-              if (it->table == int(ti)) continue;
-              Counts& c = counts[{it->table, it->column}];
-              if (is_bottom) {
-                ++c.bottom;
-                c.weight += weight;
-              } else {
+      workers,
+      [&](size_t) {
+        // The same integers AdmitColumnPair counts pair by pair, gathered
+        // for every dependent column at once.
+        struct Counts {
+          int64_t bottom = 0;
+          int64_t heavy = 0;
+          int64_t weight = 0;
+        };
+        std::vector<Counts> counts;
+        std::vector<uint32_t> touched;
+        for (size_t k = next.fetch_add(1); k < refs.size();
+             k = next.fetch_add(1)) {
+          if (ctx != nullptr && ctx->StopRequested()) return;
+          if (counts.empty()) counts.resize(deps.size());
+          const size_t r = order[k];
+          const auto [tj, b] = refs[r];
+          // Probes of the referenced column's own table are skipped.
+          const uint32_t own_first = first[size_t(tj)];
+          const uint32_t own_count = first[size_t(tj) + 1] - own_first;
+          for (uint64_t h :
+               profiles[size_t(tj)].columns[size_t(b)].distinct_hashes) {
+            const uint64_t bucket = SplitMix64(h) & mask;
+            for (uint32_t e = start[bucket]; e < start[bucket + 1]; ++e) {
+              const ProbeEntry& probe = entries[e];
+              if (probe.hash != h || probe.column - own_first < own_count) {
+                continue;
+              }
+              Counts& c = counts[probe.column];
+              if (c.bottom == 0 && c.heavy == 0) {
+                touched.push_back(probe.column);
+              }
+              if (probe.weight == kHeavyProbe) {
                 ++c.heavy;
+              } else {
+                ++c.bottom;
+                c.weight += probe.weight;
               }
             }
-          };
-          for (size_t i = 0; i < p.bottom.size(); ++i) {
-            walk(p.bottom[i], /*is_bottom=*/true, p.exact ? p.weights[i] : 0);
           }
-          for (uint64_t h : p.heavy) walk(h, /*is_bottom=*/false, 0);
-          for (const auto& [key, c] : counts) {
-            if (AdmitFromHits(p, c.bottom, c.heavy, c.weight, options)) {
-              hits.push_back({key.first, a, key.second});
+          for (uint32_t d : touched) {
+            const Counts& c = counts[d];
+            if (AdmitFromHits(*deps[d].probes, c.bottom, c.heavy, c.weight,
+                              options)) {
+              admitted[r].push_back(d);
             }
+            counts[d] = Counts{};
           }
+          touched.clear();
         }
-        std::sort(hits.begin(), hits.end());
       },
       threads);
 
-  // Hits are sorted (tj, a, b) per dependent table, so each pair's admitted
-  // list is already (a, b)-lexicographic.
-  Plan plan;
-  for (int ti = 0; ti < n; ++ti) {
-    for (const Hit& h : hits_by_table[size_t(ti)]) {
-      plan[{ti, h.tj}].admitted.emplace_back(h.a, h.b);
+  // Sorted (ti, tj, a, b), each pair's admitted list is (a, b)-lexicographic.
+  std::vector<std::tuple<int, int, int, int>> hits;
+  for (size_t r = 0; r < refs.size(); ++r) {
+    for (uint32_t d : admitted[r]) {
+      hits.emplace_back(deps[d].table, refs[r].first, deps[d].column,
+                        refs[r].second);
     }
+  }
+  std::sort(hits.begin(), hits.end());
+  Plan plan;
+  for (const auto& [ti, tj, a, b] : hits) {
+    plan.emplace_hint(plan.end(), std::make_pair(ti, tj), PairBlocking{})
+        ->second.admitted.emplace_back(a, b);
   }
   return plan;
 }
@@ -343,7 +399,7 @@ std::map<std::pair<int, int>, PairBlocking> BuildBlockingPlan(
         },
         threads);
     if (kept < 2) {
-      plan = ProbeIndex(profiles, probes, order, options, threads, ctx);
+      plan = ProbeIndex(profiles, probes, options, threads, ctx);
     } else {
       std::vector<std::pair<int, int>> pairs;
       for (int ti = 0; ti < n; ++ti) {

@@ -17,14 +17,15 @@ namespace autobi {
 // DiscoverInds historically enumerated all O(n^2) ordered table pairs and,
 // within each pair, all column pairs — fine at the paper's ~20 tables,
 // quadratic collapse at data-lake scale. Blocking replaces the all-pairs
-// loops with a value-level inverted index: every distinct hash of every
-// profiled column is indexed once, each prospective dependent (FK-side)
-// column probes the index with a small, deterministic probe set, and only
-// column pairs that share at least one probed value are admitted to the
-// exact containment checks. Table pairs with zero admitted column pairs are
-// never scanned at all — on a lake of disconnected islands that is the
-// overwhelming majority, which is what makes end-to-end Predict near-linear
-// in table count.
+// loops with a value-level inverted index: each prospective dependent
+// (FK-side) column draws a small, deterministic probe set, the probes of
+// every column are indexed by hash, every column's distinct hashes stream
+// through that index once, and only column pairs that share enough probed
+// values are admitted to the exact containment checks. The index holds the
+// probes, not the data, so its size follows the column count. Table pairs
+// with zero admitted column pairs are never scanned at all — on a lake of
+// disconnected islands that is the overwhelming majority, which is what
+// makes end-to-end Predict near-linear in table count.
 //
 // The admission predicate is conservative by design. Each dependent column
 // a probes with two classes of hashes:
@@ -122,20 +123,22 @@ struct PairBlocking {
 // zero admitted column pairs (or are out of scope) and are skipped entirely.
 //
 // `rescan`, if non-null, holds one flag per table: an ordered pair is in
-// scope iff at least one of its tables is flagged (null = every pair). When
-// every ordered pair is in scope (at most one table unflagged) the plan
-// indexes every distinct hash of every profiled column once and probes the
-// index with every column's probe set; otherwise it evaluates the predicate
-// for the in-scope pairs only, from probe sets built once per table, which
-// costs far less when few tables changed. `stats`, if non-null, receives
-// the counters of the in-scope pairs.
+// scope iff at least one of its tables is flagged (null = every pair). Both
+// modes build every table's probe sets once. When every ordered pair is in
+// scope (at most one table unflagged) the plan indexes the probes of every
+// column by hash and streams each column's distinct hashes through that
+// index once, counting hits per (dependent, referenced) column pair;
+// otherwise it evaluates the predicate for the in-scope pairs only, by
+// binary searches of the referenced columns, which costs less when few
+// tables changed. `stats`, if non-null, receives the counters of the
+// in-scope pairs.
 //
 // Probe-set builds and probing fan out over `threads` (ResolveThreads
 // semantics); the plan is bit-identical at any thread count. If `ctx` is
-// non-null, the fan-outs poll RunContext::StopRequested at table and pair
-// boundaries; work skipped after a trip contributes no admissions (the
-// caller's stage-degradation marking covers this, as the same stop gates
-// the scans downstream).
+// non-null, the fan-outs poll RunContext::StopRequested at table, column
+// and pair boundaries; work skipped after a trip contributes no admissions
+// (the caller's stage-degradation marking covers this, as the same stop
+// gates the scans downstream).
 std::map<std::pair<int, int>, PairBlocking> BuildBlockingPlan(
     const std::vector<TableProfile>& profiles, const BlockingOptions& options,
     BlockingStats* stats = nullptr, int threads = 0,

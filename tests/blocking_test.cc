@@ -9,18 +9,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "core/auto_bi.h"
 #include "core/model_export.h"
 #include "core/trainer.h"
 #include "profile/blocking.h"
 #include "profile/column_profile.h"
+#include "profile/sketch.h"
 #include "synth/corpus.h"
 #include "synth/lake.h"
 #include "synth/tpch_ddl.h"
@@ -271,6 +274,112 @@ void ExpectScopedPlansMatchGlobal(const std::vector<Table>& tables,
                                 std::string(what) + " all but one table");
 }
 
+// The cells of a column of `keys.size()` distinct strings, past
+// probe_all_below so it probes by sample under the default options: the
+// key whose hash is smallest under the SplitMix64 remix (a bottom probe)
+// dominates with 30 rows; the heavy_probes - 1 keys ranked just past the
+// bottom_probes get 3 rows each, so with the dominant key they are the
+// heavy probes; every other key gets 1 row. `by_rank` receives the keys in
+// remix order.
+std::vector<std::string> SkewedCells(std::vector<std::string> keys,
+                                     std::vector<std::string>* by_rank) {
+  const BlockingOptions defaults;
+  std::sort(keys.begin(), keys.end(),
+            [](const std::string& a, const std::string& b) {
+              return SplitMix64(StableHash64(a)) < SplitMix64(StableHash64(b));
+            });
+  std::vector<std::string> cells;
+  for (size_t rank = 0; rank < keys.size(); ++rank) {
+    const bool heavy_only =
+        rank >= defaults.bottom_probes &&
+        rank < defaults.bottom_probes + defaults.heavy_probes - 1;
+    const int rows = rank == 0 ? 30 : heavy_only ? 3 : 1;
+    for (int r = 0; r < rows; ++r) cells.push_back(keys[rank]);
+  }
+  *by_rank = std::move(keys);
+  return cells;
+}
+
+void AddStrings(Table* table, const std::string& name,
+                const std::vector<std::string>& cells) {
+  Column& col = table->AddColumn(name, ValueType::kString);
+  for (const std::string& cell : cells) col.AppendString(cell);
+}
+
+// Hand-built edge cases of the global index. Many exact-mode columns draw
+// from one 8-value domain, so each of its values is a probe of many
+// dependent columns; fact_a holds two identical columns, whose entries the
+// walk must skip; two columns sit one value past probe_all_below with a
+// dominant value that is both a bottom and a heavy probe; probe_ref.r
+// shares with wide.s three of its 24 bottom probes and three of its 16
+// heavy probes (the dominant value counting in both), so the pair is
+// admitted only if a heavy hit is credited as a bottom hit; an all-null
+// column and a zero-row table have no probes.
+std::vector<Table> EdgeCaseTables() {
+  const BlockingOptions defaults;
+  const size_t probe_all_below = defaults.probe_all_below;
+  std::vector<std::string> domain;
+  for (int v = 0; v < 8; ++v) domain.push_back("v" + std::to_string(v));
+  auto cycle = [&](size_t rows, size_t period, size_t stride) {
+    std::vector<std::string> cells;
+    for (size_t i = 0; i < rows; ++i) {
+      cells.push_back(domain[(i * stride) % period]);
+    }
+    return cells;
+  };
+  std::vector<Table> tables(6);
+
+  tables[0].set_name("fact_a");
+  AddStrings(&tables[0], "x", cycle(40, 8, 1));
+  AddStrings(&tables[0], "x_copy", cycle(40, 8, 1));
+  AddStrings(&tables[0], "y", cycle(40, 3, 1));
+  Column& nulls = tables[0].AddColumn("nulls");
+  for (int i = 0; i < 40; ++i) nulls.AppendNull();
+
+  tables[1].set_name("fact_b");
+  AddStrings(&tables[1], "p", cycle(24, 5, 1));
+  AddStrings(&tables[1], "q", cycle(24, 8, 3));
+  AddStrings(&tables[1], "r", cycle(24, 2, 1));
+
+  tables[2].set_name("dim");
+  AddStrings(&tables[2], "id", domain);
+  std::vector<std::string> labels;
+  for (int v = 0; v < 8; ++v) labels.push_back("label" + std::to_string(v));
+  AddStrings(&tables[2], "label", labels);
+
+  // Both columns of `wide` hold probe_all_below + 1 keys and so the same
+  // number of rows; the second one draws the shared domain too.
+  std::vector<std::string> s_keys;
+  std::vector<std::string> t_keys = domain;
+  for (size_t k = 0; k <= probe_all_below; ++k) {
+    s_keys.push_back("s" + std::to_string(k));
+  }
+  for (size_t k = domain.size(); k <= probe_all_below; ++k) {
+    t_keys.push_back("t" + std::to_string(k));
+  }
+  std::vector<std::string> s_rank;
+  std::vector<std::string> t_rank;
+  tables[3].set_name("wide");
+  AddStrings(&tables[3], "s", SkewedCells(s_keys, &s_rank));
+  AddStrings(&tables[3], "t", SkewedCells(t_keys, &t_rank));
+
+  // Remix ranks 0 (bottom and heavy), 1 and 2 (bottom only), 24 and 25
+  // (heavy only) of wide.s: 3 bottom hits of 24 and 3 heavy hits of 16,
+  // both under the 0.25 admission fraction; 6 of 24 if heavy hits counted
+  // as bottom hits.
+  const size_t heavy_only = defaults.bottom_probes;
+  tables[4].set_name("probe_ref");
+  AddStrings(&tables[4], "r",
+             {s_rank[0], s_rank[1], s_rank[2], s_rank[heavy_only],
+              s_rank[heavy_only + 1]});
+  AddStrings(&tables[4], "dom", cycle(5, 5, 1));
+
+  tables[5].set_name("empty");
+  tables[5].AddColumn("id", ValueType::kInt);
+  tables[5].AddColumn("name", ValueType::kString);
+  return tables;
+}
+
 TEST(BlockingDifferentialTest, ScopedPlanMatchesGlobalPlan) {
   Rng tpch_rng(424242);
   StatusOr<BiCase> tpch = GenerateTpchFromDdl(0.05, tpch_rng);
@@ -283,6 +392,10 @@ TEST(BlockingDifferentialTest, ScopedPlanMatchesGlobalPlan) {
   gen.shared_key_range_prob = 0.2;
   Rng lake_rng(0x9a5e);
   ExpectScopedPlansMatchGlobal(GenerateLake(gen, lake_rng).tables, "lake");
+
+  const std::vector<Table> edge = EdgeCaseTables();
+  for (const Table& t : edge) ASSERT_TRUE(t.Validate()) << t.name();
+  ExpectScopedPlansMatchGlobal(edge, "edge cases");
 }
 
 }  // namespace
