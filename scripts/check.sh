@@ -4,8 +4,9 @@
 # determinism, plus the core pipeline tests that exercise every parallel
 # stage, plus the stateful pipeline's full and partial rescans, plus the
 # blocking plan's global-index walk against its pair-local mode, plus
-# concurrent predicts through one serve engine and the whole socket
-# transport, plus the 1-vs-8-thread
+# copy-on-write table handles written on many threads, plus concurrent
+# predicts and concurrent updates through one serve engine and the whole
+# socket transport, plus the 1-vs-8-thread
 # solver determinism sweep for the wave-parallel k-MCA-CC branch-and-bound).
 # Any TSan report fails the run (halt_on_error).
 #
@@ -112,7 +113,7 @@ PY
 cmake -B "$BUILD_DIR" -S . -DAUTOBI_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j --target autobi_parallel_tests autobi_core_tests \
   autobi_incremental_tests autobi_integration_tests autobi_fuzz_tests \
-  autobi_serve_tests autobi_serve
+  autobi_base_tests autobi_serve_tests autobi_serve
 if nm -C "$BUILD_DIR/src/serve/autobi_serve" \
     | grep -E 'Legacy|BruteForce|ViaStringMap|ReadCsvOracle'; then
   echo "check.sh: LINT FAIL — oracle symbols in autobi_serve (above);" \
@@ -137,13 +138,23 @@ export AUTOBI_THREADS="${AUTOBI_THREADS:-4}"
 BLOCKING_FILTER='BlockingDifferentialTest.ScopedPlanMatchesGlobalPlan'
 BLOCKING_FILTER+=':BlockingDifferentialTest.PlanPruningBoundsHoldAsLakesGrow'
 "$BUILD_DIR/tests/autobi_integration_tests" --gtest_filter="$BLOCKING_FILTER"
+# Table handles: copies share their columns through a reference count, and
+# a write copies them first unless the count reads one, so threads writing
+# their own copies of one table, and a write racing the release of the last
+# other copy, check that count's ordering.
+TABLE_FILTER='TableTest.*'
+"$BUILD_DIR/tests/autobi_base_tests" --gtest_filter="$TABLE_FILTER"
 # Concurrent predicts through one engine: two callers take indices from the
-# regions of one shared pool, and their helpers outlive closed regions. The
-# whole socket transport: the accept loop joins connection threads by the
-# done flag each sets as its last act, and client hang-ups, batched and
-# chunked framing, an unterminated last line at EOF and the over-cap close
-# all race the connection threads against shutdown.
+# regions of one shared pool, and their helpers outlive closed regions.
+# Concurrent updates to one session: each edits its own copy of the table
+# set outside the engine lock and installs it only over the set it started
+# from, while incremental predicts read the sets it replaces. The whole
+# socket transport: the accept loop joins connection threads by the done
+# flag each sets as its last act, and client hang-ups, batched and chunked
+# framing, an unterminated last line at EOF and the over-cap close all race
+# the connection threads against shutdown.
 SERVE_FILTER='ServeEngineTest.ConcurrentPredictsAreDeterministic'
+SERVE_FILTER+=':ServeEngineTest.ConcurrentUpdatesToOneSessionApplyOnce'
 SERVE_FILTER+=':ServeEngineTest.PredictIsByteIdenticalAcrossThreadCountsAndCacheState'
 SERVE_FILTER+=':ServeTransportTest.*'
 "$BUILD_DIR/tests/autobi_serve_tests" --gtest_filter="$SERVE_FILTER"
@@ -162,8 +173,8 @@ AUTOBI_THREADS=8 "$BUILD_DIR/tests/autobi_fuzz_tests" \
   --gtest_filter="$SOLVER_FILTER"
 
 echo "check.sh: ThreadSanitizer clean (pipeline, incremental, blocking plan," \
-     "concurrent predicts, socket transport, solver determinism, partitioned" \
-     "solve)."
+     "table handles, concurrent predicts and updates, socket transport," \
+     "solver determinism, partitioned solve)."
 
 # --- Kernel-oracle equivalence under ASan/UBSan (always on since PR 7):
 # the hash-first profiling/UCC/IND kernels (table/key_view.h + radix-sorted
@@ -197,6 +208,18 @@ echo "check.sh: blocking plan clean (ASan/UBSan)."
 UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
   "$ASAN_BUILD_DIR/tests/autobi_parallel_tests"
 echo "check.sh: pool semantics clean (ASan/UBSan)."
+
+# --- Table handles under ASan/UBSan (always on): a copy-on-write write
+# gives its handle fresh columns and drops the shared ones, so a reference
+# into storage a detached copy freed, or a session edit that frees the set
+# a concurrent predict still reads, shows up here (the same tests as the
+# TSan stage).
+UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
+  "$ASAN_BUILD_DIR/tests/autobi_base_tests" --gtest_filter="$TABLE_FILTER"
+UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
+  "$ASAN_BUILD_DIR/tests/autobi_serve_tests" \
+  --gtest_filter='ServeEngineTest.ConcurrentUpdatesToOneSessionApplyOnce'
+echo "check.sh: table handles clean (ASan/UBSan)."
 
 # --- Ingest path under ASan/UBSan (always on): the CSV reader does pointer
 # arithmetic over untrusted bytes, so its unit tests, the differential test

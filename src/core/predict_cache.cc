@@ -1,6 +1,7 @@
 #include "core/predict_cache.h"
 
 #include <utility>
+#include <vector>
 
 namespace autobi {
 
@@ -19,21 +20,23 @@ std::shared_ptr<const T> PredictCache::Find(const Shard<T>& shard,
 template <typename T>
 void PredictCache::Insert(Shard<T>& shard, size_t capacity, uint64_t key,
                           std::shared_ptr<const T> entry) {
-  auto [it, inserted] = shard.map.emplace(key, std::move(entry));
-  if (!inserted) return;  // First writer wins; entries are deterministic.
-  shard.insertion_order.push_back(key);
-  // FIFO eviction keeps the shard bounded. The queue can hold keys already
-  // evicted-and-reinserted; erase lazily until the map is under capacity.
-  size_t scan = 0;
-  while (capacity > 0 && shard.map.size() > capacity &&
-         scan < shard.insertion_order.size()) {
-    uint64_t victim = shard.insertion_order[scan++];
-    if (victim != key && shard.map.erase(victim) > 0) ++evictions_;
-  }
-  if (scan > 0) {
-    shard.insertion_order.erase(shard.insertion_order.begin(),
-                                shard.insertion_order.begin() + long(scan));
+  // Evicted entries are freed after mu_ is released: a table entry's
+  // profile can take longer to free than the insert takes.
+  std::vector<std::shared_ptr<const T>> evicted;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // First writer wins; entries are deterministic.
+    if (!shard.map.try_emplace(key, std::move(entry)).second) return;
     shard.insertion_order.push_back(key);
+    // FIFO eviction keeps the shard bounded. The queue holds exactly the
+    // map's keys, so its front is the oldest entry, never `key`.
+    while (capacity > 0 && shard.map.size() > capacity) {
+      auto victim = shard.map.find(shard.insertion_order.front());
+      shard.insertion_order.pop_front();
+      evicted.push_back(std::move(victim->second));
+      shard.map.erase(victim);
+      ++evictions_;
+    }
   }
 }
 
@@ -45,7 +48,6 @@ std::shared_ptr<const PredictCache::TableEntry> PredictCache::FindTable(
 
 void PredictCache::InsertTable(uint64_t key,
                                std::shared_ptr<const TableEntry> entry) {
-  std::lock_guard<std::mutex> lock(mu_);
   Insert(tables_, options_.max_table_entries, key, std::move(entry));
 }
 
@@ -57,7 +59,6 @@ std::shared_ptr<const PredictCache::SolveEntry> PredictCache::FindSolve(
 
 void PredictCache::InsertSolve(uint64_t key,
                                std::shared_ptr<const SolveEntry> entry) {
-  std::lock_guard<std::mutex> lock(mu_);
   Insert(solves_, options_.max_solve_entries, key, std::move(entry));
 }
 

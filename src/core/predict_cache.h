@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -100,13 +101,16 @@ class PredictCache {
   template <typename T>
   struct Shard {
     std::unordered_map<uint64_t, std::shared_ptr<const T>> map;
-    std::vector<uint64_t> insertion_order;  // FIFO eviction queue.
+    // FIFO eviction queue: each key of `map` once, oldest first.
+    std::deque<uint64_t> insertion_order;
     size_t hits = 0;
     size_t misses = 0;
   };
 
+  // The caller holds mu_.
   template <typename T>
   std::shared_ptr<const T> Find(const Shard<T>& shard, uint64_t key) const;
+  // Takes mu_ itself, and frees what it evicts after releasing it.
   template <typename T>
   void Insert(Shard<T>& shard, size_t capacity, uint64_t key,
               std::shared_ptr<const T> entry);

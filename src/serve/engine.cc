@@ -238,10 +238,12 @@ StatusOr<Table> TableFromColumnsJson(const std::string& name,
 // shape is what the incremental engine's schema diff recognizes as
 // kAppended — old rows keep their byte-identical prefix.
 Status AppendDeltaColumns(Table* table, const Json& columns) {
-  if (columns.size() != table->num_columns()) {
+  // Reads go through const access: a rejected delta copies no column.
+  const Table& current = *table;
+  if (columns.size() != current.num_columns()) {
     return Status::InvalidInput(StrFormat(
         "delta has %zu columns, table '%s' has %zu", columns.size(),
-        table->name().c_str(), table->num_columns()));
+        current.name().c_str(), current.num_columns()));
   }
   // Validate shape before mutating anything.
   size_t rows = 0;
@@ -252,11 +254,11 @@ Status AppendDeltaColumns(Table* table, const Json& columns) {
     }
     AUTOBI_ASSIGN_OR_RETURN(std::string col_name,
                             col.GetString("name", std::string()));
-    if (col_name != table->column(i).name()) {
+    if (col_name != current.column(i).name()) {
       return Status::InvalidInput(StrFormat(
           "delta column %zu is '%s', table has '%s' (append must keep the "
           "schema)",
-          i, col_name.c_str(), table->column(i).name().c_str()));
+          i, col_name.c_str(), current.column(i).name().c_str()));
     }
     const Json* values = col.Find("values");
     if (values == nullptr || !values->is_array()) {
@@ -444,10 +446,37 @@ Status ServeEngine::HandleCreateSession(const Json& req, Json* resp) {
 Status ServeEngine::HandleCloseSession(const Json& req, Json*) {
   AUTOBI_ASSIGN_OR_RETURN(const std::string id,
                           req.GetString("session", std::string()));
-  std::lock_guard<std::mutex> lock(mu_);
-  AUTOBI_RETURN_IF_ERROR(FindSession(id).status());
-  sessions_.erase(id);
+  decltype(sessions_)::node_type closed;  // Freed after mu_ is released.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    AUTOBI_RETURN_IF_ERROR(FindSession(id).status());
+    closed = sessions_.extract(id);
+  }
   return Status::Ok();
+}
+
+Status ServeEngine::EditTableSet(const std::string& session_id,
+                                 const std::function<Status(TableSet*)>& edit) {
+  std::shared_ptr<const TableSet> base;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    AUTOBI_ASSIGN_OR_RETURN(Session* session, FindSession(session_id));
+    base = session->tables;
+  }
+  for (;;) {
+    // Copies table handles and snapshots, no cells.
+    auto next = std::make_shared<TableSet>(*base);
+    AUTOBI_RETURN_IF_ERROR(edit(next.get()));
+    // Declared after `next` and `base`, so both are freed after unlocking;
+    // `base` holds the replaced set.
+    std::lock_guard<std::mutex> lock(mu_);
+    AUTOBI_ASSIGN_OR_RETURN(Session* session, FindSession(session_id));
+    if (session->tables == base) {
+      session->tables = std::move(next);
+      return Status::Ok();
+    }
+    base = session->tables;
+  }
 }
 
 Status ServeEngine::HandleUploadTable(const Json& req, Json* resp) {
@@ -482,33 +511,35 @@ Status ServeEngine::HandleUploadTable(const Json& req, Json* resp) {
   resp->Set("rows", Json::MakeInt(int64_t(table.num_rows())));
   resp->Set("columns", Json::MakeInt(int64_t(table.num_columns())));
 
-  std::lock_guard<std::mutex> lock(mu_);
-  AUTOBI_ASSIGN_OR_RETURN(Session* session, FindSession(id));
-  // Copy-on-write: re-uploading a name replaces that table, otherwise
-  // append. Predicts running on the old set are unaffected.
-  auto next = std::make_shared<TableSet>(*session->tables);
-  size_t slot = 0;
-  while (slot < next->tables.size() &&
-         next->tables[slot].name() != table.name()) {
-    ++slot;
-  }
-  const bool replaced = slot < next->tables.size();
-  if (replaced) {
-    next->tables[slot] = std::move(table);
-    next->snapshots[slot] = std::move(snapshot);
-  } else {
-    if (int(next->tables.size()) >= options_.max_tables_per_session) {
-      return Status::ResourceExhausted(
-          StrFormat("session table limit reached (%d)",
-                    options_.max_tables_per_session));
+  // Re-uploading a name replaces that table, otherwise append. Predicts
+  // running on the old set are unaffected.
+  bool replaced = false;
+  size_t num_tables = 0;
+  AUTOBI_RETURN_IF_ERROR(EditTableSet(id, [&](TableSet* next) {
+    size_t slot = 0;
+    while (slot < next->tables.size() &&
+           next->tables[slot].name() != table.name()) {
+      ++slot;
     }
-    next->tables.push_back(std::move(table));
-    next->snapshots.push_back(std::move(snapshot));
-  }
+    replaced = slot < next->tables.size();
+    if (replaced) {
+      next->tables[slot] = table;
+      next->snapshots[slot] = snapshot;
+    } else {
+      if (int(next->tables.size()) >= options_.max_tables_per_session) {
+        return Status::ResourceExhausted(
+            StrFormat("session table limit reached (%d)",
+                      options_.max_tables_per_session));
+      }
+      next->tables.push_back(table);
+      next->snapshots.push_back(snapshot);
+    }
+    num_tables = next->tables.size();
+    return Status::Ok();
+  }));
   resp->Set("replaced", Json::MakeBool(replaced));
   resp->Set("content_hash", HexHash(content_hash));
-  resp->Set("num_tables", Json::MakeInt(int64_t(next->tables.size())));
-  session->tables = std::move(next);
+  resp->Set("num_tables", Json::MakeInt(int64_t(num_tables)));
   return Status::Ok();
 }
 
@@ -524,36 +555,39 @@ Status ServeEngine::HandleUpdateTable(const Json& req, Json* resp) {
         "update_table needs 'columns' (array of appended rows)");
   }
 
-  std::lock_guard<std::mutex> lock(mu_);
-  AUTOBI_ASSIGN_OR_RETURN(Session* session, FindSession(id));
-  // Copy-on-write like upload_table: the append mutates a fresh copy, so a
+  // The append writes the target's own copy of its columns, so a
   // shape/type error discards it and Predicts on the old set are
   // unaffected. The committed table keeps its old rows byte-identical —
   // the incremental engine's diff classifies it as append-only.
-  auto next = std::make_shared<TableSet>(*session->tables);
-  size_t slot = 0;
-  while (slot < next->tables.size() && next->tables[slot].name() != name) {
-    ++slot;
-  }
-  if (slot == next->tables.size()) {
-    return Status::InvalidInput(
-        StrFormat("unknown table '%s' (upload_table first)", name.c_str()));
-  }
-  Table& target = next->tables[slot];
-  const size_t rows_before = target.num_rows();
-  const std::vector<ValueType> types_before = ColumnTypes(target);
-  AUTOBI_RETURN_IF_ERROR(
-      AppendDeltaColumns(&target, *columns).WithContext("update_table"));
-  // One hash pass over the grown table; the old snapshot's hashes become
-  // the append record that spares the next delta predict a rehash.
-  next->snapshots[slot] = SnapshotAppendedTable(
-      target, std::move(next->snapshots[slot]), types_before);
+  size_t rows_before = 0;
+  size_t rows = 0;
+  uint64_t content_hash = 0;
+  AUTOBI_RETURN_IF_ERROR(EditTableSet(id, [&](TableSet* next) {
+    size_t slot = 0;
+    while (slot < next->tables.size() && next->tables[slot].name() != name) {
+      ++slot;
+    }
+    if (slot == next->tables.size()) {
+      return Status::InvalidInput(
+          StrFormat("unknown table '%s' (upload_table first)", name.c_str()));
+    }
+    Table& target = next->tables[slot];
+    rows_before = target.num_rows();
+    const std::vector<ValueType> types_before = ColumnTypes(target);
+    AUTOBI_RETURN_IF_ERROR(
+        AppendDeltaColumns(&target, *columns).WithContext("update_table"));
+    // One hash pass over the grown table; the old snapshot's hashes become
+    // the append record that spares the next delta predict a rehash.
+    next->snapshots[slot] = SnapshotAppendedTable(
+        target, std::move(next->snapshots[slot]), types_before);
+    rows = target.num_rows();
+    content_hash = next->snapshots[slot].table_hash;
+    return Status::Ok();
+  }));
   resp->Set("table", Json::MakeString(name));
-  resp->Set("rows_appended",
-            Json::MakeInt(int64_t(target.num_rows() - rows_before)));
-  resp->Set("rows", Json::MakeInt(int64_t(target.num_rows())));
-  resp->Set("content_hash", HexHash(next->snapshots[slot].table_hash));
-  session->tables = std::move(next);
+  resp->Set("rows_appended", Json::MakeInt(int64_t(rows - rows_before)));
+  resp->Set("rows", Json::MakeInt(int64_t(rows)));
+  resp->Set("content_hash", HexHash(content_hash));
   return Status::Ok();
 }
 
@@ -655,18 +689,22 @@ Status ServeEngine::HandlePredict(const Json& req, Json* resp) {
   }
 
   // Record the outcome on the session (tolerating a concurrent close: the
-  // response still carries the result).
+  // response still carries the result). What the swaps replace lands in
+  // locals freed after mu_ is released.
+  std::shared_ptr<const Prediction> replaced_last;
+  JoinList replaced_joins;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = sessions_.find(id);
     if (it != sessions_.end()) {
       Session& session = it->second;
-      if (inc_state != nullptr) session.incremental = std::move(inc_state);
+      if (inc_state != nullptr) std::swap(session.incremental, inc_state);
       if (prediction != nullptr) {
         if (session.last != nullptr) {
-          session.previous_joins = session.last->joins;
+          replaced_joins =
+              std::exchange(session.previous_joins, session.last->joins);
         }
-        session.last = prediction;
+        replaced_last = std::exchange(session.last, prediction);
       }
     }
   }

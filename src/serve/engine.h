@@ -170,8 +170,10 @@ class ServeEngine {
  private:
   // A session's tables, each with its TableSnapshot (core/schema_diff.h),
   // taken once, by upload_table or update_table; every predict and publish
-  // reads the hashes from there. Copy-on-write: uploads and updates replace
-  // the whole set, so a Predict runs on its set outside the lock.
+  // reads the hashes from there. Immutable once installed: uploads and
+  // updates install a new set (EditTableSet), so a Predict runs on its set
+  // outside the lock. Tables are handles (table/table.h), so a new set
+  // shares the cells of every table it does not change.
   struct TableSet {
     std::vector<Table> tables;
     // snapshots[i] = SnapshotTable(tables[i]), with the append record of the
@@ -233,6 +235,14 @@ class ServeEngine {
   StatusOr<Session*> FindSession(const std::string& session_id);
   // A copy of the session (its tenant and four pointers), taken under mu_.
   StatusOr<Session> SnapshotSession(const std::string& session_id);
+  // Replaces the session's table set with a copy of it that `edit` changed.
+  // The copy and the edit run outside mu_; the new set is installed only if
+  // the session still holds the set the copy was taken from, and otherwise
+  // the edit is redone on the newer set. Concurrent edits of one session
+  // therefore each apply exactly once, in some serial order. An error from
+  // `edit` leaves the session as it was.
+  Status EditTableSet(const std::string& session_id,
+                      const std::function<Status(TableSet*)>& edit);
 
   const LocalModel* model_;
   ServeOptions options_;
@@ -241,7 +251,11 @@ class ServeEngine {
   AdmissionGate gate_;
   std::atomic<bool> shutdown_{false};
 
-  mutable std::mutex mu_;  // Guards sessions_ and next_session_.
+  // Guards sessions_ and next_session_. Held only to look up a session and
+  // to swap its pointers: no table is copied, edited or hashed under it, and
+  // whatever a swap replaces (a table set, a Prediction, a closed session)
+  // is freed after it is released.
+  mutable std::mutex mu_;
   std::unordered_map<std::string, Session> sessions_;
   int64_t next_session_ = 1;
   std::function<void()> predict_hold_hook_;

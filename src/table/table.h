@@ -11,26 +11,46 @@ namespace autobi {
 
 // An in-memory relational table: a name plus equal-length typed columns.
 // Tables are the unit the Auto-BI problem is defined over (Definition 1).
+//
+// A Table is a cheap handle. The name lives in the handle; the columns live
+// in storage that copies share, so copying a table (or a vector of them)
+// copies no cell. Writes are copy-on-write: the non-const `column(i)` and
+// `AddColumn` first give this handle its own copy of the columns when
+// another handle still shares them, so a write never shows through a copy.
+// Const access never copies. Copies may be read from any number of threads
+// at once, and each handle may be written by one thread while others read
+// or write their own copies.
+//
+// The one rule: a `Column&` returned by a non-const accessor points into
+// storage the handle may share later. Do not copy a table while such a
+// reference is in use, and do not use the reference after the table has
+// been copied — writes through it would reach the copy too.
 class Table {
  public:
   Table() = default;
   explicit Table(std::string name) : name_(std::move(name)) {}
+  Table(const Table& other);
+  Table(Table&& other) noexcept;
+  Table& operator=(const Table& other);
+  Table& operator=(Table&& other) noexcept;
+  ~Table();
 
   const std::string& name() const { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
 
-  size_t num_columns() const { return columns_.size(); }
+  size_t num_columns() const { return columns().size(); }
   size_t num_rows() const {
-    return columns_.empty() ? 0 : columns_[0].size();
+    return columns().empty() ? 0 : columns().front().size();
   }
 
-  const Column& column(size_t i) const { return columns_[i]; }
-  Column& column(size_t i) { return columns_[i]; }
-  const std::deque<Column>& columns() const { return columns_; }
+  const Column& column(size_t i) const { return columns()[i]; }
+  Column& column(size_t i) { return MutableColumns()[i]; }
+  const std::deque<Column>& columns() const;
 
   // Adds a column; all columns must end up with the same length (checked by
   // Validate()). The returned reference stays valid across later AddColumn
-  // calls (columns live in a deque).
+  // calls on this handle (columns live in a deque) until the table is
+  // copied.
   Column& AddColumn(std::string name, ValueType type = ValueType::kNull);
 
   // Index of the column with the given name, or -1.
@@ -40,8 +60,16 @@ class Table {
   bool Validate() const;
 
  private:
+  struct Storage;
+
+  // This handle's columns for writing, copied first if another handle
+  // shares them.
+  std::deque<Column>& MutableColumns();
+  // Drops this handle's reference; the last one frees the storage.
+  void Release();
+
   std::string name_;
-  std::deque<Column> columns_;
+  Storage* storage_ = nullptr;  // Null: no columns.
 };
 
 // A reference to an ordered list of columns within one table of a table set

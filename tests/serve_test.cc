@@ -12,10 +12,12 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
@@ -252,6 +254,39 @@ TEST(PredictCacheTest, TableShardHitMissAndEviction) {
   stats = cache.GetStats();
   EXPECT_EQ(stats.table_hits, 1u);
   EXPECT_GE(stats.table_misses, 2u);
+
+  // Random insert sequences, re-inserted and evicted keys included, against
+  // a reference FIFO: after every insert the shard holds exactly the
+  // reference's keys, and the eviction counter matches.
+  Rng rng(20261019);
+  for (int sequence = 0; sequence < 2000; ++sequence) {
+    options.max_table_entries = 1 + rng.NextBelow(4);
+    PredictCache shard(options);
+    std::deque<uint64_t> fifo;
+    size_t evictions = 0;
+    const uint64_t keys = 2 + rng.NextBelow(8);
+    const int inserts = 1 + int(rng.NextBelow(24));
+    for (int i = 0; i < inserts; ++i) {
+      const uint64_t key = rng.NextBelow(keys);
+      shard.InsertTable(key, std::make_shared<PredictCache::TableEntry>());
+      if (std::find(fifo.begin(), fifo.end(), key) == fifo.end()) {
+        fifo.push_back(key);
+        if (fifo.size() > options.max_table_entries) {
+          fifo.pop_front();
+          ++evictions;
+        }
+      }
+      ASSERT_EQ(shard.GetStats().evictions, evictions)
+          << "sequence " << sequence << " insert " << i;
+      for (uint64_t k = 0; k < keys; ++k) {
+        const bool cached = shard.FindTable(k) != nullptr;
+        const bool expected =
+            std::find(fifo.begin(), fifo.end(), k) != fifo.end();
+        ASSERT_EQ(cached, expected)
+            << "sequence " << sequence << " insert " << i << " key " << k;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -915,6 +950,90 @@ TEST(ServeEngineTest, ConcurrentPredictsAreDeterministic) {
     EXPECT_EQ(joins[0], joins[i]) << "thread " << i;
     EXPECT_FALSE(joins[i].empty());
   }
+}
+
+// Eight clients append the same ten orders rows to one session while a
+// ninth runs incremental predicts on it. Each update edits its own copy of
+// the table set outside the engine lock and installs it only over the set
+// it started from, so every update applies exactly once: the rows the
+// responses report are 160, 170, ..., 230 in some order, and the session
+// ends holding the 230-row table a serial client would have built.
+TEST(ServeEngineTest, ConcurrentUpdatesToOneSessionApplyOnce) {
+  ServeOptions options;
+  options.threads = 2;
+  ServeEngine engine(&TestModel(), options);
+  const std::string session = SetUpStarSession(engine);
+  const std::string update_line = UpdateOrdersLine(session, 150, 10);
+  const std::string predict_line = R"({"verb":"predict","session":")" +
+                                   session + R"(","incremental":true})";
+
+  constexpr int kUpdaters = 8;
+  std::vector<Json> updates(kUpdaters);
+  std::atomic<bool> go{false};
+  std::atomic<int> updated{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kUpdaters; ++i) {
+    threads.emplace_back([&, i] {
+      while (!go.load()) std::this_thread::yield();
+      updates[i] = Call(engine, update_line);
+      ++updated;
+    });
+  }
+  threads.emplace_back([&] {
+    while (!go.load()) std::this_thread::yield();
+    int predicts = 0;
+    while (predicts == 0 || updated.load() < kUpdaters) {
+      Json predicted = Call(engine, predict_line);
+      EXPECT_TRUE(IsOk(predicted)) << predicted.Write();
+      ++predicts;
+    }
+  });
+  go = true;
+  for (std::thread& t : threads) t.join();
+
+  // The same table, built serially: 150 rows, then rows 150-159 eight times.
+  Table expected = OrdersTable(150);
+  const Table delta = OrdersTable(160);
+  for (int k = 0; k < kUpdaters; ++k) {
+    for (size_t c = 0; c < expected.num_columns(); ++c) {
+      for (size_t r = 150; r < 160; ++r) {
+        expected.column(c).AppendInt(delta.column(c).Int(r));
+      }
+    }
+  }
+  std::vector<int64_t> rows;
+  std::string final_hash;
+  for (const Json& update : updates) {
+    ASSERT_TRUE(IsOk(update)) << update.Write();
+    rows.push_back(update.Find("rows")->AsInt());
+    if (rows.back() == 230) final_hash = update.Find("content_hash")->AsString();
+  }
+  std::sort(rows.begin(), rows.end());
+  for (int i = 0; i < kUpdaters; ++i) EXPECT_EQ(rows[i], 160 + 10 * i);
+  EXPECT_EQ(final_hash, StrFormat("%016llx", static_cast<unsigned long long>(
+                                                 TableContentHash(expected))));
+
+  const std::string plain_line =
+      R"({"verb":"predict","session":")" + session + R"("})";
+  Json final_predict = Call(engine, plain_line);
+  ASSERT_TRUE(IsOk(final_predict)) << final_predict.Write();
+  ServeEngine fresh_engine(&TestModel(), options);
+  const std::string fresh = Call(fresh_engine, R"({"verb":"create_session"})")
+                                .Find("session")
+                                ->AsString();
+  ASSERT_TRUE(IsOk(Call(fresh_engine, UploadLine(fresh, StarTables()[0]))));
+  ASSERT_TRUE(IsOk(Call(fresh_engine, UploadLine(fresh, expected))));
+  Json reference = Call(fresh_engine, R"({"verb":"predict","session":")" +
+                                          fresh + R"("})");
+  ASSERT_TRUE(IsOk(reference)) << reference.Write();
+  EXPECT_EQ(final_predict.Find("joins")->Write(),
+            reference.Find("joins")->Write());
+  const std::string get_model = R"({"verb":"get_model","format":"json",)";
+  Json model = Call(engine, get_model + R"("session":")" + session + R"("})");
+  Json ref_model =
+      Call(fresh_engine, get_model + R"("session":")" + fresh + R"("})");
+  ASSERT_TRUE(IsOk(model) && IsOk(ref_model));
+  EXPECT_EQ(model.Find("model")->Write(), ref_model.Find("model")->Write());
 }
 
 TEST(AdmissionGateTest, OverflowRejectsImmediately) {
