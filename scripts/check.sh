@@ -255,6 +255,26 @@ UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
   --scenario lake
 echo "check.sh: lake blocking differential smoke clean (ASan/UBSan)."
 
+# --- Fault campaign reproducibility (always on): the campaign trains its
+# shared model before any case arms a fault point, so two fresh processes
+# running the same lake campaign must print the same scenario and outcome
+# lines (the first line carries the wall time). A model trained under a
+# case's armed spec would fire that spec's faults inside training and count
+# them in that case.
+LAKE_RUN=("$ASAN_BUILD_DIR/src/fuzz/autobi_faultfuzz" --seed 1 --cases 200
+          --scenario lake)
+LAKE_FIRST="$(UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
+  "${LAKE_RUN[@]}" | tail -n +2)"
+LAKE_SECOND="$(UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
+  "${LAKE_RUN[@]}" | tail -n +2)"
+if [[ "$LAKE_FIRST" != "$LAKE_SECOND" ]]; then
+  echo "check.sh: FAULT FAIL — two runs of the lake campaign differ:" >&2
+  echo "$LAKE_FIRST" >&2
+  echo "$LAKE_SECOND" >&2
+  exit 1
+fi
+echo "check.sh: fault campaign reproducible across processes (lake, seed 1)."
+
 # --- Crash-recovery differential smoke under ASan/UBSan (always on since
 # PR 10): every case drives a journaled ModelCatalog through random
 # publish/pin ops with the journal fault points armed

@@ -3,7 +3,9 @@
 #include <map>
 #include <numeric>
 
+#include "common/parallel.h"
 #include "common/rng.h"
+#include "fuzz/faultpoints.h"
 #include "ml/metrics.h"
 
 namespace autobi {
@@ -158,30 +160,69 @@ LocalModel TrainLocalModel(const std::vector<BiCase>& corpus,
     }
   }
 
-  // Pass 2: candidates -> labels -> features.
-  Dataset n1_full(Featurizer::N1FeatureNames(false));
-  Dataset n1_schema(Featurizer::N1FeatureNames(true));
-  Dataset one_full(Featurizer::OneToOneFeatureNames(false));
-  Dataset one_schema(Featurizer::OneToOneFeatureNames(true));
-  for (const BiCase& bi_case : corpus) {
+  // Pass 2: candidates -> labels -> features, one case per slot, in
+  // parallel over cases with the most cells first; the rows then join the
+  // datasets serially in case order, so they are the same at any thread
+  // count. GenerateCandidates queries the candidates.exhausted fault point,
+  // and fault decisions follow the order of queries, so under an armed
+  // spec the cases run serially in case order.
+  struct CaseRows {
+    // Per candidate, in candidate order.
+    std::vector<std::vector<double>> full;
+    std::vector<std::vector<double>> schema;
+    std::vector<int> labels;
+    std::vector<char> one_to_one;
+  };
+  std::vector<CaseRows> rows(corpus.size());
+  auto featurize_case = [&](size_t index) {
+    const BiCase& bi_case = corpus[index];
     CandidateSet cands = GenerateCandidates(bi_case.tables,
                                             options.candidates);
-    std::vector<int> labels =
+    CaseRows& out = rows[index];
+    out.labels =
         LabelCandidates(bi_case, cands.candidates, options.label_transitivity);
     FeatureContext ctx;
     ctx.tables = &bi_case.tables;
     ctx.profiles = &cands.profiles;
     ctx.frequency = &model.frequency();
-    for (size_t i = 0; i < cands.candidates.size(); ++i) {
-      const JoinCandidate& c = cands.candidates[i];
-      if (options.split_one_to_one && c.one_to_one) {
-        one_full.Add(featurizer.FeaturizeOneToOne(ctx, c, false), labels[i]);
-        one_schema.Add(featurizer.FeaturizeOneToOne(ctx, c, true), labels[i]);
+    for (const JoinCandidate& c : cands.candidates) {
+      const bool one = options.split_one_to_one && c.one_to_one;
+      out.one_to_one.push_back(one);
+      if (one) {
+        out.full.push_back(featurizer.FeaturizeOneToOne(ctx, c, false));
+        out.schema.push_back(featurizer.FeaturizeOneToOne(ctx, c, true));
       } else {
-        n1_full.Add(featurizer.FeaturizeN1(ctx, c, false), labels[i]);
-        n1_schema.Add(featurizer.FeaturizeN1(ctx, c, true), labels[i]);
+        out.full.push_back(featurizer.FeaturizeN1(ctx, c, false));
+        out.schema.push_back(featurizer.FeaturizeN1(ctx, c, true));
       }
     }
+  };
+  if (FaultPoints::Global().enabled()) {
+    for (size_t i = 0; i < corpus.size(); ++i) featurize_case(i);
+  } else {
+    const std::vector<size_t> order =
+        LargestFirst(corpus.size(), [&](size_t i) {
+          size_t cells = 0;
+          for (const Table& t : corpus[i].tables) {
+            cells += t.num_rows() * t.num_columns();
+          }
+          return cells;
+        });
+    ParallelFor(
+        corpus.size(), [&](size_t k) { featurize_case(order[k]); },
+        options.candidates.threads);
+  }
+
+  Dataset n1_full(Featurizer::N1FeatureNames(false));
+  Dataset n1_schema(Featurizer::N1FeatureNames(true));
+  Dataset one_full(Featurizer::OneToOneFeatureNames(false));
+  Dataset one_schema(Featurizer::OneToOneFeatureNames(true));
+  for (CaseRows& r : rows) {
+    for (size_t i = 0; i < r.labels.size(); ++i) {
+      (r.one_to_one[i] ? one_full : n1_full).Add(r.full[i], r.labels[i]);
+      (r.one_to_one[i] ? one_schema : n1_schema).Add(r.schema[i], r.labels[i]);
+    }
+    r = CaseRows();  // Bounds the peak to the datasets plus unmerged cases.
   }
 
   Rng rng(options.seed);

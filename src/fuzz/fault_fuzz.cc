@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "common/run_context.h"
 #include "common/status.h"
@@ -93,9 +94,14 @@ std::string RandomBytes(Rng& rng, size_t max_len) {
 }
 
 // One small LocalModel trained once and shared by every pipeline case (the
-// campaign probes the service layer, not classifier quality).
+// campaign probes the service layer, not classifier quality). RunFaultFuzz
+// builds it before any case arms a fault point: training under a spec would
+// spend the spec's decisions on training cases and count their fires in
+// whichever case happened to predict first.
 const LocalModel& SharedTinyModel() {
   static const LocalModel* model = [] {
+    // invariant: RunFaultFuzz builds the model before arming anything.
+    AUTOBI_CHECK(!FaultPoints::Global().enabled());
     CorpusOptions copt;
     copt.seed = 77;
     copt.training_cases = 10;
@@ -1107,10 +1113,12 @@ FaultFuzzReport RunFaultFuzz(const FaultFuzzOptions& options) {
   Timer timer;
   Rng master(options.seed);
   // Make sure the env-configured global state never leaks into the
-  // campaign's own deterministic specs, and start from a fresh serve engine
-  // so per-campaign reports are reproducible within one process.
+  // campaign's own deterministic specs, start from a fresh serve engine so
+  // per-campaign reports are reproducible within one process, and train the
+  // shared model while no fault point is armed.
   FaultPoints::Global().Disable();
   ResetSharedEngine();
+  SharedTinyModel();
   for (long i = 0; i < options.cases; ++i) {
     if (options.time_budget_sec > 0 &&
         timer.Seconds() > options.time_budget_sec) {

@@ -80,33 +80,58 @@ ColumnProbeSet BuildColumnProbes(const ColumnProfile& profile,
   // remix is a bijection with full avalanche, so the k smallest remixed
   // values are a uniform sample of the distinct values, and being a pure
   // function of the hash it stays deterministic and pair-local.
+  //
+  // Each probe class is kept in a bounded heap whose root is its worst kept
+  // entry, replaced whenever a scan of the hashes finds a better one. Both
+  // orders are strict, so a heap ends with exactly the entries a full sort
+  // would put first, without copying the column's hashes.
   {
     const size_t k = std::min(options.bottom_probes, n);
-    std::vector<std::pair<uint64_t, uint64_t>> mixed(n);
-    for (size_t i = 0; i < n; ++i) mixed[i] = {SplitMix64(hashes[i]), hashes[i]};
-    std::partial_sort(mixed.begin(), mixed.begin() + long(k), mixed.end());
+    std::vector<std::pair<uint64_t, uint64_t>> kept;  // (remix, hash).
+    kept.reserve(k);
+    for (size_t i = 0; i < k; ++i) {
+      kept.push_back({SplitMix64(hashes[i]), hashes[i]});
+    }
+    std::make_heap(kept.begin(), kept.end());
+    if (k > 0) {
+      // Distinct hashes have distinct remixes, so the remix alone orders
+      // a new hash against the largest kept pair.
+      uint64_t largest = kept.front().first;
+      for (size_t i = k; i < n; ++i) {
+        const uint64_t remix = SplitMix64(hashes[i]);
+        if (remix >= largest) continue;
+        std::pop_heap(kept.begin(), kept.end());
+        kept.back() = {remix, hashes[i]};
+        std::push_heap(kept.begin(), kept.end());
+        largest = kept.front().first;
+      }
+    }
     out.bottom.reserve(k);
-    for (size_t i = 0; i < k; ++i) out.bottom.push_back(mixed[i].second);
+    for (const auto& entry : kept) out.bottom.push_back(entry.second);
     std::sort(out.bottom.begin(), out.bottom.end());
   }
   if (options.heavy_probes > 0) {
     // Top hashes by occurrence count, ties by hash ascending. The hash
-    // vector is strictly increasing, so index order IS hash order and the
-    // comparator below is a deterministic total order.
+    // vector is strictly increasing, so index order IS hash order.
     const size_t f = std::min(options.heavy_probes, n);
-    std::vector<size_t> idx(n);
-    std::iota(idx.begin(), idx.end(), size_t{0});
-    std::partial_sort(idx.begin(), idx.begin() + long(f), idx.end(),
-                      [&](size_t a, size_t b) {
-                        if (profile.distinct_counts[a] !=
-                            profile.distinct_counts[b]) {
-                          return profile.distinct_counts[a] >
-                                 profile.distinct_counts[b];
-                        }
-                        return a < b;
-                      });
+    const std::vector<int32_t>& counts = profile.distinct_counts;
+    auto heavier = [&](size_t a, size_t b) {
+      return counts[a] != counts[b] ? counts[a] > counts[b] : a < b;
+    };
+    std::vector<size_t> kept(f);  // Indices; the root is the lightest.
+    std::iota(kept.begin(), kept.end(), size_t{0});
+    std::make_heap(kept.begin(), kept.end(), heavier);
+    int32_t lightest = counts[kept.front()];
+    for (size_t i = f; i < n; ++i) {
+      // Index i follows every kept index, so it wins only on count.
+      if (counts[i] <= lightest) continue;
+      std::pop_heap(kept.begin(), kept.end(), heavier);
+      kept.back() = i;
+      std::push_heap(kept.begin(), kept.end(), heavier);
+      lightest = counts[kept.front()];
+    }
     out.heavy.reserve(f);
-    for (size_t k = 0; k < f; ++k) out.heavy.push_back(hashes[idx[k]]);
+    for (size_t i : kept) out.heavy.push_back(hashes[i]);
     std::sort(out.heavy.begin(), out.heavy.end());
   }
   return out;

@@ -1,8 +1,10 @@
 #include "synth/corpus.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/stats_util.h"
 
@@ -24,11 +26,36 @@ const char* BucketLabel(int bucket) {
   return kLabels[bucket];
 }
 
+namespace {
+
+// One case of a fixed-count corpus: its generator options and its own
+// random stream, both drawn before any case is generated.
+struct CaseDraw {
+  BiGenOptions gen;
+  Rng rng;
+};
+
+// Generates each drawn case into its own slot, in parallel over cases with
+// the largest table counts first. A case reads only its own options and
+// stream, so the corpus is the same at any thread count and schedule.
+std::vector<BiCase> GenerateCases(std::vector<CaseDraw> draws) {
+  std::vector<BiCase> cases(draws.size());
+  const std::vector<size_t> order = LargestFirst(
+      draws.size(), [&](size_t i) { return size_t(draws[i].gen.num_tables); });
+  ParallelFor(draws.size(), [&](size_t k) {
+    CaseDraw& draw = draws[order[k]];
+    cases[order[k]] = GenerateBiCase(draw.gen, draw.rng);
+  });
+  return cases;
+}
+
+}  // namespace
+
 std::vector<BiCase> BuildTrainingCorpus(const CorpusOptions& options) {
   Rng rng(options.seed * 0x9E3779B97F4A7C15ULL + 1);
-  std::vector<BiCase> corpus;
-  corpus.reserve(options.training_cases);
-  while (corpus.size() < options.training_cases) {
+  std::vector<CaseDraw> draws;
+  draws.reserve(options.training_cases);
+  while (draws.size() < options.training_cases) {
     BiGenOptions gen = options.gen;
     // Training sizes 3..12, skewed small like the harvested population.
     gen.num_tables = 3 + static_cast<int>(rng.NextZipf(10, 0.7));
@@ -36,26 +63,26 @@ std::vector<BiCase> BuildTrainingCorpus(const CorpusOptions& options) {
     // (Appendix A); the label noise spreads classifier scores the way real
     // training data does.
     gen.missing_gt_prob = 0.06;
-    Rng case_rng = rng.Fork();
-    corpus.push_back(GenerateBiCase(gen, case_rng));
+    draws.push_back({gen, rng.Fork()});
   }
-  return corpus;
+  return GenerateCases(std::move(draws));
 }
 
 std::vector<BiCase> BuildWildCollection(const CorpusOptions& options,
                                         size_t num_cases) {
   Rng rng(options.seed * 0x9E3779B97F4A7C15ULL + 2);
-  std::vector<BiCase> corpus;
-  corpus.reserve(num_cases);
-  while (corpus.size() < num_cases) {
+  std::vector<CaseDraw> draws;
+  draws.reserve(num_cases);
+  while (draws.size() < num_cases) {
     BiGenOptions gen = options.gen;
     gen.num_tables = 2 + static_cast<int>(rng.NextZipf(12, 1.2));
-    Rng case_rng = rng.Fork();
-    corpus.push_back(GenerateBiCase(gen, case_rng));
+    draws.push_back({gen, rng.Fork()});
   }
-  return corpus;
+  return GenerateCases(std::move(draws));
 }
 
+// Serial: the bucket an attempt fills depends on the table count of the
+// case it generates, so the next attempt's draws cannot be made ahead.
 RealBenchmark BuildRealBenchmark(const CorpusOptions& options) {
   Rng rng(options.seed * 0x9E3779B97F4A7C15ULL + 3);
   RealBenchmark bench;

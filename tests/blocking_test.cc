@@ -201,6 +201,71 @@ TEST(BlockingDifferentialTest, PlanPruningBoundsHoldAsLakesGrow) {
   EXPECT_GE(GrowthExponent(sizes, total), 1.5);
 }
 
+// An order-sensitive hash of every admitted (ti, tj, a, b) of a plan, in
+// plan order.
+uint64_t AdmissionsHash(
+    const std::map<std::pair<int, int>, PairBlocking>& plan) {
+  uint64_t h = 0;
+  for (const auto& [pair, blocking] : plan) {
+    for (const auto& [a, b] : blocking.admitted) {
+      for (int v : {pair.first, pair.second, a, b}) {
+        h = SplitMix64(h ^ uint64_t(uint32_t(v)));
+      }
+    }
+  }
+  return h;
+}
+
+struct RecordedPlan {
+  size_t column_pairs_total;
+  size_t column_pairs_admitted;
+  size_t table_pairs_total;
+  size_t table_pairs_active;
+  uint64_t admissions_hash;
+};
+
+void ExpectPlanMatchesRecorded(const std::vector<Table>& tables,
+                               const RecordedPlan& want, const char* what) {
+  const std::vector<TableProfile> profiles = ProfileTables(tables);
+  for (int threads : {1, 4}) {
+    BlockingStats stats;
+    const std::map<std::pair<int, int>, PairBlocking> plan =
+        BuildBlockingPlan(profiles, BlockingOptions{}, &stats, threads);
+    EXPECT_EQ(stats.column_pairs_total, want.column_pairs_total) << what;
+    EXPECT_EQ(stats.column_pairs_admitted, want.column_pairs_admitted)
+        << what;
+    EXPECT_EQ(stats.column_pairs_pruned,
+              want.column_pairs_total - want.column_pairs_admitted)
+        << what;
+    EXPECT_EQ(stats.table_pairs_total, want.table_pairs_total) << what;
+    EXPECT_EQ(stats.table_pairs_active, want.table_pairs_active) << what;
+    EXPECT_EQ(AdmissionsHash(plan), want.admissions_hash) << what;
+  }
+}
+
+// Pins which probes each column draws: the plans of a 250-table lake (the
+// size of perfbench's lake sessions) and of TPC-H from DDL at scale 4 must
+// keep the counters and admissions recorded when the bottom and heavy
+// probes were chosen by two partial sorts. The differential tests compare
+// plan modes that share one set of probes, and blocking against the
+// exhaustive oracle only through predictions, so neither sees a change of
+// probe choice that keeps those predictions.
+TEST(BlockingDifferentialTest, ProbeChoiceMatchesRecordedPlans) {
+  LakeGenOptions gen;
+  gen.num_tables = 250;
+  Rng lake_rng(4242);
+  ExpectPlanMatchesRecorded(GenerateLake(gen, lake_rng).tables,
+                            {909702, 3013, 62250, 1124, 0x5e477501f00eed7bULL},
+                            "lake");
+
+  Rng tpch_rng(4242);
+  StatusOr<BiCase> tpch = GenerateTpchFromDdl(4.0, tpch_rng);
+  ASSERT_TRUE(tpch.ok()) << tpch.status().ToString();
+  ExpectPlanMatchesRecorded(tpch->tables,
+                            {3140, 544, 56, 46, 0xa4ee581e4bc946bbULL},
+                            "TPC-H(ddl)");
+}
+
 // A plan scoped by `rescan` (what a delta predict builds) holds exactly the
 // global plan's entries on the in-scope ordered pairs (an absent entry means
 // nothing was admitted) and none elsewhere, and its counters are the sums

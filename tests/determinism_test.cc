@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,7 +17,9 @@
 #include "core/auto_bi.h"
 #include "core/trainer.h"
 #include "eval/harness.h"
+#include "fuzz/faultpoints.h"
 #include "ml/gbdt.h"
+#include "profile/sketch.h"
 #include "synth/corpus.h"
 
 namespace autobi {
@@ -62,6 +66,72 @@ TEST(DeterminismTest, TrainingBitIdenticalAcrossThreadCounts) {
         << "LocalModel differs between threads=" << kThreadCounts[0]
         << " and threads=" << kThreadCounts[i];
   }
+}
+
+// Sets AUTOBI_THREADS for one scope and restores the value it had before
+// (the TSan stage of scripts/check.sh runs this binary with it set).
+class ScopedThreadsEnv {
+ public:
+  explicit ScopedThreadsEnv(const char* value) {
+    if (const char* old = std::getenv("AUTOBI_THREADS")) old_ = old;
+    setenv("AUTOBI_THREADS", value, 1);
+  }
+  ~ScopedThreadsEnv() {
+    if (old_) {
+      setenv("AUTOBI_THREADS", old_->c_str(), 1);
+    } else {
+      unsetenv("AUTOBI_THREADS");
+    }
+  }
+
+ private:
+  std::optional<std::string> old_;
+};
+
+// The corpus builders generate their cases in parallel from streams drawn
+// before the fan-out, so the corpus is the same at any thread count.
+TEST(DeterminismTest, TrainingCorpusIdenticalAcrossThreadCounts) {
+  std::vector<BiCase> serial;
+  {
+    ScopedThreadsEnv env("1");
+    serial = TrainCorpus();
+  }
+  std::vector<BiCase> parallel;
+  {
+    ScopedThreadsEnv env("8");
+    parallel = TrainCorpus();
+  }
+  ASSERT_EQ(serial.size(), 24u);
+  ASSERT_EQ(parallel.size(), serial.size());
+  for (size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(serial[i].name, parallel[i].name) << "case " << i;
+    EXPECT_EQ(TablesContentHash(serial[i].tables),
+              TablesContentHash(parallel[i].tables))
+        << "case " << i;
+    EXPECT_TRUE(serial[i].ground_truth.joins ==
+                parallel[i].ground_truth.joins)
+        << "case " << i;
+  }
+}
+
+// GenerateCandidates queries the candidates.exhausted fault point, whose
+// decisions follow the order of queries, so training under an armed spec
+// runs its cases serially: two runs at 8 threads fire the same faults and
+// save the same model.
+TEST(DeterminismTest, TrainingUnderArmedFaultsIsReproducible) {
+  std::vector<BiCase> corpus = TrainCorpus();
+  std::string models[2];
+  long fires[2] = {0, 0};
+  for (int run = 0; run < 2; ++run) {
+    ASSERT_TRUE(
+        FaultPoints::Global().Configure("candidates.exhausted=0.5@7"));
+    models[run] = Serialize(TrainAt(corpus, 8));
+    fires[run] = FaultPoints::Global().fires();
+  }
+  FaultPoints::Global().Disable();
+  EXPECT_GT(fires[0], 0);
+  EXPECT_EQ(fires[0], fires[1]);
+  EXPECT_EQ(models[0], models[1]);
 }
 
 TEST(DeterminismTest, PredictionBitIdenticalAcrossThreadCounts) {
