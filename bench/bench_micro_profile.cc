@@ -97,8 +97,8 @@ int main() {
   // --- 2. Unary containment kernels. The legacy timings probe *prebuilt*
   // string maps, matching what the historical kernel paid per probe (its
   // maps lived inside the profiles).
-  DistinctKeyMap map_fk = BuildDistinctKeyMap(pfk);
-  DistinctKeyMap map_pk = BuildDistinctKeyMap(ppk);
+  DistinctKeyMap map_fk = BuildDistinctKeyMap(fk);
+  DistinctKeyMap map_pk = BuildDistinctKeyMap(pk);
   constexpr size_t kIters = 20;
   double old_us = TimeUs(kIters, [&] {
     return ContainmentViaStringMap(map_fk, pfk.non_null_count, map_pk);
@@ -112,7 +112,7 @@ int main() {
   // switches to a galloping search over the big side).
   Column small_fk = StringColumn("sfk", 20000, 500, "cust_", 23);
   ColumnProfile psmall = ProfileColumn(small_fk);
-  DistinctKeyMap map_small = BuildDistinctKeyMap(psmall);
+  DistinctKeyMap map_small = BuildDistinctKeyMap(small_fk);
   double old_skew_us = TimeUs(kIters * 10, [&] {
     return ContainmentViaStringMap(map_small, psmall.non_null_count, map_pk);
   });
@@ -145,10 +145,10 @@ int main() {
   std::vector<std::vector<std::vector<DistinctKeyMap>>> maps(
       real.cases.size());
   for (size_t i = 0; i < real.cases.size(); ++i) {
-    maps[i].resize(profiles[i].size());
-    for (size_t t = 0; t < profiles[i].size(); ++t) {
-      for (const ColumnProfile& p : profiles[i][t].columns) {
-        maps[i][t].push_back(BuildDistinctKeyMap(p));
+    for (const Table& t : real.cases[i].tables) {
+      std::vector<DistinctKeyMap>& table_maps = maps[i].emplace_back();
+      for (size_t c = 0; c < t.num_columns(); ++c) {
+        table_maps.push_back(BuildDistinctKeyMap(t.column(c)));
       }
     }
   }
@@ -163,7 +163,7 @@ int main() {
           if (ti == tj) continue;
           for (size_t a = 0; a < tp[ti].columns.size(); ++a) {
             const ColumnProfile& pa = tp[ti].columns[a];
-            if (pa.num_distinct < defaults.min_distinct) continue;
+            if (pa.num_distinct < kMinDependentDistinct) continue;
             for (size_t b = 0; b < tp[tj].columns.size(); ++b) {
               const ColumnProfile& pb = tp[tj].columns[b];
               if (pb.non_null_count == 0 ||

@@ -179,9 +179,11 @@ echo "check.sh: ThreadSanitizer clean (pipeline, incremental, blocking plan," \
 # --- Kernel-oracle equivalence under ASan/UBSan (always on since PR 7):
 # the hash-first profiling/UCC/IND kernels (table/key_view.h + radix-sorted
 # aggregation) must stay bit-identical to the legacy string-map oracles of
-# src/oracle/ on adversarial data, the REAL corpus, and TPC-H-via-DDL, with
-# the arena/offset arithmetic of the key view checked for memory and UB
-# errors.
+# src/oracle/ on adversarial data, real 64-bit collisions, the REAL corpus,
+# and TPC-H-via-DDL, with the key view's offsets and the row numbers a
+# profile stores checked for memory and UB errors. The profile-merge tests
+# run here too: an append merge reads the column's old rows through
+# Column::KeyAt at the rows the old profile recorded.
 ASAN_BUILD_DIR="${AUTOBI_ASAN_BUILD_DIR:-build-asan}"
 cmake -B "$ASAN_BUILD_DIR" -S . -DAUTOBI_SANITIZE=address,undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
@@ -190,8 +192,11 @@ cmake --build "$ASAN_BUILD_DIR" -j --target autobi_profile_ml_tests \
   autobi_parallel_tests autobi_integration_tests
 UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
   "$ASAN_BUILD_DIR/tests/autobi_profile_ml_tests" \
-  --gtest_filter='KernelOracle*:TpchDdl*'
-echo "check.sh: kernel-oracle equivalence clean (ASan/UBSan)."
+  --gtest_filter='*KernelOracle*:TpchDdl*'
+UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}" \
+  "$ASAN_BUILD_DIR/tests/autobi_integration_tests" \
+  --gtest_filter='*MergeEquivalenceTest.*:SketchTest.Merge*'
+echo "check.sh: kernel-oracle equivalence and profile merge clean (ASan/UBSan)."
 
 # --- Blocking plan under ASan/UBSan (always on): the global index's bucket
 # offsets and per-worker hit counters, checked against the pair-local mode

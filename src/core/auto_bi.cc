@@ -70,16 +70,10 @@ uint64_t SolveKeyFingerprint(const AutoBiOptions& o, const RunContext* ctx) {
   h = MixU64(h, c.ucc.max_candidates);
   h = MixDouble(h, c.ucc.min_distinct_ratio);
   h = MixDouble(h, c.ind.min_containment);
-  h = MixU64(h, c.ind.min_distinct);
   h = MixDouble(h, c.ind.min_referenced_distinct_ratio);
   h = MixU64(h, c.ind.max_arity);
   h = MixU64(h, c.ind.max_composite_probes);
   h = MixU64(h, uint64_t(c.ind.blocking.enabled));
-  h = MixU64(h, c.ind.blocking.bottom_probes);
-  h = MixU64(h, c.ind.blocking.heavy_probes);
-  h = MixU64(h, c.ind.blocking.probe_all_below);
-  h = MixDouble(h, c.one_to_one_distinct_ratio);
-  h = MixDouble(h, c.one_to_one_min_containment);
   h = MixU64(h, uint64_t(c.metadata_fallback_for_empty_tables));
   h = MixU64(h, uint64_t(o.solver.max_one_mca_calls));
   if (ctx != nullptr) {
@@ -373,15 +367,18 @@ StatusOr<AutoBiResult> PredictWith(const LocalModel& model,
     PredictCache* cache = options.cache;
     const bool memo_usable =
         cache != nullptr && (ctx == nullptr || !ctx->StopRequested());
-    // The snapshots key the solve memo below, and the table cache and the
-    // schema diff inside the pipeline. Without the caller's, every cell is
-    // hashed once, here.
+    // The snapshots key the solve memo below, and the table cache, the
+    // schema diff and the state commit inside the pipeline. Without the
+    // caller's, every cell is hashed once, here — or not at all when there
+    // is neither a cache nor a state to read the hashes.
     Timer hash_timer;
     std::vector<TableSnapshot> hashed;
     if (snapshots == nullptr) {
-      hashed = SnapshotTables(tables, options.candidates.threads != 0
-                                          ? options.candidates.threads
-                                          : options.threads);
+      if (cache != nullptr || state != nullptr) {
+        hashed = SnapshotTables(tables, options.candidates.threads != 0
+                                            ? options.candidates.threads
+                                            : options.threads);
+      }
       snapshots = &hashed;
     }
     uint64_t solve_key = 0;

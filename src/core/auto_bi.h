@@ -158,8 +158,9 @@ class AutoBi {
   // (core/schema_diff.h), optionally with an append record; the predict
   // then reads no cell to key its caches and diff. A caller that keeps
   // tables across predicts (the serving engine) hashes each once, when it
-  // arrives. Null: every table is hashed here, once per call. The result is
-  // the same either way.
+  // arrives. Null: every table is hashed here, once per call, if the
+  // options carry a PredictCache or the call is stateful; otherwise nothing
+  // reads the hashes and none are taken. The result is the same either way.
   StatusOr<AutoBiResult> Predict(
       const std::vector<Table>& tables, const RunContext* ctx,
       const std::vector<TableSnapshot>* snapshots = nullptr) const;

@@ -7,6 +7,7 @@
 #include <memory>
 #include <utility>
 
+#include "common/check.h"
 #include "common/parallel.h"
 #include "common/strings.h"
 #include "common/timer.h"
@@ -56,7 +57,7 @@ bool OverTableBudget(const Table& table, const RunContext::Budgets& budgets) {
 void AddIndCandidates(const std::vector<Ind>& inds,
                       const std::vector<Table>& tables,
                       const std::vector<TableProfile>& profiles,
-                      const CandidateGenOptions& options,
+                      const CandidateGenOptions& /*options*/,
                       CompositeKeyCache* composite_cache,
                       CandidateMap* dedup) {
   for (const Ind& ind : inds) {
@@ -85,10 +86,10 @@ void AddIndCandidates(const std::vector<Ind>& inds,
     double dst_distinct =
         MeanDistinctRatio(profiles[size_t(cand.dst.table)], cand.dst.columns);
     cand.one_to_one =
-        src_distinct >= options.one_to_one_distinct_ratio &&
-        dst_distinct >= options.one_to_one_distinct_ratio &&
+        src_distinct >= kOneToOneDistinctRatio &&
+        dst_distinct >= kOneToOneDistinctRatio &&
         std::min(cand.left_containment, cand.right_containment) >=
-            options.one_to_one_min_containment;
+            kOneToOneMinContainment;
 
     // Canonical orientation for 1:1 candidates: both IND directions fold
     // into one candidate keyed from the lower endpoint.
@@ -137,14 +138,8 @@ void AddMetadataFallbackCandidates(const std::vector<Table>& tables,
 CandidateSet GenerateCandidates(const std::vector<Table>& tables,
                                 const CandidateGenOptions& options,
                                 const RunContext* ctx) {
-  Timer hash_timer;
-  std::vector<TableSnapshot> snapshots =
-      SnapshotTables(tables, options.threads);
-  const double hash_seconds = hash_timer.Seconds();
-  PipelineRun run;
-  CandidateSet out = GenerateCandidates(tables, snapshots, options, ctx, &run);
-  out.ucc_seconds += hash_seconds;
-  return out;
+  PipelineRun run;  // No cache, no state: nothing reads table hashes.
+  return GenerateCandidates(tables, {}, options, ctx, &run);
 }
 
 CandidateSet GenerateCandidates(const std::vector<Table>& tables,
@@ -154,6 +149,8 @@ CandidateSet GenerateCandidates(const std::vector<Table>& tables,
   CandidateSet out;
   const size_t n = tables.size();
   const IncrementalState* prev = run->prev;
+  AUTOBI_CHECK(snapshots.size() == n ||
+               (run->cache == nullptr && prev == nullptr));
 
   // Admission under RunContext table budgets: over-budget tables are
   // excluded from value probing up front (deterministically — counted, not

@@ -15,14 +15,15 @@
 
 namespace autobi {
 
+// A candidate is 1:1-shaped when both endpoints have distinct ratio at least
+// kOneToOneDistinctRatio and each contains the other at least
+// kOneToOneMinContainment (Appendix A, "separate N-1 and 1-1 classifiers").
+inline constexpr double kOneToOneDistinctRatio = 0.95;
+inline constexpr double kOneToOneMinContainment = 0.9;
+
 struct CandidateGenOptions {
   UccOptions ucc;
   IndOptions ind;
-  // A candidate is 1:1-shaped when both endpoints have distinct ratio at
-  // least this and are mutually contained (Appendix A, "separate N-1 and 1-1
-  // classifiers").
-  double one_to_one_distinct_ratio = 0.95;
-  double one_to_one_min_containment = 0.9;
   // When a table pair has no data to probe (e.g. tables parsed from DDL, or
   // tables excluded from value probing by a RunContext row/cell budget),
   // fall back to metadata-screened candidates so schema-only prediction
@@ -76,7 +77,8 @@ struct PipelineRun;  // core/incremental.h
 // Stages 1-2 as every predict runs them (the overload above is this with a
 // stateless run). `snapshots[i]` must equal SnapshotTable(tables[i]), plus
 // any append record; its hashes key the table cache (run->cache) and the
-// schema diff. With run->prev set, what the diff proves unchanged is
+// schema diff (run->prev). With neither, nothing reads them and `snapshots`
+// may be empty. With run->prev set, what the diff proves unchanged is
 // reused, including the scored candidates of pairs of unchanged tables
 // (scores land in run->scores). Every other pair is rescanned by one
 // DiscoverInds call whose `rescan` flags the tables that are not unchanged;
@@ -104,7 +106,7 @@ using CandidateMap = std::map<std::pair<ColumnRef, ColumnRef>, JoinCandidate>;
 // containment (profile-based for unary, exact probe through
 // `composite_cache` for composite), 1:1 detection + canonical orientation,
 // prefer-1:1 replacement on key collision. GenerateCandidates' conversion
-// step.
+// step. `options` is not read: the 1:1 thresholds are the constants above.
 void AddIndCandidates(const std::vector<Ind>& inds,
                       const std::vector<Table>& tables,
                       const std::vector<TableProfile>& profiles,

@@ -96,12 +96,11 @@ ColumnProfile ProfileColumnLegacy(const Column& col, size_t max_sample) {
     uint64_t hash;
     uint32_t first_row;
     int32_t count;
-    const std::string* key;
   };
   std::vector<Hashed> entries;
   entries.reserve(distinct.size());
   for (const auto& [k, e] : distinct) {
-    entries.push_back(Hashed{StableHash64(k), e.first_row, e.count, &k});
+    entries.push_back(Hashed{StableHash64(k), e.first_row, e.count});
   }
   std::sort(entries.begin(), entries.end(),
             [](const Hashed& a, const Hashed& b) {
@@ -117,24 +116,22 @@ ColumnProfile ProfileColumnLegacy(const Column& col, size_t max_sample) {
       // the (hash, first_row) sort already puts them in first-occurrence
       // order, matching the hash kernel's bookkeeping.
       p.collision_hashes.push_back(entries[j].hash);
-      p.collision_keys.push_back(*entries[j].key);
+      p.collision_rows.push_back(entries[j].first_row);
       ++j;
     }
     p.distinct_hashes.push_back(entries[i].hash);
     p.distinct_counts.push_back(count);
-    p.distinct_offsets.push_back(p.distinct_pool.size());
-    p.distinct_pool.append(*entries[i].key);
+    p.distinct_rows.push_back(entries[i].first_row);
     i = j;
   }
-  p.distinct_offsets.push_back(p.distinct_pool.size());
   return p;
 }
 
-DistinctKeyMap BuildDistinctKeyMap(const ColumnProfile& p) {
+DistinctKeyMap BuildDistinctKeyMap(const Column& col) {
   DistinctKeyMap m;
-  m.reserve(p.distinct_hashes.size() * 2);
-  for (size_t i = 0; i < p.distinct_hashes.size(); ++i) {
-    m.emplace(std::string(p.distinct_key(i)), p.distinct_counts[i]);
+  std::string key;
+  for (size_t r = 0; r < col.size(); ++r) {
+    if (col.KeyAt(r, &key)) ++m[key];
   }
   return m;
 }
@@ -149,9 +146,8 @@ double ContainmentViaStringMap(const DistinctKeyMap& a, size_t a_non_null,
   return static_cast<double>(hits) / static_cast<double>(a_non_null);
 }
 
-double ContainmentViaStringMap(const ColumnProfile& a,
-                               const ColumnProfile& b) {
-  return ContainmentViaStringMap(BuildDistinctKeyMap(a), a.non_null_count,
+double ContainmentViaStringMap(const Column& a, const Column& b) {
+  return ContainmentViaStringMap(BuildDistinctKeyMap(a), a.num_non_null(),
                                  BuildDistinctKeyMap(b));
 }
 

@@ -24,15 +24,18 @@ namespace autobi {
 // ColumnProfile, every field included.
 ColumnProfile ProfileColumnLegacy(const Column& col, size_t max_sample = 512);
 
-// A profile's distinct values as a string map (key -> occurrence count),
-// materialized from the pooled keys.
+// A column's distinct values as a string map (canonical key -> occurrence
+// count), built from its cells through Column::KeyAt — independent of any
+// profile, so it can check one.
 using DistinctKeyMap = std::unordered_map<std::string, int32_t>;
-DistinctKeyMap BuildDistinctKeyMap(const ColumnProfile& p);
+DistinctKeyMap BuildDistinctKeyMap(const Column& col);
 
-// Containment over string maps. The two-profile form materializes both maps
-// per call; the prebuilt-map form is what the benchmark times (probe cost
-// only, as the historical kernel paid).
-double ContainmentViaStringMap(const ColumnProfile& a, const ColumnProfile& b);
+// Row-weighted containment of a in b over string maps. The two-column form
+// builds both maps per call; the prebuilt-map form is what the benchmark
+// times (probe cost only, as the historical kernel paid). Exact even where
+// two distinct keys share a 64-bit hash, which hash Containment counts as
+// contained.
+double ContainmentViaStringMap(const Column& a, const Column& b);
 double ContainmentViaStringMap(const DistinctKeyMap& a, size_t a_non_null,
                                const DistinctKeyMap& b);
 

@@ -12,7 +12,7 @@ namespace autobi {
 
 namespace {
 
-// Probe material of one dependent column. Exact mode (<= probe_all_below
+// Probe material of one dependent column. Exact mode (<= kProbeAllBelow
 // distinct values) carries every distinct hash plus its occurrence count,
 // so admission compares the exact row-weighted containment. Sampled mode
 // carries the two probe classes separately (a hash heavy AND sampled is
@@ -36,9 +36,8 @@ struct ColumnProbeSet {
 // integer hit counts through this one function, so the double arithmetic —
 // and therefore the admission — is bit-identical between them.
 bool AdmitFromHits(const ColumnProbeSet& p, int64_t bottom_hits,
-                   int64_t heavy_hits, int64_t weight_hits,
-                   const BlockingOptions& options) {
-  const double f = options.min_probe_fraction;
+                   int64_t heavy_hits, int64_t weight_hits) {
+  const double f = kMinProbeFraction;
   if (p.exact) {
     return weight_hits > 0 &&
            double(weight_hits) >= f * double(p.total_weight);
@@ -54,13 +53,12 @@ bool AdmitFromHits(const ColumnProbeSet& p, int64_t bottom_hits,
   return false;
 }
 
-ColumnProbeSet BuildColumnProbes(const ColumnProfile& profile,
-                                 const BlockingOptions& options) {
+ColumnProbeSet BuildColumnProbes(const ColumnProfile& profile) {
   const std::vector<uint64_t>& hashes = profile.distinct_hashes;
   const size_t n = hashes.size();
   ColumnProbeSet out;
   if (n == 0) return out;
-  if (n <= options.probe_all_below) {
+  if (n <= kProbeAllBelow) {
     // Exact mode: every value with its count — admission compares the true
     // row-weighted containment.
     out.exact = true;
@@ -84,45 +82,44 @@ ColumnProbeSet BuildColumnProbes(const ColumnProfile& profile,
   // Each probe class is kept in a bounded heap whose root is its worst kept
   // entry, replaced whenever a scan of the hashes finds a better one. Both
   // orders are strict, so a heap ends with exactly the entries a full sort
-  // would put first, without copying the column's hashes.
+  // would put first, without copying the column's hashes. A sampled column
+  // has more distinct values than either budget, so both fill up.
+  static_assert(kBottomProbes <= kProbeAllBelow &&
+                kHeavyProbes <= kProbeAllBelow);
   {
-    const size_t k = std::min(options.bottom_probes, n);
     std::vector<std::pair<uint64_t, uint64_t>> kept;  // (remix, hash).
-    kept.reserve(k);
-    for (size_t i = 0; i < k; ++i) {
+    kept.reserve(kBottomProbes);
+    for (size_t i = 0; i < kBottomProbes; ++i) {
       kept.push_back({SplitMix64(hashes[i]), hashes[i]});
     }
     std::make_heap(kept.begin(), kept.end());
-    if (k > 0) {
-      // Distinct hashes have distinct remixes, so the remix alone orders
-      // a new hash against the largest kept pair.
-      uint64_t largest = kept.front().first;
-      for (size_t i = k; i < n; ++i) {
-        const uint64_t remix = SplitMix64(hashes[i]);
-        if (remix >= largest) continue;
-        std::pop_heap(kept.begin(), kept.end());
-        kept.back() = {remix, hashes[i]};
-        std::push_heap(kept.begin(), kept.end());
-        largest = kept.front().first;
-      }
+    // Distinct hashes have distinct remixes, so the remix alone orders a
+    // new hash against the largest kept pair.
+    uint64_t largest = kept.front().first;
+    for (size_t i = kBottomProbes; i < n; ++i) {
+      const uint64_t remix = SplitMix64(hashes[i]);
+      if (remix >= largest) continue;
+      std::pop_heap(kept.begin(), kept.end());
+      kept.back() = {remix, hashes[i]};
+      std::push_heap(kept.begin(), kept.end());
+      largest = kept.front().first;
     }
-    out.bottom.reserve(k);
+    out.bottom.reserve(kBottomProbes);
     for (const auto& entry : kept) out.bottom.push_back(entry.second);
     std::sort(out.bottom.begin(), out.bottom.end());
   }
-  if (options.heavy_probes > 0) {
+  {
     // Top hashes by occurrence count, ties by hash ascending. The hash
     // vector is strictly increasing, so index order IS hash order.
-    const size_t f = std::min(options.heavy_probes, n);
     const std::vector<int32_t>& counts = profile.distinct_counts;
     auto heavier = [&](size_t a, size_t b) {
       return counts[a] != counts[b] ? counts[a] > counts[b] : a < b;
     };
-    std::vector<size_t> kept(f);  // Indices; the root is the lightest.
+    std::vector<size_t> kept(kHeavyProbes);  // Indices; root = lightest.
     std::iota(kept.begin(), kept.end(), size_t{0});
     std::make_heap(kept.begin(), kept.end(), heavier);
     int32_t lightest = counts[kept.front()];
-    for (size_t i = f; i < n; ++i) {
+    for (size_t i = kHeavyProbes; i < n; ++i) {
       // Index i follows every kept index, so it wins only on count.
       if (counts[i] <= lightest) continue;
       std::pop_heap(kept.begin(), kept.end(), heavier);
@@ -130,7 +127,7 @@ ColumnProbeSet BuildColumnProbes(const ColumnProfile& profile,
       std::push_heap(kept.begin(), kept.end(), heavier);
       lightest = counts[kept.front()];
     }
-    out.heavy.reserve(f);
+    out.heavy.reserve(kHeavyProbes);
     for (size_t i : kept) out.heavy.push_back(hashes[i]);
     std::sort(out.heavy.begin(), out.heavy.end());
   }
@@ -141,9 +138,8 @@ ColumnProbeSet BuildColumnProbes(const ColumnProfile& profile,
 // distinct-hash vector) with every probe of `probes`. Kept out of line:
 // inlined into ComputePairBlocking's column loop (GCC 12, -O3) it made the
 // blocking of a one-table star or tpch delta 10-20% slower.
-[[gnu::noinline]] bool AdmitColumnPair(const ColumnProbeSet& probes,
-                                       const std::vector<uint64_t>& ref_hashes,
-                                       const BlockingOptions& options) {
+[[gnu::noinline]] bool AdmitColumnPair(
+    const ColumnProbeSet& probes, const std::vector<uint64_t>& ref_hashes) {
   if (probes.bottom.empty() || ref_hashes.empty()) return false;
   int64_t bottom_hits = 0;
   int64_t heavy_hits = 0;
@@ -160,21 +156,19 @@ ColumnProbeSet BuildColumnProbes(const ColumnProfile& profile,
       ++heavy_hits;
     }
   }
-  return AdmitFromHits(probes, bottom_hits, heavy_hits, weight_hits, options);
+  return AdmitFromHits(probes, bottom_hits, heavy_hits, weight_hits);
 }
 
 // Pair-local admission of every column pair of (dep -> ref), from the
 // dependent table's probe sets, in (a, b)-lexicographic order.
 PairBlocking ComputePairBlocking(const std::vector<ColumnProbeSet>& dep_probes,
-                                 const TableProfile& ref,
-                                 const BlockingOptions& options) {
+                                 const TableProfile& ref) {
   PairBlocking out;
   for (int a = 0; a < int(dep_probes.size()); ++a) {
     const ColumnProbeSet& probes = dep_probes[size_t(a)];
     if (probes.bottom.empty()) continue;
     for (int b = 0; b < int(ref.columns.size()); ++b) {
-      if (AdmitColumnPair(probes, ref.columns[size_t(b)].distinct_hashes,
-                          options)) {
+      if (AdmitColumnPair(probes, ref.columns[size_t(b)].distinct_hashes)) {
         out.admitted.emplace_back(a, b);
       }
     }
@@ -202,8 +196,8 @@ constexpr int32_t kHeavyProbe = -1;
 // index once. The index holds only the probes (a few per column), so its
 // cost grows with the probes, not with the data.
 Plan ProbeIndex(const std::vector<TableProfile>& profiles,
-                const TableProbes& probes, const BlockingOptions& options,
-                int threads, const RunContext* ctx) {
+                const TableProbes& probes, int threads,
+                const RunContext* ctx) {
   const int n = int(profiles.size());
   // Dependent columns with probes, table-major, so the columns of table t
   // are the index range [first[t], first[t + 1]).
@@ -320,8 +314,7 @@ Plan ProbeIndex(const std::vector<TableProfile>& profiles,
           }
           for (uint32_t d : touched) {
             const Counts& c = counts[d];
-            if (AdmitFromHits(*deps[d].probes, c.bottom, c.heavy, c.weight,
-                              options)) {
+            if (AdmitFromHits(*deps[d].probes, c.bottom, c.heavy, c.weight)) {
               admitted[r].push_back(d);
             }
             counts[d] = Counts{};
@@ -351,15 +344,14 @@ Plan ProbeIndex(const std::vector<TableProfile>& profiles,
 // Only the in-scope pairs, each admitted pair-locally.
 Plan ProbePairs(const std::vector<TableProfile>& profiles,
                 const TableProbes& probes,
-                const std::vector<std::pair<int, int>>& pairs,
-                const BlockingOptions& options, int threads,
+                const std::vector<std::pair<int, int>>& pairs, int threads,
                 const RunContext* ctx) {
   std::vector<PairBlocking> per_pair = ParallelMap(
       pairs.size(),
       [&](size_t k) {
         if (ctx != nullptr && ctx->StopRequested()) return PairBlocking{};
         return ComputePairBlocking(probes[size_t(pairs[k].first)],
-                                   profiles[size_t(pairs[k].second)], options);
+                                   profiles[size_t(pairs[k].second)]);
       },
       threads);
   Plan plan;
@@ -374,9 +366,9 @@ Plan ProbePairs(const std::vector<TableProfile>& profiles,
 }  // namespace
 
 std::map<std::pair<int, int>, PairBlocking> BuildBlockingPlan(
-    const std::vector<TableProfile>& profiles, const BlockingOptions& options,
-    BlockingStats* stats, int threads, const RunContext* ctx,
-    const std::vector<char>* rescan) {
+    const std::vector<TableProfile>& profiles,
+    const BlockingOptions& /*options*/, BlockingStats* stats, int threads,
+    const RunContext* ctx, const std::vector<char>* rescan) {
   const int n = int(profiles.size());
   auto in_scope = [&](int t) {
     return rescan == nullptr || (*rescan)[size_t(t)] != 0;
@@ -419,12 +411,12 @@ std::map<std::pair<int, int>, PairBlocking> BuildBlockingPlan(
           std::vector<ColumnProbeSet>& out = probes[order[k]];
           out.reserve(p.columns.size());
           for (const ColumnProfile& c : p.columns) {
-            out.push_back(BuildColumnProbes(c, options));
+            out.push_back(BuildColumnProbes(c));
           }
         },
         threads);
     if (kept < 2) {
-      plan = ProbeIndex(profiles, probes, options, threads, ctx);
+      plan = ProbeIndex(profiles, probes, threads, ctx);
     } else {
       std::vector<std::pair<int, int>> pairs;
       for (int ti = 0; ti < n; ++ti) {
@@ -434,7 +426,7 @@ std::map<std::pair<int, int>, PairBlocking> BuildBlockingPlan(
           }
         }
       }
-      plan = ProbePairs(profiles, probes, pairs, options, threads, ctx);
+      plan = ProbePairs(profiles, probes, pairs, threads, ctx);
     }
   }
   for (const auto& [key, admission] : plan) {

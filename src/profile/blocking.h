@@ -29,14 +29,14 @@ namespace autobi {
 //
 // The admission predicate is conservative by design. Each dependent column
 // a probes with two classes of hashes:
-//   - the `bottom_probes` hashes smallest under a SplitMix64 remix (the
+//   - the kBottomProbes hashes smallest under a SplitMix64 remix (the
 //     raw FNV-1a profile hashes cluster sequential keys, so the remix is
 //     what makes this a uniform sample of a's distinct values), and
-//   - the top `heavy_probes` hashes by occurrence count (containment is
+//   - the top kHeavyProbes hashes by occurrence count (containment is
 //     row-weighted — see Containment() — so high-weight pairs must share
 //     heavy values; ties broken by hash ascending).
 // The pair (a in b) is admitted iff either class finds >= a
-// min_probe_fraction share of its probes in b's distinct hashes. A pair
+// kMinProbeFraction share of its probes in b's distinct hashes. A pair
 // above a containment threshold tau either spreads its shared row weight
 // over many distinct values (the uniform sample then hits at rate ~tau) or
 // concentrates it in few (those values then dominate the by-count heavy
@@ -44,17 +44,17 @@ namespace autobi {
 // coordinated estimator failure — vanishingly unlikely at the default
 // budgets, and verified recall-1.0 on the corpus, the TPC-H DDL schema,
 // and the synthetic lakes by the blocking property tests. Columns with
-// <= probe_all_below distinct values skip sampling entirely: every value
+// <= kProbeAllBelow distinct values skip sampling entirely: every value
 // is probed with its count, and admission compares the EXACT row-weighted
-// containment against min_probe_fraction (no estimator, no failure mode).
+// containment against kMinProbeFraction (no estimator, no failure mode).
 // The exhaustive path (enabled = false) is retained as the oracle.
 //
-// The fraction thresholds assume the downstream containment thresholds
+// The fraction threshold assumes the downstream containment thresholds
 // (IndOptions.min_containment / component_threshold) stay well above
-// min_probe_fraction — the shipped defaults give a 0.68 / 0.25 margin.
-// Callers lowering containment thresholds toward min_probe_fraction must
-// lower it (or disable blocking) in step; a threshold of 0 (admit any
-// overlap) cannot be supported by any blocking scheme.
+// kMinProbeFraction — the shipped defaults give a 0.68 / 0.25 margin.
+// Callers lowering containment thresholds toward kMinProbeFraction must
+// disable blocking; a threshold of 0 (admit any overlap) cannot be
+// supported by any blocking scheme.
 //
 // Determinism contract: the predicate is a pure pair-local function of the
 // two column profiles, so which ordered pairs a plan covers never changes
@@ -65,22 +65,24 @@ namespace autobi {
 // (a delta predict). Both modes produce identical admissions by
 // construction, which is what keeps delta re-prediction byte-identical to a
 // cold run with blocking on.
+
+// Probe budget: k hashes smallest under a SplitMix64 remix (a uniform
+// sample of the column's distinct values).
+inline constexpr size_t kBottomProbes = 24;
+// Probe budget: top hashes by occurrence count (count desc, hash asc).
+inline constexpr size_t kHeavyProbes = 16;
+// Columns with at most this many distinct values probe every value
+// (admission is then exact, not probabilistic).
+inline constexpr size_t kProbeAllBelow = 64;
+// Minimum share of a probe class that must hit the referenced column for
+// admission (exact mode: minimum true row-weighted containment). Comfortably
+// below every containment threshold in use; see above.
+inline constexpr double kMinProbeFraction = 0.25;
+
 struct BlockingOptions {
-  // Master switch. false = the exhaustive all-pairs oracle.
+  // Master switch, read by DiscoverInds. false = the exhaustive all-pairs
+  // oracle.
   bool enabled = true;
-  // Probe budget: k hashes smallest under a SplitMix64 remix (a uniform
-  // sample of the column's distinct values).
-  size_t bottom_probes = 24;
-  // Probe budget: top hashes by occurrence count (count desc, hash asc).
-  size_t heavy_probes = 16;
-  // Columns with at most this many distinct values probe every value
-  // (admission is then exact, not probabilistic).
-  size_t probe_all_below = 64;
-  // Minimum share of a probe class that must hit the referenced column for
-  // admission (exact mode: minimum true row-weighted containment). Must be
-  // comfortably below every containment threshold in use; see the header
-  // comment. 0 degrades to admit-on-any-shared-value.
-  double min_probe_fraction = 0.25;
 };
 
 // Counters of one blocking run (plan-level; thread-count invariant).
@@ -133,12 +135,14 @@ struct PairBlocking {
 // tables changed. `stats`, if non-null, receives the counters of the
 // in-scope pairs.
 //
-// Probe-set builds and probing fan out over `threads` (ResolveThreads
-// semantics); the plan is bit-identical at any thread count. If `ctx` is
-// non-null, the fan-outs poll RunContext::StopRequested at table, column
-// and pair boundaries; work skipped after a trip contributes no admissions
-// (the caller's stage-degradation marking covers this, as the same stop
-// gates the scans downstream).
+// `options` is not read: the plan depends only on the profiles, `rescan`
+// and the constants above. Probe-set builds and probing fan out over
+// `threads` (ResolveThreads semantics); the plan is bit-identical at any
+// thread count. If `ctx` is non-null, the fan-outs poll
+// RunContext::StopRequested at table, column and pair boundaries; work
+// skipped after a trip contributes no admissions (the caller's
+// stage-degradation marking covers this, as the same stop gates the scans
+// downstream).
 std::map<std::pair<int, int>, PairBlocking> BuildBlockingPlan(
     const std::vector<TableProfile>& profiles, const BlockingOptions& options,
     BlockingStats* stats = nullptr, int threads = 0,

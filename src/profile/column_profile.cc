@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <string>
+#include <string_view>
 
 #include "common/check.h"
 #include "common/parallel.h"
@@ -131,9 +133,10 @@ size_t ProbeDistinct(const ColumnKeyView& view,
 }
 
 // Single-pass distinct aggregation of `view` into the profile's distinct
-// vectors (hashes/counts/pool/offsets), collision bookkeeping, num_distinct
-// and key_bytes. Shared by full-column profiling and the append-only delta
-// path (MergeAppendedColumnProfile), which runs it over a suffix view.
+// vectors (hashes/counts/rows), collision bookkeeping, num_distinct and
+// key_bytes. Rows are view indices. Shared by full-column profiling and the
+// append-only delta path (MergeAppendedColumnProfile), which runs it over a
+// suffix view and shifts the rows to column rows.
 void AggregateDistinct(const ColumnKeyView& view, ColumnProfile* out) {
   ColumnProfile& p = *out;
   std::vector<DistinctSlot>& slots = ThreadSlots();
@@ -154,22 +157,15 @@ void AggregateDistinct(const ColumnKeyView& view, ColumnProfile* out) {
     }
   }
   StableRadixSortByHash(&hr, &scratch);
-  size_t rep_bytes = 0;
-  for (const HashRow& e : hr) rep_bytes += view.key(slots[e.row].first_row).size();
-
   p.distinct_hashes.reserve(runs);
   p.distinct_counts.reserve(runs);
-  p.distinct_offsets.reserve(runs + 1);
-  p.distinct_pool.reserve(rep_bytes);
+  p.distinct_rows.reserve(runs);
   for (const HashRow& e : hr) {
     const DistinctSlot& s = slots[e.row];
     p.distinct_hashes.push_back(s.hash);
     p.distinct_counts.push_back(s.count);
-    p.distinct_offsets.push_back(p.distinct_pool.size());
-    std::string_view rep = view.key(s.first_row);
-    p.distinct_pool.append(rep.data(), rep.size());
+    p.distinct_rows.push_back(s.first_row);
   }
-  p.distinct_offsets.push_back(p.distinct_pool.size());
   p.num_distinct = runs + extra_reps.size();
   p.key_bytes = view.key_bytes();
   if (!extra_reps.empty()) {
@@ -182,10 +178,10 @@ void AggregateDistinct(const ColumnKeyView& view, ColumnProfile* out) {
                        return slots[a.first].hash < slots[b.first].hash;
                      });
     p.collision_hashes.reserve(extra_reps.size());
-    p.collision_keys.reserve(extra_reps.size());
+    p.collision_rows.reserve(extra_reps.size());
     for (const auto& [slot_idx, row] : extra_reps) {
       p.collision_hashes.push_back(slots[slot_idx].hash);
-      p.collision_keys.emplace_back(view.key(row));
+      p.collision_rows.push_back(row);
     }
   }
 }
@@ -257,8 +253,9 @@ ColumnProfile MergeAppendedColumnProfile(const ColumnProfile& old_profile,
 
   // Aggregate the appended suffix only; everything per-key below is
   // O(delta). The one full-column pass left is NumericStats at the end.
+  const uint32_t old_rows = static_cast<uint32_t>(old_profile.row_count);
   ColumnKeyView delta_view;
-  delta_view.BuildSuffix(col, old_profile.row_count);
+  delta_view.BuildSuffix(col, old_rows);
   ColumnProfile delta;
   AggregateDistinct(delta_view, &delta);
 
@@ -275,43 +272,44 @@ ColumnProfile MergeAppendedColumnProfile(const ColumnProfile& old_profile,
   // row), counts add, and any delta key not already among the old keys of
   // that hash becomes a collision entry — exactly the bookkeeping a from-
   // scratch scan would produce, in the same (hash, first-occurrence) order.
+  // Delta rows are suffix-view indices until shifted by old_rows.
   const std::vector<uint64_t>& oh = old_profile.distinct_hashes;
   const std::vector<uint64_t>& dh = delta.distinct_hashes;
   m.distinct_hashes.reserve(oh.size() + dh.size());
   m.distinct_counts.reserve(oh.size() + dh.size());
-  m.distinct_offsets.reserve(oh.size() + dh.size() + 1);
-  m.distinct_pool.reserve(old_profile.distinct_pool.size() +
-                          delta.distinct_pool.size());
+  m.distinct_rows.reserve(oh.size() + dh.size());
   size_t i = 0;
   size_t j = 0;
   size_t ci = 0;  // Cursor into old_profile.collision_hashes.
   size_t cj = 0;  // Cursor into delta.collision_hashes.
-  auto emit = [&m](uint64_t hash, int32_t count, std::string_view rep) {
+  auto emit = [&m](uint64_t hash, int32_t count, uint32_t row) {
     m.distinct_hashes.push_back(hash);
     m.distinct_counts.push_back(count);
-    m.distinct_offsets.push_back(m.distinct_pool.size());
-    m.distinct_pool.append(rep.data(), rep.size());
+    m.distinct_rows.push_back(row);
   };
+  auto old_collisions = [&](uint64_t h) {
+    while (ci < old_profile.collision_hashes.size() &&
+           old_profile.collision_hashes[ci] == h) {
+      m.collision_hashes.push_back(h);
+      m.collision_rows.push_back(old_profile.collision_rows[ci]);
+      ++ci;
+    }
+  };
+  std::string old_key;
   while (i < oh.size() || j < dh.size()) {
     bool from_old = j >= dh.size() || (i < oh.size() && oh[i] < dh[j]);
     bool from_delta = i >= oh.size() || (j < dh.size() && dh[j] < oh[i]);
     if (from_old) {
-      uint64_t h = oh[i];
-      emit(h, old_profile.distinct_counts[i], old_profile.distinct_key(i));
-      while (ci < old_profile.collision_hashes.size() &&
-             old_profile.collision_hashes[ci] == h) {
-        m.collision_hashes.push_back(h);
-        m.collision_keys.push_back(old_profile.collision_keys[ci]);
-        ++ci;
-      }
+      emit(oh[i], old_profile.distinct_counts[i], old_profile.distinct_rows[i]);
+      old_collisions(oh[i]);
       ++i;
     } else if (from_delta) {
       uint64_t h = dh[j];
-      emit(h, delta.distinct_counts[j], delta.distinct_key(j));
+      emit(h, delta.distinct_counts[j], old_rows + delta.distinct_rows[j]);
       while (cj < delta.collision_hashes.size() &&
              delta.collision_hashes[cj] == h) {
         m.collision_hashes.push_back(h);
-        m.collision_keys.push_back(std::move(delta.collision_keys[cj]));
+        m.collision_rows.push_back(old_rows + delta.collision_rows[cj]);
         ++cj;
       }
       ++j;
@@ -319,41 +317,38 @@ ColumnProfile MergeAppendedColumnProfile(const ColumnProfile& old_profile,
       // Shared hash. Old keys of this hash first (representative + old
       // collisions), then every delta key of the hash not already present.
       uint64_t h = oh[i];
-      emit(h,
-           old_profile.distinct_counts[i] + delta.distinct_counts[j],
-           old_profile.distinct_key(i));
+      emit(h, old_profile.distinct_counts[i] + delta.distinct_counts[j],
+           old_profile.distinct_rows[i]);
       size_t old_coll_begin = ci;
-      while (ci < old_profile.collision_hashes.size() &&
-             old_profile.collision_hashes[ci] == h) {
-        m.collision_hashes.push_back(h);
-        m.collision_keys.push_back(old_profile.collision_keys[ci]);
-        ++ci;
-      }
-      auto known = [&](std::string_view key) {
-        if (key == old_profile.distinct_key(i)) return true;
+      old_collisions(h);
+      auto known = [&](uint32_t delta_row) {
+        std::string_view key = delta_view.key(delta_row);
+        auto equals_row = [&](uint32_t row) {
+          col.KeyAt(row, &old_key);
+          return key == old_key;
+        };
+        if (equals_row(old_profile.distinct_rows[i])) return true;
         for (size_t k = old_coll_begin; k < ci; ++k) {
-          if (key == old_profile.collision_keys[k]) return true;
+          if (equals_row(old_profile.collision_rows[k])) return true;
         }
         return false;
       };
-      if (!known(delta.distinct_key(j))) {
+      auto add_unknown = [&](uint32_t delta_row) {
+        if (known(delta_row)) return;
         m.collision_hashes.push_back(h);
-        m.collision_keys.emplace_back(delta.distinct_key(j));
-      }
+        m.collision_rows.push_back(old_rows + delta_row);
+      };
+      add_unknown(delta.distinct_rows[j]);
       while (cj < delta.collision_hashes.size() &&
              delta.collision_hashes[cj] == h) {
-        if (!known(delta.collision_keys[cj])) {
-          m.collision_hashes.push_back(h);
-          m.collision_keys.push_back(std::move(delta.collision_keys[cj]));
-        }
+        add_unknown(delta.collision_rows[cj]);
         ++cj;
       }
       ++i;
       ++j;
     }
   }
-  m.distinct_offsets.push_back(m.distinct_pool.size());
-  m.num_distinct = m.distinct_hashes.size() + m.collision_keys.size();
+  m.num_distinct = m.distinct_hashes.size() + m.collision_rows.size();
   if (m.non_null_count > 0) {
     m.distinct_ratio = static_cast<double>(m.num_distinct) /
                        static_cast<double>(m.non_null_count);

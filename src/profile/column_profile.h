@@ -2,8 +2,6 @@
 #define AUTOBI_PROFILE_COLUMN_PROFILE_H_
 
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "table/key_view.h"
@@ -16,20 +14,20 @@ namespace autobi {
 // data; everything downstream works off these summaries, which is what keeps
 // end-to-end inference fast (Figure 5).
 //
-// The distinct-value summary is hash-first (see table/key_view.h): the
-// canonical keys are materialized once into an arena-backed pool and
-// aggregated by their stable 64-bit FNV-1a hashes with a radix sort — no
-// per-cell std::string, no per-row string-map operation. The pooled key
-// bytes stay recoverable for the consumers that need the values themselves
-// (the string-map reference kernels of oracle/profile_oracle.h, tests,
-// debugging).
+// The distinct-value summary is hash-first (see table/key_view.h): cells
+// are aggregated by the stable 64-bit FNV-1a hashes of their canonical keys
+// in one open-addressing pass — no per-cell std::string, no per-row
+// string-map operation. A profile holds hashes, counts and row numbers,
+// never cell bytes: the value behind a distinct entry is recovered from the
+// column it summarizes (Column::KeyAt of its row), so the table is the one
+// copy of its cells.
 struct ColumnProfile {
   ValueType type = ValueType::kNull;
   size_t row_count = 0;
   size_t non_null_count = 0;
-  // Number of distinct canonical keys among non-null cells. Exact (collision
-  // runs in the hash aggregation are verified against the pooled key bytes),
-  // so IsUnique/distinct_ratio match the string-map definition of
+  // Number of distinct canonical keys among non-null cells. Exact (equal
+  // hashes in the aggregation are verified by key bytes), so
+  // IsUnique/distinct_ratio match the string-map definition of
   // ProfileColumnLegacy (oracle/profile_oracle.h).
   size_t num_distinct = 0;
   // Hash-sketch view of the distinct values (profile/sketch.h): stable
@@ -40,12 +38,9 @@ struct ColumnProfile {
   // bottom-k KMV sketch.
   std::vector<uint64_t> distinct_hashes;
   std::vector<int32_t> distinct_counts;
-  // Pooled canonical key bytes of the distinct values, parallel to
-  // distinct_hashes (for a merged collision run the representative is the
-  // key of the lowest row). distinct_key(i) recovers the i-th distinct value
-  // without any per-value allocation.
-  std::string distinct_pool;
-  std::vector<uint64_t> distinct_offsets;  // distinct_hashes.size() + 1.
+  // Parallel to distinct_hashes: the lowest row holding each hash (for a
+  // collision run, the row of the run's representative key).
+  std::vector<uint32_t> distinct_rows;
   // Distinct / non-null ratio (1.0 == column is a key candidate).
   double distinct_ratio = 0.0;
   // Numeric min/max (valid only if is_numeric).
@@ -63,17 +58,12 @@ struct ColumnProfile {
   // True 64-bit collision bookkeeping: distinct keys sharing a hash beyond
   // the run representative, ordered by (hash ascending, first-occurrence row
   // ascending), the two vectors parallel. Almost always empty; kept so
-  // num_distinct (= distinct_hashes.size() + collision_keys.size()) stays
-  // exact AND mergeable under append-only deltas — a cross-batch collision
-  // is only detectable if the representative keys travel with the profile.
+  // num_distinct (= distinct_hashes.size() + collision_rows.size()) stays
+  // exact AND mergeable under append-only deltas: the rows locate every
+  // known key of a hash, so a merge can tell a cross-batch collision from a
+  // repeat by comparing cells.
   std::vector<uint64_t> collision_hashes;
-  std::vector<std::string> collision_keys;
-
-  // Canonical key bytes of the i-th distinct value (hash order).
-  std::string_view distinct_key(size_t i) const {
-    return std::string_view(distinct_pool.data() + distinct_offsets[i],
-                            distinct_offsets[i + 1] - distinct_offsets[i]);
-  }
+  std::vector<uint32_t> collision_rows;
 
   bool IsUnique() const {
     return non_null_count > 0 && num_distinct == non_null_count;
@@ -116,9 +106,12 @@ TableProfile ProfileTable(const Table& table, const TableKeyView& view,
 // caller establishes this via the per-column prefix content hash — see
 // core/schema_diff.h), and the result is bit-identical to
 // ProfileColumn(col) on every field. Key rendering, hashing, and distinct
-// aggregation run only over the appended suffix rows; the one full-column
-// pass left is the cheap numeric min/max/sample scan, whose strided sample
-// positions depend on the total non-null count and so cannot be merged.
+// aggregation run only over the appended suffix rows; a hash the old rows
+// already hold is verified by comparing the appended key with the old
+// rows' keys of that hash, read from `col` at old_profile's rows. The one
+// full-column pass left is the cheap numeric min/max/sample scan, whose
+// strided sample positions depend on the total non-null count and so
+// cannot be merged.
 ColumnProfile MergeAppendedColumnProfile(const ColumnProfile& old_profile,
                                          const Column& col,
                                          size_t max_sample = 512);

@@ -53,7 +53,7 @@ IndPairScan ScanTablePair(const std::vector<Table>& tables,
   // --- Unary INDs.
   for (int a = 0; a < static_cast<int>(na); ++a) {
     const ColumnProfile& pa = pi.columns[a];
-    if (pa.num_distinct < options.min_distinct) continue;
+    if (pa.num_distinct < kMinDependentDistinct) continue;
     for (int b = 0; b < static_cast<int>(nb); ++b) {
       if (!admitted(a, b)) continue;
       const ColumnProfile& pb = pj.columns[b];

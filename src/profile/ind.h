@@ -24,14 +24,15 @@ namespace autobi {
 // generation step of Algorithm 1 (Line 3): every column pair (C_i, C_j) with
 // containment(C_i in C_j) above a threshold becomes a candidate join edge.
 
+// The dependent side of a unary IND must have at least this many distinct
+// values.
+inline constexpr size_t kMinDependentDistinct = 1;
+
 struct IndOptions {
   // Minimum fraction of the dependent (FK) side's distinct values contained
   // in the referenced (PK) side. Real BI joins are often not perfectly
   // inclusive, so this is < 1 by default.
   double min_containment = 0.85;
-  // Dependent side must have at least this many distinct values (tiny
-  // domains overlap by accident).
-  size_t min_distinct = 1;
   // Referenced side must have distinct ratio at least this (a join target
   // should be key-like).
   double min_referenced_distinct_ratio = 0.9;

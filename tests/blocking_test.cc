@@ -340,15 +340,13 @@ void ExpectScopedPlansMatchGlobal(const std::vector<Table>& tables,
 }
 
 // The cells of a column of `keys.size()` distinct strings, past
-// probe_all_below so it probes by sample under the default options: the
-// key whose hash is smallest under the SplitMix64 remix (a bottom probe)
-// dominates with 30 rows; the heavy_probes - 1 keys ranked just past the
-// bottom_probes get 3 rows each, so with the dominant key they are the
-// heavy probes; every other key gets 1 row. `by_rank` receives the keys in
-// remix order.
+// kProbeAllBelow so it probes by sample: the key whose hash is smallest
+// under the SplitMix64 remix (a bottom probe) dominates with 30 rows; the
+// kHeavyProbes - 1 keys ranked just past the kBottomProbes get 3 rows each,
+// so with the dominant key they are the heavy probes; every other key gets
+// 1 row. `by_rank` receives the keys in remix order.
 std::vector<std::string> SkewedCells(std::vector<std::string> keys,
                                      std::vector<std::string>* by_rank) {
-  const BlockingOptions defaults;
   std::sort(keys.begin(), keys.end(),
             [](const std::string& a, const std::string& b) {
               return SplitMix64(StableHash64(a)) < SplitMix64(StableHash64(b));
@@ -356,8 +354,7 @@ std::vector<std::string> SkewedCells(std::vector<std::string> keys,
   std::vector<std::string> cells;
   for (size_t rank = 0; rank < keys.size(); ++rank) {
     const bool heavy_only =
-        rank >= defaults.bottom_probes &&
-        rank < defaults.bottom_probes + defaults.heavy_probes - 1;
+        rank >= kBottomProbes && rank < kBottomProbes + kHeavyProbes - 1;
     const int rows = rank == 0 ? 30 : heavy_only ? 3 : 1;
     for (int r = 0; r < rows; ++r) cells.push_back(keys[rank]);
   }
@@ -374,15 +371,13 @@ void AddStrings(Table* table, const std::string& name,
 // Hand-built edge cases of the global index. Many exact-mode columns draw
 // from one 8-value domain, so each of its values is a probe of many
 // dependent columns; fact_a holds two identical columns, whose entries the
-// walk must skip; two columns sit one value past probe_all_below with a
+// walk must skip; two columns sit one value past kProbeAllBelow with a
 // dominant value that is both a bottom and a heavy probe; probe_ref.r
 // shares with wide.s three of its 24 bottom probes and three of its 16
 // heavy probes (the dominant value counting in both), so the pair is
 // admitted only if a heavy hit is credited as a bottom hit; an all-null
 // column and a zero-row table have no probes.
 std::vector<Table> EdgeCaseTables() {
-  const BlockingOptions defaults;
-  const size_t probe_all_below = defaults.probe_all_below;
   std::vector<std::string> domain;
   for (int v = 0; v < 8; ++v) domain.push_back("v" + std::to_string(v));
   auto cycle = [&](size_t rows, size_t period, size_t stride) {
@@ -412,14 +407,14 @@ std::vector<Table> EdgeCaseTables() {
   for (int v = 0; v < 8; ++v) labels.push_back("label" + std::to_string(v));
   AddStrings(&tables[2], "label", labels);
 
-  // Both columns of `wide` hold probe_all_below + 1 keys and so the same
+  // Both columns of `wide` hold kProbeAllBelow + 1 keys and so the same
   // number of rows; the second one draws the shared domain too.
   std::vector<std::string> s_keys;
   std::vector<std::string> t_keys = domain;
-  for (size_t k = 0; k <= probe_all_below; ++k) {
+  for (size_t k = 0; k <= kProbeAllBelow; ++k) {
     s_keys.push_back("s" + std::to_string(k));
   }
-  for (size_t k = domain.size(); k <= probe_all_below; ++k) {
+  for (size_t k = domain.size(); k <= kProbeAllBelow; ++k) {
     t_keys.push_back("t" + std::to_string(k));
   }
   std::vector<std::string> s_rank;
@@ -432,7 +427,7 @@ std::vector<Table> EdgeCaseTables() {
   // (heavy only) of wide.s: 3 bottom hits of 24 and 3 heavy hits of 16,
   // both under the 0.25 admission fraction; 6 of 24 if heavy hits counted
   // as bottom hits.
-  const size_t heavy_only = defaults.bottom_probes;
+  const size_t heavy_only = kBottomProbes;
   tables[4].set_name("probe_ref");
   AddStrings(&tables[4], "r",
              {s_rank[0], s_rank[1], s_rank[2], s_rank[heavy_only],

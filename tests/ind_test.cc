@@ -217,16 +217,16 @@ TEST_P(IndPropertyTest, MatchesNaiveReference) {
         for (size_t bcol = 0; bcol < tables[tj].num_columns(); ++bcol) {
           const ColumnProfile& pa = profiles[ti].columns[a];
           const ColumnProfile& pb = profiles[tj].columns[bcol];
-          if (pa.num_distinct < opt.min_distinct) continue;
+          if (pa.num_distinct < kMinDependentDistinct) continue;
           if (pb.non_null_count == 0 ||
               pb.distinct_ratio < opt.min_referenced_distinct_ratio) {
             continue;
           }
           if (pa.non_null_count == 0) continue;
           // Row-weighted reference, matching Containment's contract,
-          // rebuilt from the pooled distinct keys.
-          DistinctKeyMap ma = BuildDistinctKeyMap(pa);
-          DistinctKeyMap mb = BuildDistinctKeyMap(pb);
+          // built from the cells.
+          DistinctKeyMap ma = BuildDistinctKeyMap(tables[ti].column(a));
+          DistinctKeyMap mb = BuildDistinctKeyMap(tables[tj].column(bcol));
           int64_t hits = 0;
           for (const auto& [key, count] : ma) {
             if (mb.count(key)) hits += count;

@@ -9,6 +9,8 @@
 // 1, 2, and 8 threads.
 // The partition-refinement UCC lattice is held to the legacy string-set
 // lattice the same way, plus its own edge cases (KernelOraclePliTest).
+// KernelOracleCollisionTest runs profiling, value ids, UCCs and the append
+// merge on real 64-bit hash collisions.
 //
 // scripts/check.sh runs this file under ASan/UBSan on every invocation.
 
@@ -107,8 +109,7 @@ void ExpectProfilesIdentical(const ColumnProfile& a, const ColumnProfile& b) {
   EXPECT_EQ(a.num_distinct, b.num_distinct);
   EXPECT_EQ(a.distinct_hashes, b.distinct_hashes);
   EXPECT_EQ(a.distinct_counts, b.distinct_counts);
-  EXPECT_EQ(a.distinct_pool, b.distinct_pool);
-  EXPECT_EQ(a.distinct_offsets, b.distinct_offsets);
+  EXPECT_EQ(a.distinct_rows, b.distinct_rows);
   EXPECT_EQ(a.distinct_ratio, b.distinct_ratio);  // Bitwise, not NEAR.
   EXPECT_EQ(a.is_numeric, b.is_numeric);
   EXPECT_EQ(a.min_value, b.min_value);
@@ -117,7 +118,7 @@ void ExpectProfilesIdentical(const ColumnProfile& a, const ColumnProfile& b) {
   EXPECT_EQ(a.avg_value_length, b.avg_value_length);
   EXPECT_EQ(a.key_bytes, b.key_bytes);
   EXPECT_EQ(a.collision_hashes, b.collision_hashes);
-  EXPECT_EQ(a.collision_keys, b.collision_keys);
+  EXPECT_EQ(a.collision_rows, b.collision_rows);
 }
 
 // Legacy-profiled TableProfile, assembled column-by-column through the
@@ -196,8 +197,8 @@ TEST_P(KernelOracleTest, KeyViewMatchesKeyAt) {
 }
 
 // The radix-sort profiling kernel is bit-identical to the string-map oracle
-// on every ColumnProfile field (including the pooled distinct keys and their
-// (hash, first-row) order).
+// on every ColumnProfile field (including the representative and collision
+// rows and their (hash, first-row) order).
 TEST_P(KernelOracleTest, ProfileMatchesLegacyOracle) {
   Rng rng(GetParam() * 104729 + 2);
   Table t = RandomTable(rng, "prof");
@@ -558,6 +559,109 @@ TEST(KernelOracleKeyTest, DoubleKeysMatchSnprintfReference) {
     ASSERT_TRUE(col.KeyAt(i, &key));
     EXPECT_EQ(key, expect) << "v=" << v;
     EXPECT_EQ(std::string(view.key(i)), expect) << "v=" << v;
+  }
+}
+
+
+// Real 64-bit collisions: two pairs of distinct strings that share a
+// StableHash64 (FNV-1a), found by a distinguished-point search. The hash
+// kernels must keep colliding values apart wherever they count values.
+constexpr const char* kCollideA = "8a2fedc9e1521b8d";
+constexpr const char* kCollideX = "0aa6c8b27dfed25f";
+constexpr const char* kCollideY = "1406bf6f34a3a42d";
+constexpr const char* kCollideZ = "e914fe83ce597eb8";
+
+// A string column of `cells`; an empty cell is a null.
+Column StringColumn(const std::vector<std::string>& cells) {
+  Column col("v", ValueType::kString);
+  for (const std::string& cell : cells) {
+    if (cell.empty()) {
+      col.AppendNull();
+    } else {
+      col.AppendString(cell);
+    }
+  }
+  return col;
+}
+
+TEST(KernelOracleCollisionTest, PairsShareAHash) {
+  EXPECT_EQ(StableHash64(kCollideA), 0xb9151b4bb1f67fc7ULL);
+  EXPECT_EQ(StableHash64(kCollideX), 0xb9151b4bb1f67fc7ULL);
+  EXPECT_EQ(StableHash64(kCollideY), 0xca61f88fa8e1eda8ULL);
+  EXPECT_EQ(StableHash64(kCollideZ), 0xca61f88fa8e1eda8ULL);
+}
+
+TEST(KernelOracleCollisionTest, ProfileMatchesLegacyOracle) {
+  Column col = StringColumn({kCollideZ, "b", kCollideA, "", kCollideX,
+                             kCollideY, kCollideA, kCollideZ, "b", kCollideX});
+  ColumnProfile p = ProfileColumn(col);
+  ExpectProfilesIdentical(p, ProfileColumnLegacy(col));
+  EXPECT_EQ(p.num_distinct, 5u);
+  EXPECT_EQ(p.distinct_hashes.size(), 3u);
+  EXPECT_FALSE(p.IsUnique());
+  // Both collisions are recorded, each at its first occurrence: x (row 4)
+  // behind a (row 2), y (row 5) behind z (row 0).
+  EXPECT_EQ(p.collision_hashes,
+            (std::vector<uint64_t>{0xb9151b4bb1f67fc7ULL,
+                                   0xca61f88fa8e1eda8ULL}));
+  EXPECT_EQ(p.collision_rows, (std::vector<uint32_t>{4, 5}));
+}
+
+TEST(KernelOracleCollisionTest, ValueIdsKeepCollidingRowsApart) {
+  Column col = StringColumn({kCollideA, kCollideX, kCollideA, kCollideY,
+                             kCollideZ, kCollideX, kCollideZ});
+  std::vector<uint32_t> ids;
+  ColumnValueIds(ColumnKeyView(col), &ids);
+  EXPECT_EQ(ids, (std::vector<uint32_t>{0, 1, 0, 3, 4, 1, 4}));
+}
+
+TEST(KernelOracleCollisionTest, CollidingPairIsAKey) {
+  Table pair("pair");
+  Column& v = pair.AddColumn("v", ValueType::kString);
+  v.AppendString(kCollideA);
+  v.AppendString(kCollideX);
+  TableProfile profile = ProfileTable(pair);
+  EXPECT_TRUE(profile.columns[0].IsUnique());
+  EXPECT_EQ(UccsToString(DiscoverUccs(pair, profile)), "0,;");
+
+  // At arity 2 the key needs a and x told apart: (a, k1), (x, k1), (a, k2),
+  // (x, k2) are four distinct tuples.
+  Table grid("grid");
+  Column& g = grid.AddColumn("v", ValueType::kString);
+  Column& k = grid.AddColumn("k", ValueType::kString);
+  for (const char* key : {"k1", "k2"}) {
+    for (const char* value : {kCollideA, kCollideX}) {
+      g.AppendString(value);
+      k.AppendString(key);
+    }
+  }
+  UccOptions opt;
+  opt.min_distinct_ratio = 0.0;
+  EXPECT_EQ(ExpectLatticeMatchesLegacy(grid, opt), "0,1,;");
+}
+
+// The merge tells an appended key that collides with an old one from a
+// repeat of it. Old rows [a, x, a, c, y], appended [b, a, d, b, z]: 7
+// distinct values over 5 hashes, z colliding with the old y across the
+// batches. Every other split point of the same column must merge to the
+// same profile too.
+TEST(KernelOracleCollisionTest, MergeAcrossBatches) {
+  const std::vector<std::string> cells = {kCollideA, kCollideX, kCollideA,
+                                          "c",       kCollideY, "b",
+                                          kCollideA, "d",       "b",
+                                          kCollideZ};
+  Column full = StringColumn(cells);
+  ColumnProfile fresh = ProfileColumn(full);
+  ExpectProfilesIdentical(fresh, ProfileColumnLegacy(full));
+  EXPECT_EQ(fresh.num_distinct, 7u);
+  EXPECT_EQ(fresh.distinct_hashes.size(), 5u);
+  EXPECT_EQ(fresh.collision_rows, (std::vector<uint32_t>{1, 9}));
+  for (size_t split = 0; split <= cells.size(); ++split) {
+    SCOPED_TRACE("split " + std::to_string(split));
+    Column old_rows = StringColumn(
+        std::vector<std::string>(cells.begin(), cells.begin() + split));
+    ExpectProfilesIdentical(
+        MergeAppendedColumnProfile(ProfileColumn(old_rows), full), fresh);
   }
 }
 

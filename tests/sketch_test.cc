@@ -63,7 +63,7 @@ TEST(SketchTest, ProfileHashVectorsMirrorDistinctKeys) {
   Column col = RandomColumn(&rng, 200, 0.1);
   ColumnProfile p = ProfileColumn(col);
   ASSERT_EQ(p.distinct_hashes.size(), p.distinct_counts.size());
-  ASSERT_EQ(p.distinct_offsets.size(), p.distinct_hashes.size() + 1);
+  ASSERT_EQ(p.distinct_rows.size(), p.distinct_hashes.size());
   // No collisions among the pool values: vector size == exact distinct
   // count, counts sum to the non-null row count, hashes strictly increasing.
   EXPECT_EQ(p.distinct_hashes.size(), p.num_distinct);
@@ -73,9 +73,17 @@ TEST(SketchTest, ProfileHashVectorsMirrorDistinctKeys) {
   for (size_t i = 1; i < p.distinct_hashes.size(); ++i) {
     EXPECT_LT(p.distinct_hashes[i - 1], p.distinct_hashes[i]);
   }
-  // Every pooled distinct key hashes to its own slot.
+  // Every representative row holds a key of its own hash, and no earlier
+  // row does.
+  std::string key;
   for (size_t i = 0; i < p.distinct_hashes.size(); ++i) {
-    EXPECT_EQ(StableHash64(p.distinct_key(i)), p.distinct_hashes[i]);
+    ASSERT_TRUE(col.KeyAt(p.distinct_rows[i], &key));
+    EXPECT_EQ(StableHash64(key), p.distinct_hashes[i]);
+    for (uint32_t r = 0; r < p.distinct_rows[i]; ++r) {
+      if (col.KeyAt(r, &key)) {
+        EXPECT_NE(StableHash64(key), p.distinct_hashes[i]);
+      }
+    }
   }
 }
 
@@ -86,22 +94,22 @@ class ContainmentEquivalenceTest : public ::testing::TestWithParam<uint64_t> {
 
 TEST_P(ContainmentEquivalenceTest, HashMergeEqualsStringMap) {
   Rng rng(GetParam() * 2654435761ULL + 1);
-  std::vector<ColumnProfile> profiles;
+  std::vector<Column> cols;
   for (int i = 0; i < 6; ++i) {
     size_t rows = 1 + rng.NextBelow(300);
-    Column col = RandomColumn(&rng, rows, 0.15);
-    profiles.push_back(ProfileColumn(col));
+    cols.push_back(RandomColumn(&rng, rows, 0.15));
   }
-  // Include an all-null and an empty column.
-  Column empty("e", ValueType::kString);
-  profiles.push_back(ProfileColumn(empty));
-  Column nulls("n", ValueType::kString);
+  // Include an empty and an all-null column.
+  cols.emplace_back("e", ValueType::kString);
+  Column& nulls = cols.emplace_back("n", ValueType::kString);
   for (int i = 0; i < 5; ++i) nulls.AppendNull();
-  profiles.push_back(ProfileColumn(nulls));
+  std::vector<ColumnProfile> profiles;
+  for (const Column& col : cols) profiles.push_back(ProfileColumn(col));
 
-  for (const ColumnProfile& a : profiles) {
-    for (const ColumnProfile& b : profiles) {
-      EXPECT_EQ(Containment(a, b), ContainmentViaStringMap(a, b));
+  for (size_t a = 0; a < cols.size(); ++a) {
+    for (size_t b = 0; b < cols.size(); ++b) {
+      EXPECT_EQ(Containment(profiles[a], profiles[b]),
+                ContainmentViaStringMap(cols[a], cols[b]));
     }
   }
 }
@@ -250,8 +258,7 @@ void ExpectMergedEqualsFromScratch(const ColumnProfile& merged,
   EXPECT_EQ(merged.num_distinct, scratch.num_distinct);
   EXPECT_EQ(merged.distinct_hashes, scratch.distinct_hashes);
   EXPECT_EQ(merged.distinct_counts, scratch.distinct_counts);
-  EXPECT_EQ(merged.distinct_pool, scratch.distinct_pool);
-  EXPECT_EQ(merged.distinct_offsets, scratch.distinct_offsets);
+  EXPECT_EQ(merged.distinct_rows, scratch.distinct_rows);
   EXPECT_EQ(merged.distinct_ratio, scratch.distinct_ratio);
   EXPECT_EQ(merged.is_numeric, scratch.is_numeric);
   EXPECT_EQ(merged.min_value, scratch.min_value);
@@ -260,7 +267,7 @@ void ExpectMergedEqualsFromScratch(const ColumnProfile& merged,
   EXPECT_EQ(merged.avg_value_length, scratch.avg_value_length);
   EXPECT_EQ(merged.key_bytes, scratch.key_bytes);
   EXPECT_EQ(merged.collision_hashes, scratch.collision_hashes);
-  EXPECT_EQ(merged.collision_keys, scratch.collision_keys);
+  EXPECT_EQ(merged.collision_rows, scratch.collision_rows);
 }
 
 // old-profile ∪ appended-delta == from-scratch, on adversarial randomized
@@ -423,9 +430,13 @@ TEST(SketchCorpusTest, ContainmentMatchesReferenceOnTrainingCorpus) {
     for (size_t ti = 0; ti < profiles.size(); ++ti) {
       for (size_t tj = 0; tj < profiles.size(); ++tj) {
         if (ti == tj) continue;
-        for (const ColumnProfile& pa : profiles[ti].columns) {
-          for (const ColumnProfile& pb : profiles[tj].columns) {
-            ASSERT_EQ(Containment(pa, pb), ContainmentViaStringMap(pa, pb))
+        const Table& ta = bi_case.tables[ti];
+        const Table& tb = bi_case.tables[tj];
+        for (size_t a = 0; a < ta.num_columns(); ++a) {
+          for (size_t b = 0; b < tb.num_columns(); ++b) {
+            ASSERT_EQ(Containment(profiles[ti].columns[a],
+                                  profiles[tj].columns[b]),
+                      ContainmentViaStringMap(ta.column(a), tb.column(b)))
                 << bi_case.name;
           }
         }
